@@ -1,5 +1,5 @@
 // Command alsraclint runs the repository's custom static-analysis suite
-// (package internal/analysis): the per-function rules determinism, hotpath,
+// (package internal/analysis): the per-function rules determinism,
 // concurrency and tailmask, plus the interprocedural rules allocflow, leaks,
 // ctxflow and errwrap built on the shared dataflow engine. It is stdlib-only
 // — no golang.org/x/tools — and loads the whole module with a lenient

@@ -1,23 +1,33 @@
 package analysis
 
-import "strings"
+import (
+	"go/ast"
+	"go/types"
+	"strings"
+)
 
-// AllocflowAnalyzer extends the hotpath rule across function boundaries: a
-// function annotated //alsrac:hotpath must be allocation-free over its whole
-// static call closure, not just its own body. The PR 3 rule looks at one
-// body at a time, so a kernel calling a helper that quietly does
-// `make([]uint64, n)` two frames down passed clean; allocflow walks the call
-// graph (direct calls, method calls, method values, calls inside function
-// literals) and reports the offending call chain:
+// AllocflowAnalyzer enforces the steady-state zero-allocation contract of
+// functions annotated //alsrac:hotpath — the word-level kernels whose
+// per-call allocation counts were driven to zero (CoverScan, the bounded
+// evaluators, the simulate inner loops, the cone scan). A kernel must be
+// allocation-free over its whole static call closure. The rule reports
 //
-//	hotpath kernel K calls H1: H1 -> H2 (alloc at file:line: make)
+//   - every allocation site in the kernel's own body (see collectAllocs for
+//     the catalogue: make, new, fresh append, map/slice literals,
+//     &composite, closures, go, defer, string concatenation, allocating
+//     stdlib calls);
+//   - every call into a function that allocates, directly or further down,
+//     with the offending call chain ("hotpath K calls H1, which allocates:
+//     H1 -> H2 (alloc at file:line: make)").
 //
-// Waivers propagate: an //alsrac:alloc-ok marker on the allocation line
-// inside the helper removes the site from the helper's summary (so every
-// transitive proof through it succeeds), and a marker on a call line cuts
-// that edge out of the proof. In-function allocations of the kernel itself
-// remain the hotpath rule's findings — allocflow only reports transitive
-// ones, so the two rules never double-report a line.
+// The call graph covers direct calls, method calls, method values and calls
+// inside function literals. The audited escape hatch is an
+// //alsrac:alloc-ok <reason> comment on the offending line or the line
+// above. Waivers propagate: a marker on an allocation line inside a helper
+// removes the site from the helper's summary (so every transitive proof
+// through it succeeds), and a marker on a call line cuts that edge out of
+// the proof. A marker without a reason on a kernel's own allocation site is
+// itself a finding, so every exception states why it is safe.
 //
 // Dynamic calls through function-typed values (e.g. an injected accessor
 // func) do not resolve statically and are skipped — the proof covers the
@@ -43,6 +53,14 @@ func runAllocflow(mp *ModulePass) {
 	for _, fi := range m.Funcs {
 		if !fi.Hotpath || !mp.applies(fi.Pkg) {
 			continue
+		}
+		for _, site := range fi.Allocs {
+			mp.Reportf(fi.Pkg, site.Pos,
+				"%s in hotpath %s: hoist the allocation, pool it, or waive it with //alsrac:alloc-ok <reason>",
+				site.Desc, fi.DisplayName())
+		}
+		for _, site := range fi.BareWaivers {
+			mp.Reportf(fi.Pkg, site.Pos, "alloc-ok marker without a reason: state why this allocation is acceptable")
 		}
 		for _, cs := range fi.Calls {
 			if cs.Waived || !allocates[cs.Callee] {
@@ -94,4 +112,44 @@ func chainString(chain []*FuncInfo) string {
 		parts[i] = f.DisplayName()
 	}
 	return strings.Join(parts, " -> ")
+}
+
+// isAppendCall reports whether the call is the append builtin with at least
+// one argument.
+func isAppendCall(p *Pass, call *ast.CallExpr) bool {
+	id, ok := call.Fun.(*ast.Ident)
+	return ok && id.Name == "append" && p.isBuiltin(id) && len(call.Args) > 0
+}
+
+// appendTargetMatches reports whether the assignment target and append's
+// first argument name the same slice, treating x = append(x[:0], ...) as a
+// match too (reslicing the same backing).
+func appendTargetMatches(lhs, arg0 ast.Expr) bool {
+	if sl, ok := arg0.(*ast.SliceExpr); ok {
+		arg0 = sl.X
+	}
+	return types.ExprString(lhs) == types.ExprString(arg0)
+}
+
+// compositeKind classifies a composite literal as "map", "slice" or "other",
+// preferring type information and falling back to the syntactic type.
+func (p *Pass) compositeKind(cl *ast.CompositeLit) string {
+	if t := p.Pkg.typeOf(cl); t != nil {
+		switch t.Underlying().(type) {
+		case *types.Map:
+			return "map"
+		case *types.Slice:
+			return "slice"
+		}
+		return "other"
+	}
+	switch tt := cl.Type.(type) {
+	case *ast.MapType:
+		return "map"
+	case *ast.ArrayType:
+		if tt.Len == nil {
+			return "slice"
+		}
+	}
+	return "other"
 }

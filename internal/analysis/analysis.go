@@ -7,10 +7,7 @@
 //     for every worker count, so the simulation-bound packages may not read
 //     wall-clock time, draw from unseeded global randomness, or produce
 //     ordered results from map iteration;
-//   - hotpath: functions annotated //alsrac:hotpath (the care-set and
-//     error-evaluation kernels) must stay allocation-free in steady state;
-//   - concurrency: every goroutine must be joined in the function that
-//     spawns it, and goroutine bodies may not write shared captured state
+//   - concurrency: goroutine bodies may not write shared captured state
 //     outside the sanctioned disjoint-index / mutex / channel patterns;
 //   - tailmask: exported errest entry points taking raw pattern words must
 //     also take the valid-pattern count, so tail bits beyond Patterns.Valid
@@ -20,8 +17,10 @@
 // (module.go) builds one call graph with per-function summaries and runs
 // fixed-point propagation, feeding four interprocedural rules:
 //
-//   - allocflow: hotpath kernels must be allocation-free over their whole
-//     static call closure, with //alsrac:alloc-ok waivers propagating;
+//   - allocflow: functions annotated //alsrac:hotpath (the care-set and
+//     error-evaluation kernels) must be allocation-free in their own body
+//     and over their whole static call closure, with //alsrac:alloc-ok
+//     waivers propagating;
 //   - leaks: every goroutine joined on every path, across function
 //     boundaries (join obligations escape through parameters);
 //   - ctxflow: a function receiving a context.Context must pass it to every
@@ -130,12 +129,11 @@ func (mp *ModulePass) applies(pkg *Package) bool {
 	return mp.Analyzer.AppliesTo == nil || mp.Analyzer.AppliesTo(pkg.Path)
 }
 
-// Analyzers returns the full alsraclint suite in reporting order: the four
-// per-function rules of PR 3, then the four interprocedural rules.
+// Analyzers returns the full alsraclint suite in reporting order: the three
+// per-function rules, then the four interprocedural rules.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
-		HotpathAnalyzer,
 		ConcurrencyAnalyzer,
 		TailmaskAnalyzer,
 		AllocflowAnalyzer,

@@ -21,9 +21,9 @@ var fixtureCases = []struct {
 }{
 	{"determinism_bad.go", "repro/internal/sim", DeterminismAnalyzer},
 	{"determinism_ok.go", "repro/internal/sim", DeterminismAnalyzer},
-	{"hotpath_bad.go", "repro/internal/wordops", HotpathAnalyzer},
-	{"hotpath_ok.go", "repro/internal/wordops", HotpathAnalyzer},
-	{"recycle_bad.go", "repro/internal/aig", HotpathAnalyzer},
+	{"hotpath_bad.go", "repro/internal/wordops", AllocflowAnalyzer},
+	{"hotpath_ok.go", "repro/internal/wordops", AllocflowAnalyzer},
+	{"recycle_bad.go", "repro/internal/aig", AllocflowAnalyzer},
 	{"concurrency_bad.go", "repro/internal/core", ConcurrencyAnalyzer},
 	{"concurrency_ok.go", "repro/internal/core", ConcurrencyAnalyzer},
 	{"tailmask_bad.go", "repro/internal/errest", TailmaskAnalyzer},

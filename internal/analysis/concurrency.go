@@ -7,25 +7,18 @@ import (
 )
 
 // ConcurrencyAnalyzer enforces the worker-pool discipline of the parallel
-// hot path (DESIGN.md §8): goroutines are always scoped to the function that
-// spawns them and communicate through disjoint writes or synchronization,
-// never through bare shared mutation.
-//
-//  1. Every `go` statement must be paired with a WaitGroup/errgroup-style
-//     join — a call to some receiver's Wait method — in the same function.
-//     A fire-and-forget goroutine has no defined completion point, so its
-//     effects land nondeterministically relative to the reduction that
-//     follows the pool.
-//
-//  2. A goroutine body may not assign to variables captured from the
-//     enclosing function or to package-level variables. The sanctioned ways
-//     for workers to publish results remain open: writes through an index
-//     expression (the disjoint-shard pattern, results[c] = ...), channel
-//     sends, method calls (sync/atomic, mutex-guarded state), and any write
-//     made after a .Lock() call in the same goroutine body.
+// hot path (DESIGN.md §8): goroutines communicate through disjoint writes or
+// synchronization, never through bare shared mutation. A goroutine body may
+// not assign to variables captured from the enclosing function or to
+// package-level variables. The sanctioned ways for workers to publish
+// results remain open: writes through an index expression (the
+// disjoint-shard pattern, results[c] = ...), channel sends, method calls
+// (sync/atomic, mutex-guarded state), and any write made after a .Lock()
+// call in the same goroutine body. That every goroutine is joined is the
+// leaks rule's property.
 var ConcurrencyAnalyzer = &Analyzer{
 	Name: "concurrency",
-	Doc:  "require joined goroutines and forbid unsynchronized captured-state writes in worker bodies",
+	Doc:  "forbid unsynchronized captured-state writes in worker bodies",
 	Run:  runConcurrency,
 }
 
@@ -36,36 +29,14 @@ func runConcurrency(p *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkGoroutines(p, fd)
-		}
-	}
-}
-
-func checkGoroutines(p *Pass, fd *ast.FuncDecl) {
-	var goStmts []*ast.GoStmt
-	hasJoin := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.GoStmt:
-			goStmts = append(goStmts, n)
-		case *ast.CallExpr:
-			if _, name, ok := selectorCall(n); ok && name == "Wait" {
-				hasJoin = true
-			}
-		}
-		return true
-	})
-	if len(goStmts) == 0 {
-		return
-	}
-	if !hasJoin {
-		for _, g := range goStmts {
-			p.Reportf(g.Pos(), "go statement in %s without a WaitGroup/errgroup-style join (.Wait()) in the same function", fd.Name.Name)
-		}
-	}
-	for _, g := range goStmts {
-		if fl, ok := g.Call.Fun.(*ast.FuncLit); ok {
-			checkWorkerBody(p, fd, fl)
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					if fl, ok := g.Call.Fun.(*ast.FuncLit); ok {
+						checkWorkerBody(p, fd, fl)
+					}
+				}
+				return true
+			})
 		}
 	}
 }

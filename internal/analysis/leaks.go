@@ -5,12 +5,11 @@ import (
 	"go/types"
 )
 
-// LeaksAnalyzer is the interprocedural upgrade of the concurrency rule's
-// join check: every `go` statement must be joined along every path, but the
-// join may legitimately live in a different function than the spawn. The
-// PR 3 rule demanded a .Wait() somewhere in the spawning function — which
-// both rejects the sanctioned spawn-in-helper/join-in-caller pattern and
-// accepts a function that Waits on one pool while a second pool leaks.
+// LeaksAnalyzer requires every `go` statement to be joined along every
+// path, where the join may legitimately live in a different function than
+// the spawn. Demanding a .Wait() somewhere in the spawning function instead
+// would both reject the sanctioned spawn-in-helper/join-in-caller pattern
+// and accept a function that Waits on one pool while a second pool leaks.
 //
 // leaks matches spawns to joins by the synchronization *object*:
 //
@@ -25,8 +24,8 @@ import (
 //     that call site, with the spawn position named.
 //
 //   - A spawn with no recognizable completion signal (no Done, no send)
-//     falls back to the concurrency rule's coarse check: any join point in
-//     the same function accepts it, none at all is a finding.
+//     falls back to a coarse check: any join point in the same function
+//     accepts it, none at all is a finding.
 //
 // The rule runs module-wide: the daemon (internal/service), the windowed and
 // global scan worker pools (internal/window, internal/resub, internal/sim,

@@ -24,7 +24,7 @@ import (
 //     silence, never guesses (the PR 3 convention).
 //
 //  2. Per-function summaries computed during the same walk: syntactic
-//     allocation sites (the hotpath rule's catalogue, minus //alsrac:alloc-ok
+//     allocation sites (collectAllocs' catalogue, minus //alsrac:alloc-ok
 //     waived lines, which is how waivers propagate — a waived site never
 //     enters a summary, so it is invisible to every transitive proof),
 //     blocking seeds (channel operations, default-less selects, time.Sleep),
@@ -65,6 +65,10 @@ type FuncInfo struct {
 	// excluded here — that exclusion is what makes waivers propagate
 	// through allocflow's transitive proof.
 	Allocs []Site
+
+	// BareWaivers are the allocation sites waived by an alloc-ok marker
+	// that states no reason; allocflow reports them in hotpath kernels.
+	BareWaivers []Site
 
 	// Blocks are the blocking seeds of the body: channel sends/receives
 	// outside a default-guarded select, default-less selects with no
@@ -340,7 +344,7 @@ func (m *Module) summarize(fi *FuncInfo) {
 		})
 	}
 	walk(fi.Decl.Body, 0, 0)
-	fi.Allocs = collectAllocs(p, fi.File, fi.Decl.Body, marks)
+	fi.Allocs, fi.BareWaivers = collectAllocs(p, fi.File, fi.Decl.Body, marks)
 
 	// Function/method value references: any remaining use of a module
 	// function object that was not the Fun of a call becomes a may-call
@@ -587,17 +591,21 @@ var allocatingStdlib = map[string]bool{
 	"bytes": true, "sort": true,
 }
 
-// collectAllocs gathers the unwaived syntactic allocation sites of a body —
-// the same catalogue the hotpath rule reports in-function (make, new, fresh
-// append, map/slice composite literals, &composite, closures, go, string
-// concatenation) plus calls into allocating stdlib packages, which matter
-// once the proof crosses function boundaries. Sites covered by an
-// //alsrac:alloc-ok marker are omitted entirely: a waived allocation is
-// invisible to the transitive proof, which is how waivers propagate.
-func collectAllocs(p *Package, file *ast.File, body ast.Node, marks allocOK) []Site {
-	var sites []Site
+// collectAllocs gathers the unwaived syntactic allocation sites of a body:
+// make, new, append into a fresh slice (self-append into persistent scratch,
+// s.buf = append(s.buf, x), is the sanctioned amortized pattern), map and
+// slice composite literals, &composite (escapes), closures (captures
+// escape), go and defer statements, string concatenation, and calls into
+// allocating stdlib packages. Sites covered by an //alsrac:alloc-ok marker
+// are omitted: a waived allocation is invisible to the transitive proof,
+// which is how waivers propagate. The second result lists the waived sites
+// whose marker states no reason.
+func collectAllocs(p *Package, file *ast.File, body ast.Node, marks allocOK) (sites, bare []Site) {
 	add := func(n ast.Node, desc string) {
-		if found, _ := marks.suppressed(p.Fset, n.Pos()); found {
+		if found, reason := marks.suppressed(p.Fset, n.Pos()); found {
+			if reason == "" {
+				bare = append(bare, Site{n.Pos(), desc})
+			}
 			return
 		}
 		sites = append(sites, Site{n.Pos(), desc})
@@ -653,6 +661,8 @@ func collectAllocs(p *Package, file *ast.File, body ast.Node, marks allocOK) []S
 			return false
 		case *ast.GoStmt:
 			add(n, "go statement")
+		case *ast.DeferStmt:
+			add(n, "defer")
 		case *ast.BinaryExpr:
 			if n.Op == token.ADD {
 				if t := p.typeOf(n.X); t != nil {
@@ -664,5 +674,5 @@ func collectAllocs(p *Package, file *ast.File, body ast.Node, marks allocOK) []S
 		}
 		return true
 	})
-	return sites
+	return sites, bare
 }

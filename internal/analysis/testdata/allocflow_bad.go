@@ -1,7 +1,6 @@
 // Fixture: transitive allocations the allocflow analyzer must trace through
-// the call graph. Every kernel body here is itself allocation-free, so the
-// per-function hotpath rule sees nothing in this file — that gap is exactly
-// what allocflow closes (pinned by TestAllocflowCatchesWhatHotpathMisses).
+// the call graph. Every kernel body here is itself allocation-free; the
+// findings are the calls into allocating helpers.
 package wordops
 
 //alsrac:hotpath

@@ -1,16 +1,7 @@
-// Fixture: the goroutine-discipline violations the concurrency analyzer
-// must catch.
+// Fixture: the shared-write violations the concurrency analyzer must catch.
 package core
 
 import "sync"
-
-func fireAndForget(n int) {
-	for i := 0; i < n; i++ {
-		go work(i) //want:concurrency
-	}
-}
-
-func work(int) {}
 
 func capturedAccumulator(items []int) int {
 	total := 0

@@ -1,30 +1,30 @@
-// Fixture: every allocation class the hotpath analyzer must catch inside an
-// annotated function.
+// Fixture: every allocation class the allocflow analyzer must catch in the
+// own body of an annotated function.
 package wordops
 
 type acc struct{ n int }
 
 //alsrac:hotpath
 func kernelBad(dst, src []uint64, label, suffix string) int {
-	tmp := make([]uint64, len(src)) //want:hotpath
+	tmp := make([]uint64, len(src)) //want:allocflow
 	copy(tmp, src)
-	grown := append(src, 0) //want:hotpath
+	grown := append(src, 0) //want:allocflow
 	_ = grown
-	box := new(acc) //want:hotpath
+	box := new(acc) //want:allocflow
 	_ = box
-	table := map[int]int{1: 2} //want:hotpath
+	table := map[int]int{1: 2} //want:allocflow
 	_ = table
-	lits := []int{1, 2, 3} //want:hotpath
+	lits := []int{1, 2, 3} //want:allocflow
 	_ = lits
-	ptr := &acc{n: 1} //want:hotpath
+	ptr := &acc{n: 1} //want:allocflow
 	_ = ptr
-	f := func() {} //want:hotpath
+	f := func() {} //want:allocflow
 	f()
-	defer f()              //want:hotpath
-	name := label + suffix //want:hotpath
+	defer f()              //want:allocflow
+	name := label + suffix //want:allocflow
 	_ = name
 	//alsrac:alloc-ok
-	pad := make([]uint64, 4) //want:hotpath
+	pad := make([]uint64, 4) //want:allocflow
 	_ = pad
 	return len(dst)
 }

@@ -1,4 +1,4 @@
-// Fixture: the allocation-free idioms the hotpath analyzer must accept.
+// Fixture: the allocation-free idioms the allocflow analyzer must accept.
 package wordops
 
 type scanState struct {

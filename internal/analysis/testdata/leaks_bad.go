@@ -58,3 +58,12 @@ func signalsButNeverWaits() {
 		defer wg.Done()
 	}()
 }
+
+// fireAndForget spawns a function directly, with no join anywhere.
+func fireAndForget(n int) {
+	for i := 0; i < n; i++ {
+		go work(i) //want:leaks
+	}
+}
+
+func work(int) {}

@@ -11,14 +11,14 @@ type recycler struct {
 
 //alsrac:hotpath
 func (r *recycler) recycleBad(n int, epochs []uint32, touched []int) []bool {
-	snap := make([]uint32, len(epochs)) //want:hotpath
+	snap := make([]uint32, len(epochs)) //want:allocflow
 	copy(snap, epochs)
-	r.free = append(touched[:0:0], touched...) //want:hotpath
-	stale := make([]bool, n)                   //want:hotpath
+	r.free = append(touched[:0:0], touched...) //want:allocflow
+	stale := make([]bool, n)                   //want:allocflow
 	for _, t := range touched {
 		stale[t] = true
 	}
-	onFree := func(slot int) { stale[slot] = true } //want:hotpath
+	onFree := func(slot int) { stale[slot] = true } //want:allocflow
 	for _, f := range r.free {
 		onFree(f)
 	}

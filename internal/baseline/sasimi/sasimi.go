@@ -4,7 +4,8 @@
 // signal, its complement, or a constant — driven by the same greedy flow
 // and batch error estimation as ALSRAC. The paper reimplemented Su's method
 // inside its own framework; this package does the same by plugging a SASIMI
-// candidate generator into core.Run.
+// candidate generator into core.Run, whose sessions commit every change in
+// place like ALSRAC's own.
 package sasimi
 
 import (
@@ -17,8 +18,9 @@ import (
 )
 
 // Generator proposes single-signal substitution LACs. For every AND node v
-// it scans all signals s with smaller topological id (which can never be in
-// v's fanout cone, so substitution cannot create a cycle), ranks them by
+// it scans all live signals s with smaller id (ids are topological, also
+// after in-place commits recycle freed slots, so s can never be in v's
+// fanout cone and substitution cannot create a cycle), ranks them by
 // simulated similarity to v, and emits the closest matches in either
 // polarity plus the two constants.
 type Generator struct {
@@ -38,8 +40,56 @@ type cand struct {
 	diff int     // disagreeing patterns
 }
 
-// Generate implements core.Generator.
+// substitution is one proposed change: node's references are rewired to sub.
+type substitution struct {
+	node aig.Node
+	sub  aig.Lit
+	gain int // node's MFFC size
+}
+
+func (sb substitution) candidate() core.Candidate {
+	node, sub := sb.node, sb.sub
+	return core.Candidate{
+		Node: node,
+		Gain: sb.gain,
+		NewVec: func(vecs *sim.Vectors, dst []uint64) {
+			vecs.LitInto(sub, dst)
+		},
+		Apply: func(g *aig.Graph) *aig.Graph {
+			return g.CopyWith(map[aig.Node]aig.Lit{node: sub})
+		},
+		ApplyInPlace: func(g *aig.Graph, touched *[]aig.Node) {
+			g.ReplaceNode(node, sub, touched)
+		},
+	}
+}
+
+// Generate implements core.IncrementalGenerator.
 func (sg Generator) Generate(g *aig.Graph, care *sim.Vectors, valid int) []core.Candidate {
+	subs := sg.scan(g, care, valid)
+	out := make([]core.Candidate, len(subs))
+	for i, sb := range subs {
+		out[i] = sb.candidate()
+	}
+	return out
+}
+
+// GenerateWorkers implements core.IncrementalGenerator. The scan is
+// sequential, so the worker count is ignored.
+func (sg Generator) GenerateWorkers(g *aig.Graph, care *sim.Vectors, valid, _ int) []core.Candidate {
+	return sg.Generate(g, care, valid)
+}
+
+// GenerateIncremental implements core.IncrementalGenerator. The generator
+// keeps no per-node state to reuse, so every call is a full rescan and the
+// cache is nil, which the contract allows.
+func (sg Generator) GenerateIncremental(g *aig.Graph, care *sim.Vectors, valid, _ int,
+	_ []bool, _ any) ([]core.Candidate, any) {
+	return sg.Generate(g, care, valid), nil
+}
+
+// scan proposes the substitutions of every live AND node, in node order.
+func (sg Generator) scan(g *aig.Graph, care *sim.Vectors, valid int) []substitution {
 	words := care.Words
 	lastMask := ^uint64(0)
 	if valid%64 != 0 {
@@ -71,7 +121,7 @@ func (sg Generator) Generate(g *aig.Graph, care *sim.Vectors, valid int) []core.
 
 	refs := g.RefCounts()
 	maxDiff := int(sg.MaxDiff * float64(valid))
-	var out []core.Candidate
+	var out []substitution
 	for v := aig.Node(1); int(v) < g.NumNodes(); v++ {
 		if !g.IsAnd(v) {
 			continue
@@ -82,9 +132,10 @@ func (sg Generator) Generate(g *aig.Graph, care *sim.Vectors, valid int) []core.
 			cand{s: aig.LitFalse, diff: diffCount(v, aig.LitFalse)},
 			cand{s: aig.LitTrue, diff: diffCount(v, aig.LitTrue)},
 		)
-		// Signal candidates: any node with a smaller id (PIs included).
+		// Signal candidates: any live node with a smaller id (PIs
+		// included). A freed slot's care vector is stale.
 		for s := aig.Node(1); s < v; s++ {
-			if g.Kind(s) == aig.KindConst {
+			if k := g.Kind(s); k == aig.KindConst || k == aig.KindDead {
 				continue
 			}
 			d := diffCount(v, aig.MakeLit(s, false))
@@ -102,18 +153,7 @@ func (sg Generator) Generate(g *aig.Graph, care *sim.Vectors, valid int) []core.
 		}
 		mffc := g.MFFCSize(v, refs)
 		for _, c := range cs[:n] {
-			node := v
-			sub := c.s
-			out = append(out, core.Candidate{
-				Node: node,
-				Gain: mffc,
-				NewVec: func(vecs *sim.Vectors, dst []uint64) {
-					vecs.LitInto(sub, dst)
-				},
-				Apply: func(g *aig.Graph) *aig.Graph {
-					return g.CopyWith(map[aig.Node]aig.Lit{node: sub})
-				},
-			})
+			out = append(out, substitution{node: v, sub: c.s, gain: mffc})
 		}
 	}
 	return out

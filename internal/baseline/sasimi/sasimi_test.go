@@ -1,6 +1,7 @@
 package sasimi
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/aig"
@@ -103,4 +104,66 @@ func TestConfigure(t *testing.T) {
 	if _, ok := opts.Generator.(Generator); !ok {
 		t.Fatalf("Configure did not install the SASIMI generator")
 	}
+}
+
+// TestApplyInPlaceOnFreedSlots: sessions commit SASIMI changes in place, so
+// the generator scans graphs with freed slots. No substitute may be a dead
+// slot (its care vector is stale), and every candidate's in-place commit
+// must equal its copying Apply.
+func TestApplyInPlaceOnFreedSlots(t *testing.T) {
+	// Rewire the first AND node whose MFFC, freed in place, leaves a dead
+	// slot below live logic — a slot the signal scan would reach.
+	var g *aig.Graph
+	for v := aig.Node(1); g == nil; v++ {
+		h := rippleAdder(5).Sweep()
+		if int(v) >= h.NumNodes() {
+			t.Fatal("no replacement leaves a dead slot below live logic")
+		}
+		if !h.IsAnd(v) {
+			continue
+		}
+		h.ReplaceNode(v, aig.LitFalse, nil)
+		for n := aig.Node(1); int(n) < h.NumNodes(); n++ {
+			if h.Kind(n) == aig.KindDead && h.IsAnd(aig.Node(h.NumNodes()-1)) {
+				g = h
+				break
+			}
+		}
+	}
+	p := sim.Exhaustive(g.NumPIs())
+	vecs := sim.Simulate(g, p)
+	gen := DefaultGenerator()
+	for _, sb := range gen.scan(g, vecs, p.Valid) {
+		if g.Kind(sb.sub.Node()) == aig.KindDead {
+			t.Fatalf("node %d: substitute %v is a freed slot", sb.node, sb.sub)
+		}
+	}
+	cands := gen.Generate(g, vecs, p.Valid)
+	if len(cands) == 0 {
+		t.Fatal("no candidates")
+	}
+	for _, c := range cands {
+		inPlace := g.Clone()
+		c.ApplyInPlace(inPlace, nil)
+		copied := c.Apply(g.Clone())
+		for _, h := range []*aig.Graph{inPlace, copied} {
+			if err := h.CheckStrict(); err != nil {
+				t.Fatalf("node %d: %v", c.Node, err)
+			}
+		}
+		if inPlace.NumAnds() != copied.NumAnds() {
+			t.Fatalf("node %d: %d ANDs in place, %d via Apply", c.Node, inPlace.NumAnds(), copied.NumAnds())
+		}
+		a, b := sim.Simulate(inPlace, p), sim.Simulate(copied, p)
+		for i := 0; i < g.NumPOs(); i++ {
+			got := a.LitInto(inPlace.PO(i), make([]uint64, p.Words))
+			want := b.LitInto(copied.PO(i), make([]uint64, p.Words))
+			if !slices.Equal(got, want) {
+				t.Fatalf("node %d: PO %d differs between ApplyInPlace and Apply", c.Node, i)
+			}
+		}
+		a.Release()
+		b.Release()
+	}
+	vecs.Release()
 }

@@ -555,6 +555,16 @@ func (co *Coordinator) findAttemptLocked(jobID, attemptID string) (*cjob, *attem
 	return j, nil, ErrLeaseLost
 }
 
+// liveAttemptLocked is findAttemptLocked for an attempt that may still
+// finish its job: a terminal job reports the lease lost.
+func (co *Coordinator) liveAttemptLocked(jobID, attemptID string) (*cjob, *attempt, error) {
+	j, a, err := co.findAttemptLocked(jobID, attemptID)
+	if err == nil && j.state.Terminal() {
+		err = ErrLeaseLost
+	}
+	return j, a, err
+}
+
 // Renew extends an attempt's lease. ErrLeaseLost (HTTP 409) tells the worker
 // its ownership is gone and the session must be abandoned.
 func (co *Coordinator) Renew(jobID, workerID, attemptID string) error {
@@ -632,10 +642,10 @@ func (co *Coordinator) UploadCheckpoint(jobID, workerID, attemptID string, paylo
 	return nil
 }
 
-// UploadResult finishes an attempt: first finisher wins, the job goes Done,
-// the result lands in the CAS under the job's key, and every other attempt's
-// lease dies (its worker sees 409 at the next renew — the cross-machine ctx
-// cancellation). Losing attempts get ErrLeaseLost.
+// UploadResult finishes an attempt: first finisher wins, the result lands
+// in the CAS under the job's key, the job goes Done, and every other
+// attempt's lease dies (its worker sees 409 at the next renew — the
+// cross-machine ctx cancellation). Losing attempts get ErrLeaseLost.
 func (co *Coordinator) UploadResult(jobID, workerID, attemptID string, sum ResultSummary, aag []byte) error {
 	// Validate before taking the winner slot: an unparsable body must not
 	// mark the job done.
@@ -651,16 +661,31 @@ func (co *Coordinator) UploadResult(jobID, workerID, attemptID string, sum Resul
 	now := co.cfg.Now()
 	co.sweepLocked(now)
 	co.touchWorkerLocked(workerID, now)
-	j, a, err := co.findAttemptLocked(jobID, attemptID)
+	j, _, err := co.liveAttemptLocked(jobID, attemptID)
 	if err != nil {
 		co.mu.Unlock()
 		return err
 	}
-	if j.state.Terminal() {
-		co.mu.Unlock()
-		return ErrLeaseLost
+	key := j.key
+	co.mu.Unlock()
+
+	// The result is stored before the job is published Done, so every
+	// submission that sees the job done also finds its result in the cache.
+	// Results are deterministic per key, so a racing finisher that loses
+	// below has written the same bytes.
+	if err := co.cas.PutResult(key, payload); err != nil {
+		co.logf("cluster: job %s: persisting result: %v", jobID, err)
 	}
-	co.met.jobSeconds.Observe(now.Sub(a.started).Seconds())
+
+	co.mu.Lock()
+	// The lock was released for the write: the attempt must still own the
+	// open job to win it.
+	j, a, err := co.liveAttemptLocked(jobID, attemptID)
+	if err != nil {
+		co.mu.Unlock()
+		return err
+	}
+	co.met.jobSeconds.Observe(co.cfg.Now().Sub(a.started).Seconds())
 	if a.hedge {
 		co.met.hedgeWins.Inc()
 	}
@@ -669,12 +694,8 @@ func (co *Coordinator) UploadResult(jobID, workerID, attemptID string, sum Resul
 	j.resultAAG = aag
 	j.errMsg = ""
 	co.transitionLocked(j, service.StateDone)
-	key := j.key
 	co.mu.Unlock()
 
-	if err := co.cas.PutResult(key, payload); err != nil {
-		co.logf("cluster: job %s: persisting result: %v", jobID, err)
-	}
 	co.mu.Lock()
 	_ = co.persistState(j)
 	co.mu.Unlock()

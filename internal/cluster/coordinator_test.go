@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultfs"
 	"repro/internal/service"
 )
 
@@ -107,6 +108,64 @@ func TestDuplicateSubmissionCacheHit(t *testing.T) {
 	}
 	if !bytes.Equal(a1, a2) {
 		t.Fatalf("cache hit served different bytes")
+	}
+}
+
+// renameHookFS calls hook before every rename: the commit point of every
+// atomic write, CAS entries and job state files alike.
+type renameHookFS struct {
+	faultfs.FS
+	hook func(newpath string)
+}
+
+func (f renameHookFS) Rename(oldpath, newpath string) error {
+	f.hook(newpath)
+	return f.FS.Rename(oldpath, newpath)
+}
+
+// TestResultStoredBeforeDone: a job must never be observable as done
+// without its result in the content-addressed store, or a resubmission
+// arriving right after "done" misses the cache. The store is checked at
+// every write the upload commits, whenever the job already reads done.
+func TestResultStoredBeforeDone(t *testing.T) {
+	clk := newFakeClock()
+	var co *Coordinator
+	var jobID, key string
+	checked := 0
+	co = newTestCoord(t, clk, func(cfg *CoordConfig) {
+		cfg.FS = renameHookFS{FS: faultfs.OS{}, hook: func(string) {
+			// The test drives the coordinator from this goroutine only, so
+			// reading the job record here cannot race.
+			if jobID == "" || co.jobs[jobID].state != service.StateDone {
+				return
+			}
+			checked++
+			if _, ok := co.cas.Result(key); !ok {
+				t.Errorf("job %s is done but its result is not in the store", jobID)
+			}
+		}}
+	})
+	circuit := testCircuit(t)
+	st, err := co.Submit(testSpec(), circuit)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	w := co.Register("w1")
+	claim, ok, err := co.Claim(w.WorkerID)
+	if err != nil || !ok {
+		t.Fatalf("Claim = (%v, %t)", err, ok)
+	}
+	jobID, key = st.ID, st.Key
+	finishAttempt(t, co, claim, w.WorkerID, circuit)
+	jobID = ""
+	if checked == 0 {
+		t.Fatal("no store write happened after the job went done")
+	}
+	if _, ok := co.cas.Result(key); !ok {
+		t.Fatal("result missing from the store after the upload")
+	}
+	if dup, err := co.Submit(testSpec(), circuit); err != nil || !dup.CacheHit {
+		t.Fatalf("resubmission after done = (%+v, %v), want a cache hit", dup, err)
 	}
 }
 

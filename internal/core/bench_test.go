@@ -44,8 +44,7 @@ func BenchmarkRankCandidates(b *testing.B) {
 	}
 }
 
-// BenchmarkSessionStep measures one full flow iteration on the incremental
-// path — generation with the persistent arenas and candidate cache, ranking
+// BenchmarkSessionStep measures one full flow iteration — generation with the persistent arenas and candidate cache, ranking
 // against the borrowed eval vectors, and an in-place commit with dirty-TFO
 // resimulation. Sessions that finish mid-loop are replaced outside the timer.
 func BenchmarkSessionStep(b *testing.B) {
@@ -54,20 +53,13 @@ func BenchmarkSessionStep(b *testing.B) {
 	opts.EvalPatterns = 4096
 	opts.Workers = 1
 
-	newSession := func() *Session {
-		s := NewSession(g, opts)
-		if !s.inc {
-			b.Fatal("session did not take the incremental path")
-		}
-		return s
-	}
-	s := newSession()
+	s := NewSession(g, opts)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if s.Done() {
 			b.StopTimer()
-			s = newSession()
+			s = NewSession(g, opts)
 			b.StartTimer()
 		}
 		if _, err := s.Step(context.Background()); err != nil {

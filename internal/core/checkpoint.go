@@ -25,7 +25,9 @@ import (
 //	depthCap, n, streak, stall, iterations, applied, certRejected  int64
 //	curErr  float64
 //	sinceOpt int64, careSeed int64, careN int64, careOK uint8
-//	         (incremental-path state; zero/false on the legacy path)
+//	         (incremental state: commits since the last optimizer flush,
+//	         always 0 in depth-capped sessions, and the care-pattern
+//	         identity)
 //	done    uint8, reason string  (uint32 length + bytes)
 //	history uint32 count, then per record:
 //	        iteration, rounds, candidates, ands int64;

@@ -8,9 +8,17 @@
 // iterations without candidates it is scaled by r < 1, enlarging the
 // approximation space.
 //
-// The LAC generator is pluggable (see Generator); ALSRAC's approximate
-// resubstitution is the default, and the SASIMI-style generator of package
-// baseline/sasimi reuses the same loop, mirroring how the paper
+// Every session runs one loop: the working graph is mutated in place, two
+// persistent simulation arenas (care and evaluation patterns) follow each
+// commit by resimulating its dirty fanout, and the generator reuses cached
+// candidates for the nodes the commit left untouched. The traditional
+// optimizer runs at an adaptive cadence (see Session.commitInPlace), and on
+// every commit of a depth-capped session, whose depth check is a
+// pre-commit trial on a clone.
+//
+// The LAC generator is pluggable (see IncrementalGenerator); ALSRAC's
+// approximate resubstitution is the default, and the SASIMI-style generator
+// of package baseline/sasimi reuses the same loop, mirroring how the paper
 // reimplements Su's method inside a common framework.
 package core
 
@@ -30,7 +38,8 @@ import (
 	"repro/internal/wordops"
 )
 
-// Candidate is one local approximate change proposed by a Generator.
+// Candidate is one local approximate change proposed by an
+// IncrementalGenerator.
 type Candidate struct {
 	// Node is the node whose function the change replaces.
 	Node aig.Node
@@ -41,67 +50,55 @@ type Candidate struct {
 	NewVec func(vecs *sim.Vectors, out []uint64)
 	// Apply substitutes the change into g and returns the new circuit.
 	Apply func(g *aig.Graph) *aig.Graph
-	// ApplyInPlace, when non-nil, commits the change into g itself —
-	// rewiring references with aig.ReplaceNode so untouched logic keeps its
-	// node ids and freed slots are recycled — and appends every node whose
-	// structure or reference count changed to *touched. The incremental
-	// session path requires it; generators that only produce Apply fall
-	// back to the copying path.
+	// ApplyInPlace commits the change into g itself — rewiring references
+	// with aig.ReplaceNode so untouched logic keeps its node ids and freed
+	// slots are recycled — and appends every node whose structure or
+	// reference count changed to *touched. Required: the session commits
+	// every change this way, so its live graph must equal Apply's result.
 	ApplyInPlace func(g *aig.Graph, touched *[]aig.Node)
 	// Err is filled by the flow: the estimated circuit error (against the
 	// original circuit) after applying this candidate.
 	Err float64
 }
 
-// Generator proposes candidate LACs for the current circuit, given its
-// value vectors on the care-set patterns (of which the first valid entries
-// are meaningful). Candidates must not retain the care vectors: the flow
-// releases them to the buffer pool once generation finishes, and NewVec is
-// always handed the vectors it should read.
-type Generator interface {
-	Generate(g *aig.Graph, care *sim.Vectors, valid int) []Candidate
-}
-
-// WorkerGenerator is optionally implemented by Generators whose candidate
-// scan shards across worker goroutines. Implementations must produce the
-// same candidates in the same order for every worker count — the flow's
-// determinism guarantee depends on it.
-type WorkerGenerator interface {
-	Generator
-	GenerateWorkers(g *aig.Graph, care *sim.Vectors, valid int, workers int) []Candidate
-}
-
-// IncrementalGenerator is optionally implemented by WorkerGenerators that
-// can reuse candidate state across flow iterations when told which nodes
-// the last committed change invalidated. It is what enables the session's
-// incremental hot path: candidates from such a generator must also carry
-// ApplyInPlace.
+// IncrementalGenerator proposes candidate LACs for the current circuit,
+// given its value vectors on the care-set patterns (of which the first
+// valid entries are meaningful). It is the one generator contract of the
+// flow. The session calls only GenerateIncremental; Generate and
+// GenerateWorkers are the plain full scans, kept for callers that generate
+// outside a session. Candidates must carry ApplyInPlace and must not retain
+// the care vectors: NewVec is always handed the vectors it should read.
+// Every method must produce the same candidates in the same order for
+// every worker count — the flow's determinism guarantee depends on it.
 //
-// stale and cache come from the previous call on the same graph and
-// patterns: stale[v] true means node v's candidates must be recomputed,
-// and cache is the opaque value the previous call returned. A nil stale
-// mask requests a full scan (cache is ignored). The result must be bitwise
-// identical to a full GenerateWorkers scan for every (stale, cache)
+// stale and cache come from the previous GenerateIncremental call on the
+// same graph and patterns: stale[v] true means node v's candidates must be
+// recomputed, and cache is the opaque value the previous call returned. A
+// nil stale mask requests a full scan (cache is ignored). The result must be
+// bitwise identical to a full GenerateWorkers scan for every (stale, cache)
 // handed back this way — worker-count invariance and the correctness of
-// checkpoint restore (which drops the cache and rescans) both rest on it.
+// checkpoint restore (which drops the cache and rescans) both rest on it. A
+// generator without reusable state may therefore always rescan and return a
+// nil cache.
 type IncrementalGenerator interface {
-	WorkerGenerator
+	Generate(g *aig.Graph, care *sim.Vectors, valid int) []Candidate
+	GenerateWorkers(g *aig.Graph, care *sim.Vectors, valid int, workers int) []Candidate
 	GenerateIncremental(g *aig.Graph, care *sim.Vectors, valid, workers int,
 		stale []bool, cache any) ([]Candidate, any)
 }
 
 // ResubGenerator adapts package resub's approximate resubstitution to the
-// Generator interface — this is ALSRAC's LAC.
+// IncrementalGenerator interface — this is ALSRAC's LAC.
 type ResubGenerator struct {
 	Cfg resub.Config
 }
 
-// Generate implements Generator.
+// Generate implements IncrementalGenerator.
 func (rg ResubGenerator) Generate(g *aig.Graph, care *sim.Vectors, valid int) []Candidate {
 	return rg.GenerateWorkers(g, care, valid, 1)
 }
 
-// GenerateWorkers implements WorkerGenerator.
+// GenerateWorkers implements IncrementalGenerator.
 func (rg ResubGenerator) GenerateWorkers(g *aig.Graph, care *sim.Vectors, valid int, workers int) []Candidate {
 	return wrapLACs(resub.GenerateWorkers(g, care, valid, rg.Cfg, workers))
 }
@@ -120,23 +117,23 @@ func (rg ResubGenerator) GenerateIncremental(g *aig.Graph, care *sim.Vectors, va
 }
 
 // WindowedGenerator adapts package window's reconvergence-driven windowed
-// resubstitution to the Generator interface: per root, the divisor scan
-// runs over a bounded local window instead of the full TFI cone, which
-// bounds per-root work by a constant and scales candidate generation to
-// million-node AIGs. Workers shard by window. With the zero window.Config
-// (unbounded windows) the candidates are bitwise identical to
+// resubstitution to the IncrementalGenerator interface: per root, the
+// divisor scan runs over a bounded local window instead of the full TFI
+// cone, which bounds per-root work by a constant and scales candidate
+// generation to million-node AIGs. Workers shard by window. With the zero
+// window.Config (unbounded windows) the candidates are bitwise identical to
 // ResubGenerator's — the property the window package pins.
 type WindowedGenerator struct {
 	Win window.Config
 	Cfg resub.Config
 }
 
-// Generate implements Generator.
+// Generate implements IncrementalGenerator.
 func (wg WindowedGenerator) Generate(g *aig.Graph, care *sim.Vectors, valid int) []Candidate {
 	return wg.GenerateWorkers(g, care, valid, 1)
 }
 
-// GenerateWorkers implements WorkerGenerator.
+// GenerateWorkers implements IncrementalGenerator.
 func (wg WindowedGenerator) GenerateWorkers(g *aig.Graph, care *sim.Vectors, valid int, workers int) []Candidate {
 	return wrapLACs(window.GenerateWorkers(g, care, valid, wg.Win, wg.Cfg, workers))
 }
@@ -205,7 +202,10 @@ type Options struct {
 	// MaxDepthRatio, when positive, rejects changes that would leave the
 	// (re-optimized) circuit deeper than this ratio times the original
 	// depth — a delay-constrained mode in the spirit of the paper's
-	// "map -D <original delay>" mapping setup. 0 disables the check.
+	// "map -D <original delay>" mapping setup. Each winner is checked on a
+	// re-optimized trial clone, which becomes the working graph when it
+	// passes, so such sessions optimize after every commit. 0 disables the
+	// check.
 	MaxDepthRatio float64
 	// SkipOptimize disables the traditional re-optimization between
 	// iterations (ablation knob; the paper always optimizes).
@@ -232,7 +232,7 @@ type Options struct {
 	WindowSkipFanoutDivisors int
 	// Generator overrides the LAC generator; nil means ALSRAC resubstitution
 	// (windowed when Windowed is set).
-	Generator Generator
+	Generator IncrementalGenerator
 
 	// MaxError, when positive, switches the flow to certified mode: every
 	// winning candidate is certified by the exact checker (internal/exact)
@@ -290,7 +290,7 @@ const windowedFallbackAnds = 200
 // flowGenerator picks the default LAC generator for a session over a
 // circuit with numAnds live AND nodes (only consulted when opts.Generator
 // is nil). It reports whether the windowed fallback was taken.
-func flowGenerator(opts *Options, numAnds int) (Generator, bool) {
+func flowGenerator(opts *Options, numAnds int) (IncrementalGenerator, bool) {
 	rcfg := resub.Config{
 		MaxLACsPerNode:  opts.MaxLACsPerNode,
 		MaxReplaceTries: opts.MaxReplaceTries,

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/aig"
+	"repro/internal/bench"
 	"repro/internal/errest"
 	"repro/internal/sim"
 )
@@ -180,6 +182,8 @@ func TestRunWithCustomGenerator(t *testing.T) {
 	}
 }
 
+// constZeroGen proposes a constant-zero replacement for every AND node. It
+// keeps no reusable state, so every incremental call is a full rescan.
 type constZeroGen struct{}
 
 func (constZeroGen) Generate(g *aig.Graph, care *sim.Vectors, valid int) []Candidate {
@@ -200,9 +204,21 @@ func (constZeroGen) Generate(g *aig.Graph, care *sim.Vectors, valid int) []Candi
 			Apply: func(g *aig.Graph) *aig.Graph {
 				return g.CopyWith(map[aig.Node]aig.Lit{node: aig.LitFalse})
 			},
+			ApplyInPlace: func(g *aig.Graph, touched *[]aig.Node) {
+				g.ReplaceNode(node, aig.LitFalse, touched)
+			},
 		})
 	}
 	return out
+}
+
+func (cg constZeroGen) GenerateWorkers(g *aig.Graph, care *sim.Vectors, valid, _ int) []Candidate {
+	return cg.Generate(g, care, valid)
+}
+
+func (cg constZeroGen) GenerateIncremental(g *aig.Graph, care *sim.Vectors, valid, _ int,
+	_ []bool, _ any) ([]Candidate, any) {
+	return cg.Generate(g, care, valid), nil
 }
 
 func TestRunWithCustomPatternDistribution(t *testing.T) {
@@ -248,12 +264,48 @@ func TestRunDepthConstrained(t *testing.T) {
 	opts := DefaultOptions(errest.NMED, 0.02)
 	opts.EvalPatterns = 2048
 	opts.MaxDepthRatio = 1.0
-	res := Run(g, opts)
+	res := runDepthCapped(t, g, opts)
 	if res.Graph.Depth() > origDepth {
 		t.Fatalf("depth-constrained run exceeded depth: %d > %d", res.Graph.Depth(), origDepth)
 	}
 	if res.FinalError > opts.Threshold {
 		t.Fatalf("error over threshold")
+	}
+
+	// A cap below the original depth rejects every change here, so the
+	// result is the input circuit; the rejected trials must leave no trace
+	// in it.
+	g = bench.Get("mtp8")
+	opts = DefaultOptions(errest.NMED, 0.01)
+	opts.MaxDepthRatio = 0.9
+	res = runDepthCapped(t, g, opts)
+	if live := res.Graph.Sweep().NumAnds(); res.Graph.NumAnds() != live {
+		t.Fatalf("result graph has %d ANDs but only %d live", res.Graph.NumAnds(), live)
+	}
+	if res.Graph.NumAnds() > g.Sweep().NumAnds() || res.Graph.Depth() > g.Sweep().Depth() {
+		t.Fatalf("result %d ANDs / depth %d is larger than the input", res.Graph.NumAnds(), res.Graph.Depth())
+	}
+	if err := res.Graph.CheckStrict(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// runDepthCapped runs a depth-capped session to the end, checking that
+// every commit leaves the working graph within the depth cap.
+func runDepthCapped(t *testing.T, g *aig.Graph, opts Options) Result {
+	t.Helper()
+	s := NewSession(g, opts)
+	for {
+		ev, err := s.Step(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.Done {
+			return s.Result()
+		}
+		if ev.Applied && s.cur.Depth() > s.depthCap {
+			t.Fatalf("iteration %d: working depth %d exceeds the cap %d", ev.Iteration, s.cur.Depth(), s.depthCap)
+		}
 	}
 }
 

@@ -9,13 +9,16 @@ import (
 
 // TestRunDeterministicAcrossWorkers: the whole flow must be bitwise
 // reproducible regardless of the worker count — identical iteration
-// history, final AND count and final error.
+// history, final AND count and final error — on every determinism case.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
-	for _, metric := range []errest.Metric{errest.ER, errest.NMED} {
+	for _, fc := range determinismCases() {
 		g := rippleAdder(8)
-		opts := DefaultOptions(metric, 0.01)
-		opts.EvalPatterns = 1024
-		opts.Seed = 3
+		opts := fc.options(func(m errest.Metric) Options {
+			opts := DefaultOptions(m, 0.01)
+			opts.EvalPatterns = 1024
+			opts.Seed = 3
+			return opts
+		})
 
 		opts.Workers = 1
 		seq := Run(g, opts)
@@ -23,19 +26,19 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 			opts.Workers = workers
 			par := Run(g, opts)
 			if seq.FinalError != par.FinalError {
-				t.Fatalf("%v workers=%d: FinalError %v vs %v",
-					metric, workers, seq.FinalError, par.FinalError)
+				t.Fatalf("%s workers=%d: FinalError %v vs %v",
+					fc.name, workers, seq.FinalError, par.FinalError)
 			}
 			if a, b := seq.Graph.NumAnds(), par.Graph.NumAnds(); a != b {
-				t.Fatalf("%v workers=%d: final AND count %d vs %d", metric, workers, a, b)
+				t.Fatalf("%s workers=%d: final AND count %d vs %d", fc.name, workers, a, b)
 			}
 			if seq.Applied != par.Applied || seq.Iterations != par.Iterations {
-				t.Fatalf("%v workers=%d: applied/iterations %d/%d vs %d/%d",
-					metric, workers, seq.Applied, seq.Iterations, par.Applied, par.Iterations)
+				t.Fatalf("%s workers=%d: applied/iterations %d/%d vs %d/%d",
+					fc.name, workers, seq.Applied, seq.Iterations, par.Applied, par.Iterations)
 			}
 			if !reflect.DeepEqual(seq.History, par.History) {
-				t.Fatalf("%v workers=%d: iteration history differs:\nseq: %+v\npar: %+v",
-					metric, workers, seq.History, par.History)
+				t.Fatalf("%s workers=%d: iteration history differs:\nseq: %+v\npar: %+v",
+					fc.name, workers, seq.History, par.History)
 			}
 		}
 	}

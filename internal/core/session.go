@@ -26,9 +26,9 @@ const (
 	EventDepthReject EventKind = "depth-reject"
 	// EventThreshold: even the best candidate violates the error threshold
 	// (Algorithm 3, line 7). The session is finished after this step (Done
-	// set) when the candidates came from a freshly drawn care set; on the
-	// incremental path a persisted care set gets one fresh draw first — the
-	// event is then non-final and the next step retries, stall-guarded.
+	// set) when the candidates came from a freshly drawn care set; a
+	// persisted care set gets one fresh draw first — the event is then
+	// non-final and the next step retries, stall-guarded.
 	EventThreshold EventKind = "threshold"
 	// EventDone: the session had already finished; no work was performed.
 	EventDone EventKind = "done"
@@ -99,22 +99,19 @@ type Session struct {
 	stall    int // consecutive iterations without an applied LAC
 	curErr   float64
 
-	// Incremental hot path (inc is true when the generator implements
-	// IncrementalGenerator and no depth cap is in effect). The working
-	// graph is mutated in place with ReplaceNode, and two persistent
-	// simulation arenas — care patterns and evaluation patterns — are kept
-	// up to date by resimulating only the dirty TFO slice of each commit.
-	// careSeed/careN identify the live care patterns (they persist across
-	// pure-win commits and reroll after an empty round, a non-shrinking
-	// commit, or an optimizer flush); careOK is false when the next step
-	// must reroll. The arenas themselves are rebuilt
-	// lazily from that identity — after NewSession and after Restore —
-	// which is sound because a full simulation is bitwise identical to the
-	// incrementally maintained state. genStale/genCache are the candidate
+	// Incremental state. The working graph is mutated in place with
+	// ReplaceNode, and two persistent simulation arenas — care patterns and
+	// evaluation patterns — are kept up to date by resimulating only the
+	// dirty TFO slice of each commit. careSeed/careN identify the live care
+	// patterns (they persist across pure-win commits and reroll after an
+	// empty round, a rejection, a non-shrinking commit, or an optimizer
+	// flush); careOK is false when the next step must reroll. The arenas
+	// themselves are rebuilt lazily from that identity — after NewSession
+	// and after Restore — which is sound because a full simulation is
+	// bitwise identical to the incrementally maintained state. genStale/genCache are the candidate
 	// invalidation mask and the generator's opaque cache; both are
 	// droppable for the same reason (a full rescan reproduces the cached
 	// merge exactly), which keeps checkpoints free of derived state.
-	inc       bool
 	careArena *sim.Arena
 	evalArena *sim.Arena
 	careSeed  int64
@@ -143,8 +140,8 @@ type Session struct {
 	finalOK  bool
 }
 
-// optEvery is the re-optimization cadence of the incremental path: the
-// traditional synthesis pass (Algorithm 3, line 9) runs after this many
+// optEvery is the backstop re-optimization cadence: the traditional
+// synthesis pass (Algorithm 3, line 9) runs after at most this many
 // committed LACs instead of after every one. Optimization rebuilds the
 // graph with fresh node ids, which forces both arenas to resimulate from
 // scratch and drops the generator cache, so batching it is what lets the
@@ -152,7 +149,7 @@ type Session struct {
 // these optimize boundaries (and at the final flush when the session
 // finishes mid-batch), so the reported result is always fully optimized —
 // zero-gain LACs whose payoff only materializes under the optimizer are
-// credited exactly as on the legacy path, just in batches.
+// credited as if the optimizer ran after every commit, just in batches.
 const optEvery = 8
 
 // NewSession prepares a Session over circuit g. g itself is never modified;
@@ -198,8 +195,6 @@ func NewSession(g *aig.Graph, opts Options) *Session {
 		s.depthCap = int(opts.MaxDepthRatio * float64(s.cur.Depth()))
 	}
 	s.n = opts.InitialRounds
-	_, incOK := s.opts.Generator.(IncrementalGenerator)
-	s.inc = incOK && opts.MaxDepthRatio <= 0
 	if opts.MaxError > 0 {
 		chk, err := exact.New(g, exact.Config{
 			SATConflictBudget: opts.CertConflictBudget,
@@ -241,27 +236,14 @@ func (s *Session) Step(ctx context.Context) (Event, error) {
 	iter := s.iterations + 1
 	iterSeed := s.opts.Seed + int64(iter)*7919
 
-	var cands []Candidate
-	careFresh := true
-	if s.inc {
-		cands, careFresh = s.generateIncremental(iterSeed)
-	} else {
-		care := s.opts.Patterns(s.cur.NumPIs(), s.n, iterSeed)
-		vecs := sim.SimulateWorkers(s.cur, care, s.workers)
-		if wg, ok := s.opts.Generator.(WorkerGenerator); ok {
-			cands = wg.GenerateWorkers(s.cur, vecs, care.Valid, s.workers)
-		} else {
-			cands = s.opts.Generator.Generate(s.cur, vecs, care.Valid)
-		}
-		vecs.Release()
-	}
+	cands, careFresh := s.generateIncremental(iterSeed)
 
 	if len(cands) == 0 {
 		s.iterations = iter
 		s.streak++
 		s.stall++
 		// The same patterns would regenerate the same emptiness: draw fresh
-		// ones next step (no-op for the legacy path, which rerolls anyway).
+		// ones next step.
 		s.careOK = false
 		ev := Event{Kind: EventNoCandidates, Iteration: iter, Err: s.curErr, Ands: s.cur.NumAnds()}
 		if s.streak >= s.opts.Patience {
@@ -278,11 +260,7 @@ func (s *Session) Step(ctx context.Context) (Event, error) {
 		return ev, nil
 	}
 
-	var baseVecs *sim.Vectors
-	if s.inc {
-		baseVecs = s.evalArena.Vectors()
-	}
-	bestCand := rankCandidates(ctx, s.ev, s.cur, s.evalPats, baseVecs, cands, s.workers)
+	bestCand := rankCandidates(ctx, s.ev, s.cur, s.evalPats, s.evalArena.Vectors(), cands, s.workers)
 	if err := ctx.Err(); err != nil {
 		// Ranking was cut short; nothing has been committed. (The care
 		// reroll and generator cache refresh above are idempotent: a later
@@ -298,7 +276,7 @@ func (s *Session) Step(ctx context.Context) (Event, error) {
 	if bestCand.Err > s.opts.Threshold {
 		rec.Err, rec.Ands = s.curErr, s.cur.NumAnds()
 		s.record(rec)
-		if s.inc && !careFresh {
+		if !careFresh {
 			// Every candidate from the persisted care set is over budget.
 			// The paper's flow draws fresh patterns each iteration, so the
 			// threshold verdict is only final on a fresh draw: reroll next
@@ -314,17 +292,21 @@ func (s *Session) Step(ctx context.Context) (Event, error) {
 		return ev, nil
 	}
 
+	// Pre-commit trials run on the candidate applied to a throwaway
+	// id-identical clone, so the working graph (and with it the incremental
+	// arenas) is untouched on rejection.
+	var trial *aig.Graph
+	if s.cert != nil || s.depthCap > 0 {
+		trial = bestCand.Apply(s.cur.Clone())
+	}
 	// Certified mode: prove the exact maximum error of the candidate
-	// circuit before anything is committed. The candidate is applied to a
-	// throwaway id-identical clone, so the working graph (and with it the
-	// incremental arenas) is untouched on rejection. A certification error
-	// (e.g. an exhausted SAT conflict budget) rejects too: the flow never
-	// commits a change it could not prove.
+	// circuit before anything is committed. A certification error (e.g. an
+	// exhausted SAT conflict budget) rejects too: the flow never commits a
+	// change it could not prove.
 	var cert exact.Certificate
 	if s.cert != nil {
-		candG := bestCand.Apply(s.cur.Clone())
 		var err error
-		cert, err = s.cert.Certify(candG, s.opts.MaxError)
+		cert, err = s.cert.Certify(trial, s.opts.MaxError)
 		if err != nil || !cert.OK {
 			s.certRejected++
 			s.stall++
@@ -347,28 +329,34 @@ func (s *Session) Step(ctx context.Context) (Event, error) {
 		}
 	}
 
-	prevAnds := s.cur.NumAnds()
-	prevErr := s.curErr
-	flushed := false
-	if s.inc {
-		flushed = s.commitInPlace(bestCand)
-	} else {
-		cand := bestCand.Apply(s.cur)
+	// Delay-constrained mode: the trial is re-optimized as the commit
+	// would be; a change that leaves it too deep is dropped and the flow
+	// retries with fresh patterns next iteration, stall-guarded.
+	if s.depthCap > 0 {
 		if !s.opts.SkipOptimize {
-			cand = opt.Optimize(cand)
-		} else {
-			cand = cand.Sweep()
+			trial = opt.Optimize(trial)
 		}
-		if s.depthCap > 0 && cand.Depth() > s.depthCap {
-			// Delay-constrained mode: drop this change and try again with
-			// fresh patterns next iteration.
+		if trial.Depth() > s.depthCap {
 			s.stall++
+			s.careOK = false
 			rec.Err, rec.Ands = s.curErr, s.cur.NumAnds()
 			s.record(rec)
 			return Event{Kind: EventDepthReject, Iteration: iter, Rounds: s.n,
 				Candidates: len(cands), Err: s.curErr, Ands: s.cur.NumAnds()}, nil
 		}
-		s.cur = cand
+	}
+
+	prevAnds := s.cur.NumAnds()
+	prevErr := s.curErr
+	flushed := true
+	if s.depthCap > 0 {
+		// The checked trial is the committed circuit: adopting it is a
+		// flush, so a depth-capped session optimizes every commit and its
+		// working graph always has the depth that was checked.
+		s.adopt(trial)
+		s.evalArena.Rebind(s.cur, s.evalPats)
+	} else {
+		flushed = s.commitInPlace(bestCand)
 	}
 	s.curErr = bestCand.Err
 	s.applied++
@@ -382,20 +370,15 @@ func (s *Session) Step(ctx context.Context) (Event, error) {
 	default:
 		s.stall++
 	}
-	if s.inc && (flushed || s.cur.NumAnds() >= prevAnds) {
+	if flushed || s.cur.NumAnds() >= prevAnds {
 		// Care persists exactly as long as the incremental caches do. An
 		// optimizer flush renumbers every node and drops the generator cache,
 		// so nothing the persisted patterns fed survives it — and the flow
-		// measurably benefits from the legacy flow's fresh-patterns diversity
-		// on precisely those commits (budget trades and zero-gain exchanges;
+		// measurably benefits from the paper's fresh-patterns diversity on
+		// precisely those commits (budget trades and zero-gain exchanges;
 		// a pair of inverse zero-gain changes can even toggle forever on a
 		// persisted set). Pure winning streaks keep their patterns.
 		s.careOK = false
-	}
-	if !s.inc && s.cur.NumAnds() < s.best.NumAnds() {
-		// Incremental best tracking happens at the optimize boundaries
-		// inside commitInPlace, where the snapshot is fully optimized.
-		s.best = s.cur
 	}
 	rec.Applied, rec.Err, rec.Ands = true, s.curErr, s.cur.NumAnds()
 	s.record(rec)
@@ -412,10 +395,10 @@ func (s *Session) Step(ctx context.Context) (Event, error) {
 	return ev, nil
 }
 
-// generateIncremental is the incremental produce path of Step. The care
-// arena persists across pure-win commits — those keep it up to date by
-// dirty-TFO resimulation — and is rerolled with the step's seed after an
-// empty round, a rounds change, a non-shrinking commit, or any optimizer
+// generateIncremental is the produce phase of Step. The care arena persists
+// across pure-win commits — those keep it up to date by dirty-TFO
+// resimulation — and is rerolled with the step's seed after an empty round,
+// a rejection, a rounds change, a non-shrinking commit, or any optimizer
 // flush (pattern persistence and cache persistence share one lifetime).
 // The generator reuses its cached candidates for every node the last
 // commit's stale closure spared.
@@ -426,7 +409,6 @@ func (s *Session) Step(ctx context.Context) (Event, error) {
 // the cache unchanged, and a full rescan after a dropped cache is bitwise
 // identical to the cached merge.
 func (s *Session) generateIncremental(iterSeed int64) (cands []Candidate, fresh bool) {
-	gen := s.opts.Generator.(IncrementalGenerator)
 	if s.evalArena == nil {
 		s.evalArena = sim.NewArena(s.cur, s.evalPats, s.workers)
 	}
@@ -443,7 +425,7 @@ func (s *Session) generateIncremental(iterSeed int64) (cands []Candidate, fresh 
 			s.careArena.Rebind(s.cur, care)
 		}
 	}
-	cands, cache := gen.GenerateIncremental(s.cur, s.careArena.Vectors(),
+	cands, cache := s.opts.Generator.GenerateIncremental(s.cur, s.careArena.Vectors(),
 		s.careArena.Patterns().Valid, s.workers, s.genStale, s.genCache)
 	s.genCache = cache
 	// The mask is consumed: until the next commit writes a fresh closure,
@@ -460,9 +442,9 @@ func (s *Session) generateIncremental(iterSeed int64) (cands []Candidate, fresh 
 // cadence: a commit stays on the pure incremental path only when it is an
 // outright win — the live AND count shrank and no error budget was spent.
 // Anything else (a zero-gain commit, or one that consumed budget) gets the
-// optimizer immediately, because those are exactly the commits where the
-// legacy flow's per-commit optimizer harvests reductions the LAC alone did
-// not; skipping it there measurably degrades the final area. A backstop
+// optimizer immediately, because those are exactly the commits where a
+// per-commit optimizer harvests reductions the LAC alone did not; skipping
+// it there measurably degrades the final area. A backstop
 // flush every optEvery commits bounds drift during long winning streaks.
 // Each flush compacts the graph, resets the incremental state and gives
 // the best snapshot its chance to improve. The return reports whether a
@@ -492,20 +474,25 @@ func (s *Session) commitInPlace(c *Candidate) bool {
 		return true
 	}
 	if s.opts.SkipOptimize && s.cur.NumAnds() < s.best.NumAnds() {
-		// Ablation mode has no optimize boundaries; mirror the legacy
-		// best policy on the swept in-place counts.
+		// Ablation mode has no optimize boundaries; track the best
+		// snapshot on every commit, on the swept in-place counts.
 		s.best = s.cur.Sweep()
 	}
 	return false
 }
 
-// flushOptimize runs the traditional optimizer on the working graph,
-// resets the incremental caches (the compacted graph has fresh node ids)
-// and updates the best snapshot when the optimized circuit is the smallest
-// seen. The working graph is always within the error threshold when this
-// runs, so every best snapshot respects the budget.
-func (s *Session) flushOptimize() {
-	s.cur = opt.Optimize(s.cur)
+// flushOptimize runs the traditional optimizer on the working graph and
+// adopts the result.
+func (s *Session) flushOptimize() { s.adopt(opt.Optimize(s.cur)) }
+
+// adopt installs g, a compact graph with fresh node ids, as the working
+// graph: it resets the incremental caches and updates the best snapshot
+// when g is the smallest circuit seen. The caller rebinds the evaluation
+// arena if the session steps on. The working graph is always within the
+// error threshold when this runs, so every best snapshot respects the
+// budget.
+func (s *Session) adopt(g *aig.Graph) {
+	s.cur = g
 	s.sinceOpt = 0
 	s.genStale, s.genCache = nil, nil
 	if s.cur.NumAnds() < s.best.NumAnds() {
@@ -544,7 +531,7 @@ func (s *Session) finish(reason string) Event {
 	// Commits since the last optimize boundary have not had their shot at
 	// the best snapshot yet: flush them through the optimizer, unless the
 	// working graph is over budget (ReasonBudget) and must not be recorded.
-	if s.inc && !s.opts.SkipOptimize && s.sinceOpt > 0 && s.curErr <= s.opts.Threshold {
+	if !s.opts.SkipOptimize && s.sinceOpt > 0 && s.curErr <= s.opts.Threshold {
 		s.flushOptimize()
 	}
 	s.done = true
@@ -600,8 +587,8 @@ func (s *Session) CertStats() exact.Stats {
 // Result finalizes the session outcome: the smallest circuit observed and
 // its measured error on the evaluation pattern set. It may be called on a
 // live session (e.g. after a deadline) for the best-so-far result; the
-// session can keep stepping afterwards. (On the incremental path "observed"
-// means at the optimize boundaries — the best snapshot is always a fully
+// session can keep stepping afterwards. ("Observed" means at the optimize
+// boundaries — the best snapshot is always a fully
 // optimized circuit; a live mid-batch call can lag the working graph by up
 // to optEvery commits.)
 func (s *Session) Result() Result {

@@ -30,6 +30,43 @@ func sessionOpts(metric errest.Metric) Options {
 	return opts
 }
 
+// flowCase is one flow configuration of the kill-and-resume and
+// worker-count determinism tests: a metric and a rewrite of the test's
+// options (nil for the default flow).
+type flowCase struct {
+	name   string
+	metric errest.Metric
+	mutate func(*Options)
+}
+
+// extraFlowCases are the non-default flows: a depth-capped session here
+// and, appended by baseline_test.go (package core_test, which can import
+// the baselines without an import cycle), a SASIMI session.
+var extraFlowCases = []flowCase{
+	{"depth-capped", errest.NMED, func(o *Options) { o.MaxDepthRatio = 0.9 }},
+}
+
+// AddFlowCase registers an extra determinism-test flow from an external
+// test package; call it from an init function.
+func AddFlowCase(name string, metric errest.Metric, mutate func(*Options)) {
+	extraFlowCases = append(extraFlowCases, flowCase{name, metric, mutate})
+}
+
+// determinismCases lists the default flow under both metric families, then
+// the extra flows.
+func determinismCases() []flowCase {
+	return append([]flowCase{{"ER", errest.ER, nil}, {"NMED", errest.NMED, nil}}, extraFlowCases...)
+}
+
+// options derives the case's options from the test's base options.
+func (fc flowCase) options(base func(errest.Metric) Options) Options {
+	opts := base(fc.metric)
+	if fc.mutate != nil {
+		fc.mutate(&opts)
+	}
+	return opts
+}
+
 // TestSessionMatchesRun: driving a Session step by step must reproduce Run
 // exactly — same history, same final graph, same error.
 func TestSessionMatchesRun(t *testing.T) {
@@ -69,12 +106,12 @@ func TestSessionMatchesRun(t *testing.T) {
 // TestSessionSnapshotRestoreDeterministic is the kill-and-resume contract:
 // a session snapshotted mid-run, discarded ("killed"), and restored from the
 // checkpoint bytes must finish with a final AIG and error bitwise identical
-// to the uninterrupted run with the same seed — for several kill points and
-// both metric families.
+// to the uninterrupted run with the same seed — for several kill points,
+// both metric families, and the depth-capped and SASIMI flows.
 func TestSessionSnapshotRestoreDeterministic(t *testing.T) {
-	for _, metric := range []errest.Metric{errest.ER, errest.NMED} {
+	for _, fc := range determinismCases() {
 		g := rippleAdder(8)
-		opts := sessionOpts(metric)
+		opts := fc.options(sessionOpts)
 		want := Run(g, opts)
 
 		// 9 and 12 land past the first optEvery boundary, so the restored
@@ -84,23 +121,23 @@ func TestSessionSnapshotRestoreDeterministic(t *testing.T) {
 			s := NewSession(g, opts)
 			for i := 0; i < kill && !s.Done(); i++ {
 				if _, err := s.Step(context.Background()); err != nil {
-					t.Fatalf("metric %v kill %d: step: %v", metric, kill, err)
+					t.Fatalf("%s kill %d: step: %v", fc.name, kill, err)
 				}
 			}
 			var ckpt bytes.Buffer
 			if err := s.Snapshot(&ckpt); err != nil {
-				t.Fatalf("metric %v kill %d: snapshot: %v", metric, kill, err)
+				t.Fatalf("%s kill %d: snapshot: %v", fc.name, kill, err)
 			}
 			s = nil // the "kill": nothing survives but the checkpoint bytes
 
 			r, err := Restore(bytes.NewReader(ckpt.Bytes()), opts)
 			if err != nil {
-				t.Fatalf("metric %v kill %d: restore: %v", metric, kill, err)
+				t.Fatalf("%s kill %d: restore: %v", fc.name, kill, err)
 			}
 			for !r.Done() {
 				ev, err := r.Step(context.Background())
 				if err != nil {
-					t.Fatalf("metric %v kill %d: resumed step: %v", metric, kill, err)
+					t.Fatalf("%s kill %d: resumed step: %v", fc.name, kill, err)
 				}
 				if ev.Done {
 					break
@@ -108,17 +145,17 @@ func TestSessionSnapshotRestoreDeterministic(t *testing.T) {
 			}
 			got := r.Result()
 			if got.FinalError != want.FinalError {
-				t.Fatalf("metric %v kill %d: FinalError %v, want %v", metric, kill, got.FinalError, want.FinalError)
+				t.Fatalf("%s kill %d: FinalError %v, want %v", fc.name, kill, got.FinalError, want.FinalError)
 			}
 			if got.Iterations != want.Iterations || got.Applied != want.Applied {
-				t.Fatalf("metric %v kill %d: iterations/applied %d/%d, want %d/%d",
-					metric, kill, got.Iterations, got.Applied, want.Iterations, want.Applied)
+				t.Fatalf("%s kill %d: iterations/applied %d/%d, want %d/%d",
+					fc.name, kill, got.Iterations, got.Applied, want.Iterations, want.Applied)
 			}
 			if !reflect.DeepEqual(got.History, want.History) {
-				t.Fatalf("metric %v kill %d: history differs", metric, kill)
+				t.Fatalf("%s kill %d: history differs", fc.name, kill)
 			}
 			if !bytes.Equal(graphBytes(t, got.Graph), graphBytes(t, want.Graph)) {
-				t.Fatalf("metric %v kill %d: final graph not bitwise identical", metric, kill)
+				t.Fatalf("%s kill %d: final graph not bitwise identical", fc.name, kill)
 			}
 		}
 	}
@@ -134,9 +171,6 @@ func TestRestoreRebuildsArenaBitIdentical(t *testing.T) {
 	g := rippleAdder(8)
 	opts := sessionOpts(errest.NMED)
 	s := NewSession(g, opts)
-	if !s.inc {
-		t.Fatal("session did not take the incremental path")
-	}
 	for i := 0; i < 5 && !s.Done(); i++ {
 		if _, err := s.Step(context.Background()); err != nil {
 			t.Fatal(err)

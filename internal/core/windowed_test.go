@@ -26,15 +26,9 @@ func TestFlowGeneratorSelection(t *testing.T) {
 	if _, ok := gen.(ResubGenerator); !ok || !fellBack {
 		t.Fatalf("windowed options on a small circuit picked %T (fallback %v)", gen, fellBack)
 	}
-	if _, ok := gen.(IncrementalGenerator); !ok {
-		t.Fatal("fallback generator must stay incremental")
-	}
-	if _, ok := any(WindowedGenerator{}).(IncrementalGenerator); !ok {
-		t.Fatal("WindowedGenerator must implement IncrementalGenerator")
-	}
 }
 
-func must(g Generator, _ bool) Generator { return g }
+func must(g IncrementalGenerator, _ bool) IncrementalGenerator { return g }
 
 // TestWindowConfigResolution pins the knob semantics: 0 = production
 // default, negative = unbounded, positive = verbatim.

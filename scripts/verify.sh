@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build, vet, the project's own analyzer suite (all
-# eight rules — determinism, hotpath, concurrency, tailmask, plus the
+# seven rules — determinism, concurrency, tailmask, plus the
 # interprocedural allocflow, leaks, ctxflow and errwrap on the shared
 # dataflow engine), the full test suite, the race detector over the
 # concurrency-bearing packages, and a short fuzz smoke over the
