@@ -1,5 +1,6 @@
-// Command alsracd is the ALSRAC synthesis daemon: a job queue and worker
-// pool driving checkpointed approximation sessions behind an HTTP API.
+// Command alsracd is the ALSRAC synthesis daemon: one job engine
+// (internal/service) driving checkpointed approximation sessions behind an
+// HTTP API, with in-process workers and, optionally, remote ones.
 //
 // Submit a circuit and watch it converge:
 //
@@ -16,16 +17,18 @@
 //	curl -X POST --data-binary @adder.blif \
 //	    'localhost:8337/jobs?metric=maxerr&threshold=0.02'
 //
-// Jobs survive restarts: every job's spec, circuit and periodic session
-// checkpoints are persisted under -dir, and on startup interrupted jobs are
-// re-enqueued and resumed from their latest checkpoint — converging to the
-// same final circuit the uninterrupted run would have produced (the flow is
-// deterministic in the seed). SIGINT/SIGTERM trigger a graceful shutdown
-// that checkpoints every in-flight session first.
+// Jobs survive restarts: every job's spec, circuit and state live under
+// -dir/jobs/, checkpoints and results in a content-addressed store under
+// -dir/cas/, and on startup unfinished jobs are requeued and resumed from
+// their newest checkpoint — converging to the same final circuit the
+// uninterrupted run would have produced (the flow is deterministic in the
+// seed). Submitting the same circuit and parameters twice is a cache hit.
+// SIGINT/SIGTERM trigger a graceful shutdown that checkpoints every
+// in-flight session first.
 //
-// The same binary also scales out to a fault-tolerant cluster. A coordinator
-// owns the job table and a content-addressed checkpoint/result store;
-// workers on any number of machines join it and execute leased jobs:
+// The daemon is a one-node cluster: the same binary scales out by letting
+// workers on other machines join it and execute leased jobs. -coordinator
+// runs the daemon with no in-process workers:
 //
 //	alsracd -coordinator -addr :8337 -dir /var/lib/alsrac-coord &
 //	alsracd -worker -join http://coord:8337 &     # on each machine
@@ -34,8 +37,7 @@
 //
 // Kill a worker mid-job and its lease expires; another worker resumes from
 // the last uploaded checkpoint and — because the flow is bitwise
-// deterministic — produces the identical result. Submitting the same
-// circuit and parameters twice is a cache hit served from the store.
+// deterministic — produces the identical result.
 package main
 
 import (
@@ -57,19 +59,19 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", "localhost:8337", "HTTP listen address")
-		dir        = flag.String("dir", "alsracd-data", "job store directory (specs, circuits, checkpoints, results)")
-		jobs       = flag.Int("jobs", 1, "jobs run concurrently (each additionally parallelizes internally per its workers parameter)")
+		dir        = flag.String("dir", "alsracd-data", "store directory (job files under jobs/, checkpoints and results under cas/)")
+		jobs       = flag.Int("jobs", 1, "in-process workers: jobs run concurrently (each additionally parallelizes internally per its workers parameter)")
 		queue      = flag.Int("queue", 256, "submission queue bound")
 		ckptEvery  = flag.Int("checkpoint-every", 8, "checkpoint a running session every N iterations")
 		jobTimeout = flag.Duration("job-timeout", 0, "default per-job deadline; on expiry a job completes with its best-so-far result (0 = none)")
 		quiet      = flag.Bool("q", false, "suppress per-job log lines")
 
-		coordMode = flag.Bool("coordinator", false, "run as a cluster coordinator: lease jobs to joined workers instead of executing locally")
+		coordMode = flag.Bool("coordinator", false, "run no in-process workers: lease every job to joined remote workers")
 		workMode  = flag.Bool("worker", false, "run as a cluster worker: join a coordinator and execute leased jobs (requires -join)")
 		join      = flag.String("join", "", "coordinator base URL to join (worker mode), e.g. http://coord:8337")
 		name      = flag.String("name", "", "worker name shown in coordinator logs (default: hostname)")
-		leaseTTL  = flag.Duration("lease-ttl", 15*time.Second, "coordinator: job lease TTL; a worker silent this long loses its jobs to reassignment")
-		pollEvery = flag.Duration("poll-interval", 500*time.Millisecond, "coordinator: idle claim-poll cadence advertised to workers")
+		leaseTTL  = flag.Duration("lease-ttl", 15*time.Second, "job lease TTL; a worker silent this long loses its jobs to reassignment")
+		pollEvery = flag.Duration("poll-interval", 500*time.Millisecond, "idle claim-poll cadence advertised to remote workers")
 	)
 	flag.Parse()
 
@@ -82,17 +84,26 @@ func main() {
 	case *coordMode && *workMode:
 		fmt.Fprintln(os.Stderr, "alsracd: -coordinator and -worker are mutually exclusive")
 		os.Exit(2)
-	case *coordMode:
-		runCoordinator(*addr, *dir, *leaseTTL, *pollEvery, logf)
 	case *workMode:
 		runWorker(*join, *name, *ckptEvery, logf)
-	default:
-		if *join != "" {
-			fmt.Fprintln(os.Stderr, "alsracd: -join requires -worker")
-			os.Exit(2)
-		}
-		runDaemon(*addr, *dir, *jobs, *queue, *ckptEvery, jobTimeout.Seconds(), logf)
+		return
+	case *join != "":
+		fmt.Fprintln(os.Stderr, "alsracd: -join requires -worker")
+		os.Exit(2)
+	case *coordMode:
+		*jobs = 0
 	}
+	runDaemon(*addr, service.Config{
+		Dir:               *dir,
+		QueueSize:         *queue,
+		Workers:           *jobs,
+		CheckpointEvery:   *ckptEvery,
+		DefaultTimeoutSec: jobTimeout.Seconds(),
+		LeaseTTL:          *leaseTTL,
+		PollInterval:      *pollEvery,
+		Now:               time.Now,
+		Logf:              logf,
+	})
 }
 
 // signalCtx is the shared SIGINT/SIGTERM lifetime of every mode.
@@ -100,56 +111,7 @@ func signalCtx() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
 
-// runCoordinator serves the cluster API: the client-facing /jobs surface
-// plus the /cluster/* worker protocol, all state under dir.
-func runCoordinator(addr, dir string, leaseTTL, pollEvery time.Duration, logf func(string, ...any)) {
-	co, err := cluster.NewCoordinator(cluster.CoordConfig{
-		Dir:          dir,
-		Now:          time.Now,
-		LeaseTTL:     leaseTTL,
-		PollInterval: pollEvery,
-		Logf:         logf,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "alsracd: %v\n", err)
-		os.Exit(1)
-	}
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           cluster.NewHandler(co),
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-	ctx, stop := signalCtx()
-	defer stop()
-
-	serveErr := make(chan error, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		serveErr <- srv.ListenAndServe()
-	}()
-	log.Printf("alsracd: coordinator listening on %s, store %s (lease ttl %v)", addr, dir, leaseTTL)
-
-	var exitErr error
-	select {
-	case <-ctx.Done():
-		log.Printf("alsracd: coordinator shutting down (jobs and leases persist under %s)", dir)
-		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		srv.Shutdown(shutCtx)
-		cancel()
-	case exitErr = <-serveErr:
-	}
-	wg.Wait()
-	if exitErr != nil && exitErr != http.ErrServerClosed {
-		fmt.Fprintf(os.Stderr, "alsracd: %v\n", exitErr)
-		os.Exit(1)
-	}
-	log.Printf("alsracd: coordinator shutdown complete")
-}
-
-// runWorker joins a coordinator and executes leased jobs until terminated.
+// runWorker joins an engine and executes leased jobs until terminated.
 // On SIGTERM the worker uploads a final checkpoint of any in-flight session
 // before exiting, so its successor resumes instead of recomputing.
 func runWorker(join, name string, ckptEvery int, logf func(string, ...any)) {
@@ -185,18 +147,11 @@ func runWorker(join, name string, ckptEvery int, logf func(string, ...any)) {
 	log.Printf("alsracd: worker shutdown complete")
 }
 
-// runDaemon is the original single-process mode: queue, worker pool and HTTP
-// API in one process.
-func runDaemon(addr, dir string, jobs, queue, ckptEvery int, timeoutSec float64, logf func(string, ...any)) {
-	m, err := service.New(service.Config{
-		Dir:               dir,
-		QueueSize:         queue,
-		Workers:           jobs,
-		CheckpointEvery:   ckptEvery,
-		DefaultTimeoutSec: timeoutSec,
-		Now:               time.Now,
-		Logf:              logf,
-	})
+// runDaemon serves the engine: the client API plus the /cluster/* wire for
+// remote workers, with cfg.Workers in-process workers (none for
+// -coordinator).
+func runDaemon(addr string, cfg service.Config) {
+	m, err := service.New(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "alsracd: %v\n", err)
 		os.Exit(1)
@@ -204,7 +159,7 @@ func runDaemon(addr, dir string, jobs, queue, ckptEvery int, timeoutSec float64,
 
 	srv := &http.Server{
 		Addr:    addr,
-		Handler: service.NewHandler(m),
+		Handler: cluster.NewHandler(m),
 		// Slow-client hardening: a peer that never finishes its headers or
 		// parks an idle keep-alive connection cannot pin a descriptor
 		// forever. No WriteTimeout: /jobs/{id}/events is a long-lived NDJSON
@@ -228,7 +183,7 @@ func runDaemon(addr, dir string, jobs, queue, ckptEvery int, timeoutSec float64,
 		defer wg.Done()
 		serveErr <- srv.ListenAndServe()
 	}()
-	log.Printf("alsracd: listening on %s, job store %s", addr, dir)
+	log.Printf("alsracd: listening on %s, store %s, %d local worker(s)", addr, cfg.Dir, cfg.Workers)
 
 	var exitErr error
 	select {

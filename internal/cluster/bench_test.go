@@ -8,24 +8,24 @@ import (
 	"repro/internal/service"
 )
 
-// BenchmarkClusterDispatch measures the coordinator's pure scheduling
+// BenchmarkClusterDispatch measures the engine's pure scheduling
 // overhead for one job lifecycle: submit → claim → checkpoint upload →
 // result upload → result read. Every iteration varies the seed so the
 // content-addressed cache never short-circuits the path being measured.
 func BenchmarkClusterDispatch(b *testing.B) {
 	clk := newFakeClock()
-	co, err := NewCoordinator(CoordConfig{
+	co, err := service.New(service.Config{
 		Dir:      b.TempDir(),
 		Now:      clk.Now,
 		LeaseTTL: time.Hour,
 	})
 	if err != nil {
-		b.Fatalf("NewCoordinator: %v", err)
+		b.Fatalf("service.New: %v", err)
 	}
 
 	circuit := testCircuit(b)
-	w := co.Register("bench")
-	sum := ResultSummary{Iterations: 17, Applied: 9, Ands: 100, FinalError: 0.042, Reason: "threshold"}
+	w, _ := co.Register(bg, "bench")
+	sum := service.ResultSummary{Iterations: 17, Applied: 9, Ands: 100, FinalError: 0.042, Reason: "threshold"}
 
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -44,14 +44,14 @@ func BenchmarkClusterDispatch(b *testing.B) {
 		if st.CacheHit {
 			b.Fatalf("iteration %d hit the cache: benchmark measures dispatch, not lookup", i)
 		}
-		claim, ok, err := co.Claim(w.WorkerID)
+		claim, ok, err := co.Claim(bg, w.WorkerID)
 		if err != nil || !ok {
 			b.Fatalf("Claim = (%v, %t)", err, ok)
 		}
-		if err := co.UploadCheckpoint(claim.JobID, w.WorkerID, claim.AttemptID, []byte(fmt.Sprintf("ckpt-%d", i))); err != nil {
+		if err := co.UploadCheckpoint(bg, lease(claim, w.WorkerID), []byte(fmt.Sprintf("ckpt-%d", i))); err != nil {
 			b.Fatalf("UploadCheckpoint: %v", err)
 		}
-		if err := co.UploadResult(claim.JobID, w.WorkerID, claim.AttemptID, sum, circuit); err != nil {
+		if err := co.UploadResult(bg, lease(claim, w.WorkerID), sum, circuit); err != nil {
 			b.Fatalf("UploadResult: %v", err)
 		}
 		if _, err := co.ResultAAG(st.ID); err != nil {

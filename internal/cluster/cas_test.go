@@ -10,22 +10,43 @@ import (
 	"testing"
 
 	"repro/internal/faultfs"
+	"repro/internal/service"
 )
 
-func newTestCAS(t *testing.T) (*CAS, string) {
+// These tests drive the engine's content-addressed store directly.
+
+func newTestCAS(t *testing.T) (*service.CAS, string) {
 	t.Helper()
 	dir := t.TempDir()
-	c, err := NewCAS(dir, faultfs.OS{})
+	c, err := service.NewCAS(dir, faultfs.OS{})
 	if err != nil {
 		t.Fatalf("NewCAS: %v", err)
 	}
 	return c, dir
 }
 
-const casKey = "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"
+const (
+	casKey          = "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"
+	keepGenerations = 3
+)
+
+// casPath is the file of one CAS entry (a checkpoint generation or "result").
+func casPath(dir, name string) string { return filepath.Join(dir, casKey[:2], casKey, name) }
+
+func genName(n int) string { return fmt.Sprintf("checkpoint.%06d", n) }
+
+// gens lists the key's checkpoint generation files on disk.
+func gens(t *testing.T, dir string) []string {
+	t.Helper()
+	g, err := filepath.Glob(casPath(dir, "checkpoint.*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
 
 func TestCASCheckpointGenerations(t *testing.T) {
-	c, _ := newTestCAS(t)
+	c, dir := newTestCAS(t)
 
 	if c.HasCheckpoint(casKey) {
 		t.Fatalf("fresh store claims a checkpoint")
@@ -47,7 +68,7 @@ func TestCASCheckpointGenerations(t *testing.T) {
 		t.Fatalf("got generation %d payload %q, want 5 %q", gen, payload, "gen-5")
 	}
 	// Pruning keeps only the newest keepGenerations.
-	if got := c.gens(casKey); len(got) != keepGenerations {
+	if got := gens(t, dir); len(got) != keepGenerations {
 		t.Fatalf("kept %d generations %v, want %d", len(got), got, keepGenerations)
 	}
 }
@@ -68,7 +89,7 @@ func TestCASCorruptGenerationFallsBack(t *testing.T) {
 
 	// Truncate the newest generation mid-payload: the CRC must reject it and
 	// the read must land on generation 2.
-	newest := filepath.Join(dir, casKey[:2], casKey, genName(3))
+	newest := casPath(dir, genName(3))
 	blob, err := os.ReadFile(newest)
 	if err != nil {
 		t.Fatalf("reading generation 3: %v", err)
@@ -98,7 +119,7 @@ func TestCASResultCorruptTreatedAsMissAndRemoved(t *testing.T) {
 		t.Fatalf("Result = (%q, %t)", payload, ok)
 	}
 
-	path := filepath.Join(dir, casKey[:2], casKey, resultName)
+	path := casPath(dir, "result")
 	blob, _ := os.ReadFile(path)
 	blob[len(blob)-1] ^= 0xff // flip a CRC byte
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
@@ -136,7 +157,7 @@ func TestCASConcurrentReadersDuringCorruption(t *testing.T) {
 	}
 	// Corrupt generation 2 (the newest) in place: readers must land on 1
 	// until the writer goroutine publishes healthy newer generations.
-	g2 := filepath.Join(dir, casKey[:2], casKey, genName(2))
+	g2 := casPath(dir, genName(2))
 	blob, err := os.ReadFile(g2)
 	if err != nil {
 		t.Fatalf("reading generation 2: %v", err)
@@ -212,21 +233,39 @@ func TestCASConcurrentReadersDuringCorruption(t *testing.T) {
 	}
 }
 
+// TestFrameRejectsEveryMutation: the stored frame is canonical, so every
+// single-bit flip and every truncation of a stored entry is detected, and
+// the entry reads as a miss.
 func TestFrameRejectsEveryMutation(t *testing.T) {
+	c, dir := newTestCAS(t)
 	payload := []byte("checkpoint payload bytes")
-	blob := frame(payload)
-	if got, err := unframe(blob); err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("round trip = (%q, %v)", got, err)
+	if err := c.PutResult(casKey, payload); err != nil {
+		t.Fatalf("PutResult: %v", err)
+	}
+	path := casPath(dir, "result")
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := c.Result(casKey); !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("round trip = (%q, %t)", got, ok)
+	}
+	detected := func(mutated []byte) bool {
+		if err := os.WriteFile(path, mutated, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, ok := c.Result(casKey)
+		return !ok
 	}
 	for i := range blob {
 		mutated := bytes.Clone(blob)
 		mutated[i] ^= 0x01
-		if _, err := unframe(mutated); err == nil {
+		if !detected(mutated) {
 			t.Fatalf("bit flip at offset %d went undetected", i)
 		}
 	}
 	for cut := 0; cut < len(blob); cut++ {
-		if _, err := unframe(blob[:cut]); err == nil {
+		if !detected(blob[:cut]) {
 			t.Fatalf("truncation to %d bytes went undetected", cut)
 		}
 	}

@@ -1,3 +1,12 @@
+// Package cluster is the HTTP wire of the alsracd job engine
+// (internal/service): the /cluster/* routes a remote worker talks to, and
+// an HTTP implementation of service.Transport so remote workers run the
+// same loop as the engine's in-process ones. Everything else — the job
+// table, leases, hedging, quarantine and the content-addressed store —
+// lives in the engine. Determinism is what makes the split work: the flow
+// is bitwise-deterministic in (circuit, normalized spec), so a job may die
+// on one machine and finish on another, resumed from its last uploaded
+// checkpoint, and still produce the byte-identical result.
 package cluster
 
 import (
@@ -7,129 +16,124 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"time"
 
 	"repro/internal/service"
 )
 
-// maxBodyBytes bounds every request body the coordinator reads. A torn
-// upload (Content-Length larger than what arrived) fails the read with
-// io.ErrUnexpectedEOF and is rejected before it can reach the CAS.
+// Wire types of the worker-facing routes. Circuit, checkpoint and result
+// bodies are raw bytes:
+//
+//	POST /cluster/register                  RegisterRequest  -> service.RegisterResponse
+//	POST /cluster/claim                     ClaimRequest     -> service.ClaimResponse | 204 | 410
+//	GET  /cluster/jobs/{id}/circuit                          -> circuit bytes
+//	GET  /cluster/jobs/{id}/checkpoint                       -> checkpoint bytes | 404
+//	POST /cluster/jobs/{id}/renew           AttemptRequest   -> 204 | 409
+//	PUT  /cluster/jobs/{id}/checkpoint?worker=&attempt=      -> 204 | 409 (body: checkpoint)
+//	PUT  /cluster/jobs/{id}/result?worker=&attempt=&summary= -> 204 | 409 (body: result AAG)
+//	POST /cluster/jobs/{id}/fail            FailRequest      -> 204
+//
+// A 409 means the lease is lost (service.ErrLeaseLost): the worker must
+// abandon its session at once — the cross-machine form of ctx
+// cancellation.
+
+// RegisterRequest announces a worker.
+type RegisterRequest struct {
+	Name string `json:"name,omitempty"`
+}
+
+// ClaimRequest asks for work.
+type ClaimRequest struct {
+	WorkerID string `json:"worker_id"`
+}
+
+// AttemptRequest identifies a worker's attempt for renew.
+type AttemptRequest struct {
+	WorkerID  string `json:"worker_id"`
+	AttemptID string `json:"attempt_id"`
+}
+
+// FailRequest reports an attempt failure the worker itself detected; Stack
+// is set for a recovered panic. Network-dead workers never send it — their
+// lease simply expires.
+type FailRequest struct {
+	WorkerID  string `json:"worker_id"`
+	AttemptID string `json:"attempt_id"`
+	Error     string `json:"error"`
+	Stack     string `json:"stack,omitempty"`
+}
+
+// maxBodyBytes bounds every request body the wire reads. A torn upload
+// (Content-Length larger than what arrived) is rejected before it can reach
+// the store.
 const maxBodyBytes = 64 << 20
 
-// NewHandler builds the coordinator's HTTP surface: the client-facing /jobs
-// API (mirroring the single-process daemon's shapes) plus the /cluster/*
-// worker protocol documented in proto.go.
-func NewHandler(co *Coordinator) http.Handler {
+// CoordConfig configures NewCoordinator. It stays for the benchmark until
+// its next revision; new code configures the engine with service.Config.
+type CoordConfig struct {
+	Dir          string
+	Now          func() time.Time
+	PollInterval time.Duration
+}
+
+// NewCoordinator builds an engine with no in-process workers, serving
+// remote ones only. It stays for the benchmark until its next revision;
+// new code calls service.New.
+func NewCoordinator(cfg CoordConfig) (*service.Manager, error) {
+	return service.New(service.Config{Dir: cfg.Dir, Now: cfg.Now, PollInterval: cfg.PollInterval})
+}
+
+// NewHandler serves the engine's client API (service.NewHandler) plus the
+// worker routes above.
+func NewHandler(m *service.Manager) http.Handler {
 	mux := http.NewServeMux()
-
-	// Client surface.
-	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
-		handleSubmit(co, w, r)
-	})
-	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, co.Jobs())
-	})
-	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		st, err := co.Status(r.PathValue("id"))
-		if err != nil {
-			clusterError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
-	})
-	mux.HandleFunc("GET /jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
-		aag, err := co.ResultAAG(r.PathValue("id"))
-		if err != nil {
-			clusterError(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write(aag)
-	})
-	mux.HandleFunc("POST /jobs/{id}/cancel", func(w http.ResponseWriter, r *http.Request) {
-		st, err := co.Cancel(r.PathValue("id"))
-		if err != nil {
-			clusterError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
-	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "role": "coordinator"})
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		_ = co.Registry().WritePrometheus(w)
-	})
-
-	// Worker protocol.
+	mux.Handle("/", service.NewHandler(m))
+	lease := func(r *http.Request, workerID, attemptID string) service.Lease {
+		return service.Lease{JobID: r.PathValue("id"), WorkerID: workerID, AttemptID: attemptID}
+	}
 	mux.HandleFunc("POST /cluster/register", func(w http.ResponseWriter, r *http.Request) {
 		var req RegisterRequest
-		if !readJSON(w, r, &req) {
-			return
+		if readJSON(w, r, &req) {
+			resp, err := m.Register(r.Context(), req.Name)
+			reply(w, http.StatusOK, resp, err)
 		}
-		writeJSON(w, http.StatusOK, co.Register(req.Name))
 	})
 	mux.HandleFunc("POST /cluster/claim", func(w http.ResponseWriter, r *http.Request) {
 		var req ClaimRequest
 		if !readJSON(w, r, &req) {
 			return
 		}
-		resp, ok, err := co.Claim(req.WorkerID)
-		if err != nil {
-			clusterError(w, err)
-			return
-		}
-		if !ok {
+		resp, ok, err := m.Claim(r.Context(), req.WorkerID)
+		if err == nil && !ok {
 			w.WriteHeader(http.StatusNoContent)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		reply(w, http.StatusOK, resp, err)
 	})
 	mux.HandleFunc("GET /cluster/jobs/{id}/circuit", func(w http.ResponseWriter, r *http.Request) {
-		data, err := co.Circuit(r.PathValue("id"))
-		if err != nil {
-			clusterError(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(data)
+		data, err := m.Circuit(r.Context(), r.PathValue("id"))
+		replyBytes(w, data, err)
 	})
 	mux.HandleFunc("GET /cluster/jobs/{id}/checkpoint", func(w http.ResponseWriter, r *http.Request) {
-		payload, ok, err := co.Checkpoint(r.PathValue("id"))
-		if err != nil {
-			clusterError(w, err)
-			return
-		}
-		if !ok {
+		payload, ok, err := m.Checkpoint(r.Context(), r.PathValue("id"))
+		if err == nil && !ok {
 			writeError(w, http.StatusNotFound, "no_checkpoint", "no usable checkpoint")
 			return
 		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(payload)
+		replyBytes(w, payload, err)
 	})
 	mux.HandleFunc("POST /cluster/jobs/{id}/renew", func(w http.ResponseWriter, r *http.Request) {
 		var req AttemptRequest
-		if !readJSON(w, r, &req) {
-			return
+		if readJSON(w, r, &req) {
+			reply(w, http.StatusNoContent, nil, m.Renew(r.Context(), lease(r, req.WorkerID, req.AttemptID)))
 		}
-		if err := co.Renew(r.PathValue("id"), req.WorkerID, req.AttemptID); err != nil {
-			clusterError(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
 	})
 	mux.HandleFunc("PUT /cluster/jobs/{id}/checkpoint", func(w http.ResponseWriter, r *http.Request) {
 		payload, ok := readBody(w, r)
-		if !ok {
-			return
+		if ok {
+			q := r.URL.Query()
+			reply(w, http.StatusNoContent, nil, m.UploadCheckpoint(r.Context(), lease(r, q.Get("worker"), q.Get("attempt")), payload))
 		}
-		q := r.URL.Query()
-		if err := co.UploadCheckpoint(r.PathValue("id"), q.Get("worker"), q.Get("attempt"), payload); err != nil {
-			clusterError(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
 	})
 	mux.HandleFunc("PUT /cluster/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
 		aag, ok := readBody(w, r)
@@ -137,72 +141,20 @@ func NewHandler(co *Coordinator) http.Handler {
 			return
 		}
 		q := r.URL.Query()
-		sum, err := summaryFromQuery(q.Get("summary"))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_summary", "%v", err)
+		var sum service.ResultSummary
+		if err := json.Unmarshal([]byte(q.Get("summary")), &sum); err != nil {
+			writeError(w, http.StatusBadRequest, "bad_summary", "decoding summary: %v", err)
 			return
 		}
-		if err := co.UploadResult(r.PathValue("id"), q.Get("worker"), q.Get("attempt"), sum, aag); err != nil {
-			clusterError(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
+		reply(w, http.StatusNoContent, nil, m.UploadResult(r.Context(), lease(r, q.Get("worker"), q.Get("attempt")), sum, aag))
 	})
 	mux.HandleFunc("POST /cluster/jobs/{id}/fail", func(w http.ResponseWriter, r *http.Request) {
 		var req FailRequest
-		if !readJSON(w, r, &req) {
-			return
+		if readJSON(w, r, &req) {
+			reply(w, http.StatusNoContent, nil, m.Fail(r.Context(), lease(r, req.WorkerID, req.AttemptID), req.Error, req.Stack))
 		}
-		if err := co.Fail(r.PathValue("id"), req.WorkerID, req.AttemptID, req.Error); err != nil {
-			clusterError(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
 	})
-
 	return mux
-}
-
-// handleSubmit accepts the same query-parameter spec and circuit body as the
-// single-process POST /jobs, so the CLI client and smoke scripts work
-// unchanged against a coordinator.
-func handleSubmit(co *Coordinator, w http.ResponseWriter, r *http.Request) {
-	spec, err := service.SpecFromQuery(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_spec", "%v", err)
-		return
-	}
-	circuit, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	if len(circuit) == 0 {
-		writeError(w, http.StatusBadRequest, "empty_circuit", "request body must contain a circuit")
-		return
-	}
-	st, err := co.Submit(spec, circuit)
-	if err != nil {
-		if errors.Is(err, service.ErrUnparsable) {
-			writeError(w, http.StatusBadRequest, "unparsable", "%v", err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "bad_spec", "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, st)
-}
-
-// summaryFromQuery decodes the worker's base-independent summary encoding:
-// a single JSON object passed URL-encoded in ?summary=.
-func summaryFromQuery(s string) (ResultSummary, error) {
-	var sum ResultSummary
-	if s == "" {
-		return sum, fmt.Errorf("missing summary parameter")
-	}
-	if err := json.Unmarshal([]byte(s), &sum); err != nil {
-		return sum, fmt.Errorf("decoding summary: %w", err)
-	}
-	return sum, nil
 }
 
 // readBody drains the request body under maxBodyBytes, enforcing
@@ -239,22 +191,32 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// clusterError maps coordinator sentinel errors onto HTTP statuses. 409 is
-// the load-bearing one: it is how lease loss — the cluster's form of ctx
-// cancellation — crosses the wire.
-func clusterError(w http.ResponseWriter, err error) {
+// reply writes v with status code, or maps err onto its HTTP status. 409 is
+// the load-bearing one: it is how lease loss crosses the wire.
+func reply(w http.ResponseWriter, code int, v any, err error) {
 	switch {
-	case errors.Is(err, ErrNotFound):
+	case err == nil && v == nil:
+		w.WriteHeader(code)
+	case err == nil:
+		writeJSON(w, code, v)
+	case errors.Is(err, service.ErrNotFound):
 		writeError(w, http.StatusNotFound, "not_found", "%v", err)
-	case errors.Is(err, ErrLeaseLost):
+	case errors.Is(err, service.ErrLeaseLost):
 		writeError(w, http.StatusConflict, "lease_lost", "%v", err)
-	case errors.Is(err, ErrNotDone):
-		writeError(w, http.StatusConflict, "not_done", "%v", err)
-	case errors.Is(err, ErrUnknownWorker):
+	case errors.Is(err, service.ErrUnknownWorker):
 		writeError(w, http.StatusGone, "unknown_worker", "%v", err)
 	default:
 		writeError(w, http.StatusInternalServerError, "internal", "%v", err)
 	}
+}
+
+func replyBytes(w http.ResponseWriter, data []byte, err error) {
+	if err != nil {
+		reply(w, 0, nil, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Write(data)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -1,7 +1,11 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
+	"context"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +16,9 @@ import (
 	"repro/internal/service"
 )
 
-// fakeClock is the injected time source shared by a test's coordinator and
+var bg = context.Background()
+
+// fakeClock is the injected time source shared by a test's engine and
 // workers. It only moves when the test says so, which makes every lease
 // expiry and hedge decision a deliberate act of the test script.
 type fakeClock struct {
@@ -81,11 +87,12 @@ func refRun(t *testing.T, spec service.JobSpec, circuit []byte) (core.Result, []
 	return res, buf.Bytes()
 }
 
-// newTestCoord builds a coordinator on a temp dir with the shared fake clock
-// and test-friendly timings; mutate tweaks the config before construction.
-func newTestCoord(t *testing.T, clk *fakeClock, mutate func(*CoordConfig)) *Coordinator {
+// newTestCoord builds an engine with no in-process workers on a temp dir
+// with the shared fake clock and test-friendly timings; mutate tweaks the
+// config before construction.
+func newTestCoord(t *testing.T, clk *fakeClock, mutate func(*service.Config)) *service.Manager {
 	t.Helper()
-	cfg := CoordConfig{
+	cfg := service.Config{
 		Dir:      t.TempDir(),
 		Now:      clk.Now,
 		LeaseTTL: 10 * time.Second,
@@ -94,19 +101,62 @@ func newTestCoord(t *testing.T, clk *fakeClock, mutate func(*CoordConfig)) *Coor
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	co, err := NewCoordinator(cfg)
+	co, err := service.New(cfg)
 	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
+		t.Fatalf("service.New: %v", err)
 	}
 	return co
 }
 
+// register admits a worker through the direct API.
+func register(t *testing.T, co *service.Manager, name string) service.RegisterResponse {
+	t.Helper()
+	w, err := co.Register(bg, name)
+	if err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	return w
+}
+
+func lease(c service.ClaimResponse, workerID string) service.Lease {
+	return service.Lease{JobID: c.JobID, WorkerID: workerID, AttemptID: c.AttemptID}
+}
+
+// status snapshots one job.
+func status(t *testing.T, co *service.Manager, id string) service.JobStatus {
+	t.Helper()
+	j, ok := co.Get(id)
+	if !ok {
+		t.Fatalf("no job %s", id)
+	}
+	return j.Status(false)
+}
+
 // finishAttempt plays a worker completing an attempt through the direct API:
 // the payload must parse as AAG, so tests hand back the circuit itself.
-func finishAttempt(t *testing.T, co *Coordinator, claim ClaimResponse, workerID string, aag []byte) {
+func finishAttempt(t *testing.T, co *service.Manager, claim service.ClaimResponse, workerID string, aag []byte) {
 	t.Helper()
-	sum := ResultSummary{Iterations: 17, Applied: 9, Ands: 100, FinalError: 0.042, Reason: "threshold"}
-	if err := co.UploadResult(claim.JobID, workerID, claim.AttemptID, sum, aag); err != nil {
+	sum := service.ResultSummary{Iterations: 17, Applied: 9, Ands: 100, FinalError: 0.042, Reason: "threshold"}
+	if err := co.UploadResult(bg, lease(claim, workerID), sum, aag); err != nil {
 		t.Fatalf("UploadResult(%s): %v", claim.JobID, err)
 	}
+}
+
+// metric reads one series (name plus labels, as rendered) from the
+// engine's Prometheus exposition; a missing series reads as -1.
+func metric(t testing.TB, co *service.Manager, series string) float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	co.Registry().WritePrometheus(&buf)
+	sc := bufio.NewScanner(&buf)
+	for sc.Scan() {
+		if rest, ok := strings.CutPrefix(sc.Text(), series+" "); ok {
+			v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
+			if err != nil {
+				t.Fatalf("metric %s: %v", series, err)
+			}
+			return v
+		}
+	}
+	return -1
 }

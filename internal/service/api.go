@@ -34,10 +34,11 @@ type HandlerOptions struct {
 	EventWriteTimeout time.Duration
 }
 
-// NewHandler exposes the manager over HTTP with default options:
+// NewHandler exposes the engine's client API over HTTP with default
+// options (internal/cluster adds the worker wire on top):
 //
 //	POST   /jobs              submit (body = circuit; params in the query)
-//	GET    /jobs              list all jobs
+//	GET    /jobs              list all jobs as {"jobs": [...]}
 //	GET    /jobs/{id}         status + iteration history (?history=0 to omit)
 //	GET    /jobs/{id}/events  NDJSON progress stream (?from=N to replay)
 //	GET    /jobs/{id}/result  optimized circuit (?format=aag|aig|blif|v)
@@ -86,13 +87,8 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 	})
 }
 
-// SpecFromQuery builds a JobSpec from POST /jobs query parameters. Every
-// knob mirrors a cmd/alsrac flag. Exported because the cluster coordinator
-// accepts the same submission surface.
-func SpecFromQuery(r *http.Request) (JobSpec, error) {
-	return specFromQuery(r)
-}
-
+// specFromQuery builds a JobSpec from POST /jobs query parameters. Every
+// knob mirrors a cmd/alsrac flag.
 func specFromQuery(r *http.Request) (JobSpec, error) {
 	q := r.URL.Query()
 	spec := JobSpec{
@@ -271,7 +267,7 @@ func handleEvents(m *Manager, opts HandlerOptions, w http.ResponseWriter, r *htt
 	rc := http.NewResponseController(w)
 	enc := json.NewEncoder(w)
 	emit := func(ev Event) bool {
-		if opts.EventWriteTimeout > 0 && m.cfg.Now != nil {
+		if opts.EventWriteTimeout > 0 {
 			// Best effort: a ResponseWriter without deadline support (plain
 			// recorders) degrades to the legacy unbounded write.
 			_ = rc.SetWriteDeadline(m.cfg.Now().Add(opts.EventWriteTimeout))
@@ -306,7 +302,7 @@ func handleEvents(m *Manager, opts HandlerOptions, w http.ResponseWriter, r *htt
 
 func handleResult(m *Manager, w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	g, err := m.ResultGraph(id)
+	aag, err := m.ResultAAG(id)
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrNotFound):
@@ -319,13 +315,17 @@ func handleResult(m *Manager, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	format := r.URL.Query().Get("format")
-	if format == "" {
-		format = "aag"
+	if format == "" || format == "aag" {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		w.Write(aag)
+		return
+	}
+	g, err := ParseCircuit("aag", aag)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "internal", "%v", err)
+		return
 	}
 	switch format {
-	case "aag":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		err = aiger.Write(w, g, "aag")
 	case "aig":
 		w.Header().Set("Content-Type", "application/octet-stream")
 		err = aiger.Write(w, g, "aig")

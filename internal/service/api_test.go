@@ -1,4 +1,4 @@
-package service
+package service_test
 
 import (
 	"bufio"
@@ -11,9 +11,11 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	. "repro/internal/service"
 )
 
-// startAPI brings up a manager plus its HTTP handler on an httptest server.
+// startAPI brings up an engine plus its HTTP handler on an httptest server.
 func startAPI(t *testing.T, cfg Config) (*httptest.Server, *Manager, func()) {
 	t.Helper()
 	m, stop := startManager(t, cfg)
@@ -67,7 +69,7 @@ func waitStatusHTTP(t *testing.T, srv *httptest.Server, id string, want State) J
 		if st.State == want {
 			return st
 		}
-		if st.State.terminal() || time.Now().After(deadline) {
+		if st.State.Terminal() || time.Now().After(deadline) {
 			t.Fatalf("job %s in state %s (error %q), want %s", id, st.State, st.Error, want)
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -159,7 +161,7 @@ func TestAPIEventStream(t *testing.T) {
 		if ev.Step != nil {
 			steps++
 		}
-		if ev.State.terminal() {
+		if ev.State.Terminal() {
 			terminal = true
 		}
 	}
@@ -207,7 +209,7 @@ func TestAPICancel(t *testing.T) {
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		s := getStatus(t, srv, st.ID)
-		if s.State.terminal() {
+		if s.State.Terminal() {
 			if s.State != StateCancelled && s.State != StateDone {
 				t.Fatalf("post-cancel state %s", s.State)
 			}
@@ -294,7 +296,7 @@ func TestAPIRobustnessOversizedAndUnparsable(t *testing.T) {
 	defer stop()
 
 	resp, err := http.Post(srv.URL+"/jobs", "application/octet-stream",
-		bytes.NewReader(make([]byte, maxCircuitBytes+1)))
+		bytes.NewReader(make([]byte, 64<<20+1))) // one byte over the body cap
 	if err != nil {
 		t.Fatalf("POST oversized: %v", err)
 	}

@@ -1,4 +1,4 @@
-package cluster
+package service
 
 import (
 	"encoding/binary"
@@ -11,15 +11,17 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/faultfs"
 )
 
-// CAS is the coordinator's content-addressed blob store. Entries live under
+// CAS is the engine's content-addressed blob store. Entries live under
 // <dir>/<key[:2]>/<key>/: checkpoint generations (checkpoint.NNNNNN, newest
 // wins, keepGenerations retained) and one result blob. Every blob is framed
 // with a magic, a length and a CRC32-IEEE of the payload, written atomically
-// (temp + fsync + rename + dirsync via faultfs.WriteAtomic), and verified on
+// (temp + fsync + rename + dirsync via faultfs.WriteAtomic, under the
+// transient-errno retrier), and verified on
 // every read: a torn or rotted entry is reported to the caller as absent —
 // checkpoints fall back generation by generation, results fall back to
 // recompute — never as garbage data. Corruption is counted through
@@ -29,8 +31,9 @@ import (
 // normalized work share checkpoints and results, which is what turns a
 // resubmitted or reassigned job into a cache hit.
 type CAS struct {
-	dir string
-	fs  faultfs.FS
+	dir   string
+	fs    faultfs.FS
+	retry *retrier
 
 	// OnCorrupt, when set, is invoked once per corrupt entry detected
 	// ("checkpoint" or "result"). Set before first use; not synchronized.
@@ -50,7 +53,7 @@ const (
 )
 
 // ErrCASCorrupt is wrapped into errors reported for unreadable frames.
-var ErrCASCorrupt = errors.New("cluster: corrupt CAS entry")
+var ErrCASCorrupt = errors.New("service: corrupt CAS entry")
 
 // NewCAS opens (creating if needed) a store rooted at dir.
 func NewCAS(dir string, fsys faultfs.FS) (*CAS, error) {
@@ -58,9 +61,9 @@ func NewCAS(dir string, fsys faultfs.FS) (*CAS, error) {
 		fsys = faultfs.OS{}
 	}
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("cluster: creating CAS dir: %w", err)
+		return nil, fmt.Errorf("service: creating CAS dir: %w", err)
 	}
-	return &CAS{dir: dir, fs: fsys}, nil
+	return &CAS{dir: dir, fs: fsys, retry: &retrier{sleep: time.Sleep}}, nil
 }
 
 func (c *CAS) keyDir(key string) string {
@@ -138,15 +141,15 @@ func (c *CAS) PutCheckpoint(key string, payload []byte) error {
 	defer c.mu.Unlock()
 	dir := c.keyDir(key)
 	if err := c.fs.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("cluster: creating CAS entry dir: %w", err)
+		return fmt.Errorf("service: creating CAS entry dir: %w", err)
 	}
 	next := 1
 	if g := c.gens(key); len(g) > 0 {
 		next = g[0] + 1
 	}
 	path := filepath.Join(dir, genName(next))
-	if err := faultfs.WriteAtomic(c.fs, path, frame(payload)); err != nil {
-		return fmt.Errorf("cluster: writing checkpoint generation %d: %w", next, err)
+	if err := c.retry.write(c.fs, path, frame(payload)); err != nil {
+		return fmt.Errorf("service: writing checkpoint generation %d: %w", next, err)
 	}
 	if g := c.gens(key); len(g) > keepGenerations {
 		for _, n := range g[keepGenerations:] {
@@ -191,10 +194,10 @@ func (c *CAS) PutResult(key string, payload []byte) error {
 	defer c.mu.Unlock()
 	dir := c.keyDir(key)
 	if err := c.fs.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("cluster: creating CAS entry dir: %w", err)
+		return fmt.Errorf("service: creating CAS entry dir: %w", err)
 	}
-	if err := faultfs.WriteAtomic(c.fs, filepath.Join(dir, resultName), frame(payload)); err != nil {
-		return fmt.Errorf("cluster: writing result: %w", err)
+	if err := c.retry.write(c.fs, filepath.Join(dir, resultName), frame(payload)); err != nil {
+		return fmt.Errorf("service: writing result: %w", err)
 	}
 	return nil
 }

@@ -1,12 +1,13 @@
-package service
+package service_test
 
 import (
 	"bytes"
-	"path/filepath"
+	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/core"
+	"repro/internal/exact"
+	. "repro/internal/service"
 )
 
 // certSpec is the certified job type: NMED-guided search with every commit
@@ -29,7 +30,7 @@ func TestCertifiedJobEndToEnd(t *testing.T) {
 	spec := certSpec()
 	want, wantAAG := referenceRun(t, spec, circuit)
 
-	m, stop := startManager(t, Config{Dir: t.TempDir(), Now: time.Now})
+	m, stop := startManager(t, Config{Dir: t.TempDir()})
 	defer stop()
 
 	st, err := m.Submit(spec, circuit)
@@ -71,92 +72,29 @@ func TestCertifiedJobEndToEnd(t *testing.T) {
 		t.Fatalf("%d certified events, reference applied %d", certified, want.Applied)
 	}
 
-	var calls uint64
-	for _, c := range m.met.certifyTotal {
-		calls += c.Value()
+	var calls, observed float64
+	for _, b := range []string{exact.BackendTrivial, exact.BackendExhaustive, exact.BackendSAT} {
+		calls += metric(t, m, fmt.Sprintf("alsrac_certify_total{backend=%q}", b))
+		observed += metric(t, m, fmt.Sprintf("alsrac_certify_seconds_count{backend=%q}", b))
 	}
 	if calls == 0 {
 		t.Fatal("alsrac_certify_total never moved")
 	}
-	if got := m.met.certRejected.Value(); got != uint64(rejected) {
-		t.Fatalf("alsrac_certify_rejected_total %d, %d rejected events", got, rejected)
-	}
-	var observed uint64
-	for _, h := range m.met.certifySeconds {
-		observed += h.Count()
+	if got := metric(t, m, "alsrac_certify_rejected_total"); got != float64(rejected) {
+		t.Fatalf("alsrac_certify_rejected_total %v, %d rejected events", got, rejected)
 	}
 	if observed != calls {
-		t.Fatalf("latency histograms observed %d certifications, counters say %d", observed, calls)
+		t.Fatalf("latency histograms observed %v certifications, counters say %v", observed, calls)
 	}
 }
 
 // TestCertifiedKillAndResume is the acceptance crash test for the certified
 // job type: interrupt a certified job mid-run (checkpoint v3 carries the
 // certification state), restart over the same directory, and require a
-// final graph bitwise identical to the uninterrupted certified run.
+// final graph bitwise identical to the uninterrupted certified run, with
+// the rejection history intact — on either transport.
 func TestCertifiedKillAndResume(t *testing.T) {
-	dir := t.TempDir()
-	circuit := testCircuit(t)
-	spec := certSpec()
-	want, wantAAG := referenceRun(t, spec, circuit)
-	if want.Iterations < 3 {
-		t.Fatalf("reference run too short (%d iterations) to interrupt meaningfully", want.Iterations)
-	}
-
-	m1, stop1 := startManager(t, Config{Dir: dir, CheckpointEvery: 1})
-	st, err := m1.Submit(spec, circuit)
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		job, _ := m1.Get(st.ID)
-		s := job.Status(false)
-		if s.Iterations >= 1 || s.State.terminal() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("certified job never started iterating")
-		}
-	}
-	stop1()
-
-	interrupted, _ := m1.Get(st.ID)
-	if istat := interrupted.Status(false); !istat.State.terminal() {
-		gens, err := filepath.Glob(filepath.Join(dir, st.ID, "checkpoint.*"))
-		if err != nil || len(gens) == 0 {
-			t.Fatalf("no checkpoint generation after shutdown (%v, %v)", gens, err)
-		}
-	}
-
-	m2, stop2 := startManager(t, Config{Dir: dir, CheckpointEvery: 1})
-	defer stop2()
-	final := waitState(t, m2, st.ID, StateDone)
-	if final.FinalError != want.FinalError ||
-		final.Iterations != want.Iterations || final.Applied != want.Applied {
-		t.Fatalf("resumed certified run %v/%d/%d, reference %v/%d/%d",
-			final.FinalError, final.Iterations, final.Applied,
-			want.FinalError, want.Iterations, want.Applied)
-	}
-	if !bytes.Equal(graphAAG(t, m2, st.ID), wantAAG) {
-		t.Fatal("resumed certified result differs bitwise from uninterrupted run")
-	}
-
-	// The rejection history survives the restart: rejected records in the
-	// final status must match the reference run's.
-	wantRejected := 0
-	for _, rec := range want.History {
-		if rec.Rejected {
-			wantRejected++
-		}
-	}
-	gotRejected := 0
-	for _, rec := range final.History {
-		if rec.Rejected {
-			gotRejected++
-		}
-	}
-	if gotRejected != wantRejected {
-		t.Fatalf("resumed history has %d rejected records, reference %d", gotRejected, wantRejected)
+	for _, tr := range transports {
+		t.Run(string(tr), func(t *testing.T) { testKillAndResume(t, tr, certSpec()) })
 	}
 }

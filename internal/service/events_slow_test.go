@@ -1,4 +1,4 @@
-package service
+package service_test
 
 import (
 	"fmt"
@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	. "repro/internal/service"
 )
 
 // stalledWriter models a peer that never drains its receive buffer, the way
@@ -63,22 +65,19 @@ func TestEventsSlowConsumerDisconnected(t *testing.T) {
 
 	w := newStalledWriter()
 	r := httptest.NewRequest("GET", "/jobs/"+st.ID+"/events", nil)
-	r.SetPathValue("id", st.ID)
+	h := NewHandlerOpts(m, HandlerOptions{EventWriteTimeout: 50 * time.Millisecond})
 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		handleEvents(m, HandlerOptions{EventWriteTimeout: 50 * time.Millisecond}, w, r)
+		h.ServeHTTP(w, r)
 	}()
 
 	// Wait for the handler's subscription, then publish the event whose
 	// write the stalled consumer will never drain.
 	job, _ := m.Get(st.ID)
 	for deadline := time.Now().Add(5 * time.Second); ; {
-		job.mu.Lock()
-		n := len(job.subs)
-		job.mu.Unlock()
-		if n == 1 {
+		if job.Subscribers() == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -86,7 +85,9 @@ func TestEventsSlowConsumerDisconnected(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	job.note("poke")
+	if _, err := m.Cancel(st.ID); err != nil {
+		t.Fatalf("Cancel: %v", err)
+	}
 
 	select {
 	case <-done:
@@ -103,10 +104,7 @@ func TestEventsSlowConsumerDisconnected(t *testing.T) {
 
 	// The deferred unsub ran: the job carries no dangling subscription that
 	// would make every future publish scan a dead channel.
-	job.mu.Lock()
-	subs := len(job.subs)
-	job.mu.Unlock()
-	if subs != 0 {
+	if subs := job.Subscribers(); subs != 0 {
 		t.Fatalf("%d subscription(s) leaked after disconnect", subs)
 	}
 }
@@ -117,7 +115,7 @@ func TestEventsSlowConsumerDisconnected(t *testing.T) {
 // after the server shuts down.
 func TestEventsNeverReadingClientNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
-	m, stop := startManager(t, Config{Dir: t.TempDir(), Now: time.Now})
+	m, stop := startManager(t, Config{Dir: t.TempDir()})
 	srv := httptest.NewServer(NewHandlerOpts(m, HandlerOptions{EventWriteTimeout: 100 * time.Millisecond}))
 
 	st := postJob(t, srv, "metric=er&threshold=0.05&seed=3&eval=1024", testCircuit(t))

@@ -1,10 +1,10 @@
 package service
 
 import (
-	"context"
+	"strings"
 	"sync"
+	"time"
 
-	"repro/internal/aig"
 	"repro/internal/core"
 )
 
@@ -12,34 +12,28 @@ import (
 type State string
 
 const (
-	// StateQueued: accepted (or re-enqueued after a restart) and waiting
-	// for a worker.
+	// StateQueued: accepted (or requeued after a failed attempt or a
+	// restart) and waiting for a worker.
 	StateQueued State = "queued"
-	// StateRunning: a worker is stepping the job's session.
+	// StateRunning: a worker holds a lease on the job.
 	StateRunning State = "running"
 	// StateDone: the flow terminated (or hit its deadline with a usable
-	// best-so-far result); the result circuit is available.
+	// best-so-far result); the result circuit is available. A job never
+	// fails outright: a failed attempt requeues it until quarantine.
 	StateDone State = "done"
-	// StateFailed: the job cannot make progress (bad circuit, I/O error,
-	// worker panic — the Error field says which).
-	StateFailed State = "failed"
 	// StateCancelled: terminated by DELETE /jobs/{id}.
 	StateCancelled State = "cancelled"
-	// StateQuarantined: the job crash-looped through MaxResumeAttempts
-	// recovery attempts without ever reaching a checkpoint, so the startup
-	// rescan refuses to re-enqueue it again. Terminal; the job directory is
-	// preserved on disk for inspection.
+	// StateQuarantined: the job's failure counter reached MaxFailures
+	// (expired leases, reported failures and restarts that found it
+	// unfinished, with no checkpoint upload in between). Terminal; the job
+	// directory is preserved on disk for inspection.
 	StateQuarantined State = "quarantined"
 )
 
-// Terminal reports whether no further transitions can happen. Exported for
-// the cluster coordinator, which shares the lifecycle vocabulary.
+// Terminal reports whether no further transitions can happen.
 func (s State) Terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCancelled || s == StateQuarantined
+	return s == StateDone || s == StateCancelled || s == StateQuarantined
 }
-
-// terminal is the historical unexported spelling.
-func (s State) terminal() bool { return s.Terminal() }
 
 // Event is one NDJSON progress record: a state transition, one session step,
 // or an operational note (checkpoint fallback, quarantine, captured panic).
@@ -69,151 +63,143 @@ type JobStatus struct {
 	CurrentError float64           `json:"current_error"`
 	FinalError   float64           `json:"final_error,omitempty"`
 	History      []core.IterRecord `json:"history,omitempty"`
+
+	// Key is the job's content address (JobKey); CacheHit marks a job
+	// answered from the store without computing.
+	Key      string `json:"key"`
+	CacheHit bool   `json:"cache_hit,omitempty"`
+	// Worker lists the workers holding a lease; Hedged marks a job that
+	// ever ran a straggler duplicate; Redispatches counts requeues.
+	Worker       string `json:"worker,omitempty"`
+	Hedged       bool   `json:"hedged,omitempty"`
+	Redispatches int    `json:"redispatches,omitempty"`
 }
 
-// subscriber is one NDJSON event stream client.
-type subscriber struct {
-	ch chan Event
+// attempt is one lease: a worker executing (or hedging) a job.
+type attempt struct {
+	id      string
+	worker  string
+	hedge   bool
+	started time.Time
+	expires time.Time
 }
 
-// Job is one synthesis job. All mutable fields are guarded by mu; the
-// session itself is only ever touched by the single worker that owns the
-// running job.
+// Job is one synthesis job. Every mutable field is guarded by the owning
+// Manager's lock; persistMu orders the job's state.json writes, which
+// happen outside that lock.
 type Job struct {
 	ID   string
 	Spec JobSpec
 
-	mu       sync.Mutex
-	state    State
-	errMsg   string
-	timedOut bool
-	reason   string
-	attempts int // resume attempts without a successful checkpoint
+	m         *Manager
+	persistMu sync.Mutex
 
-	iterations    int
-	applied       int
-	ands          int
-	curErr        float64
-	finalErr      float64
-	history       []core.IterRecord
-	resultGraph   *aig.Graph // in-memory result when completed in this process
-	hasResult     bool
-	hasCheckpoint bool // a checkpoint file exists on disk (resume candidate)
+	key          string
+	state        State
+	errMsg       string
+	failures     int // the quarantine counter, shown as "attempts"
+	cacheHit     bool
+	hedged       bool
+	redispatches int
+	sum          ResultSummary
+	curErr       float64
+	history      []core.IterRecord
+
+	active       []*attempt
+	nextEligible time.Time
 
 	events []Event
-	subs   []*subscriber
-
-	cancelRequested bool
-	cancel          context.CancelFunc // set while running
+	subs   []chan Event
 }
 
 // Status returns a consistent snapshot. History is copied so callers can
 // serialize it without holding the lock.
 func (j *Job) Status(withHistory bool) JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	j.m.mu.Lock()
+	defer j.m.mu.Unlock()
+	return j.statusLocked(withHistory)
+}
+
+func (j *Job) statusLocked(withHistory bool) JobStatus {
 	st := JobStatus{
 		ID:           j.ID,
 		Spec:         j.Spec,
 		State:        j.state,
 		Error:        j.errMsg,
-		TimedOut:     j.timedOut,
-		Reason:       j.reason,
-		Attempts:     j.attempts,
-		Iterations:   j.iterations,
-		Applied:      j.applied,
-		Ands:         j.ands,
+		TimedOut:     j.sum.TimedOut,
+		Reason:       j.sum.Reason,
+		Attempts:     j.failures,
+		Iterations:   j.sum.Iterations,
+		Applied:      j.sum.Applied,
+		Ands:         j.sum.Ands,
 		CurrentError: j.curErr,
-		FinalError:   j.finalErr,
+		FinalError:   j.sum.FinalError,
+		Key:          j.key,
+		CacheHit:     j.cacheHit,
+		Hedged:       j.hedged,
+		Redispatches: j.redispatches,
 	}
 	if withHistory {
 		st.History = append([]core.IterRecord(nil), j.history...)
 	}
+	var owners []string
+	for _, a := range j.active {
+		owners = append(owners, a.worker)
+	}
+	st.Worker = strings.Join(owners, ",")
 	return st
 }
 
 // State returns the current lifecycle state.
 func (j *Job) State() State {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	j.m.mu.Lock()
+	defer j.m.mu.Unlock()
 	return j.state
 }
 
 // publishLocked appends an event to the log and fans it out to subscribers.
-// Slow subscribers lose events rather than stalling the worker (their
+// Slow subscribers lose events rather than stalling the engine (their
 // buffered channel fills); the NDJSON handler replays from the log by
-// sequence number, so a lagging client can reconnect with ?from=. Callers
-// must hold j.mu.
+// sequence number, so a lagging client can reconnect with ?from=.
 func (j *Job) publishLocked(ev Event) {
 	ev.Job = j.ID
 	ev.Seq = len(j.events)
 	j.events = append(j.events, ev)
-	for _, s := range j.subs {
+	for _, ch := range j.subs {
 		select {
-		case s.ch <- ev:
+		case ch <- ev:
 		default:
 		}
 	}
-	if ev.State.terminal() {
-		for _, s := range j.subs {
-			close(s.ch)
+	if ev.State.Terminal() {
+		for _, ch := range j.subs {
+			close(ch)
 		}
 		j.subs = nil
 	}
-}
-
-// note publishes an operational event (checkpoint fallback, quarantine
-// reason, retry exhaustion) to the job's event log.
-func (j *Job) note(msg string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.publishLocked(Event{Message: msg})
-}
-
-// recordStep mirrors one session step into the job's public fields and
-// publishes it.
-func (j *Job) recordStep(ev core.Event, s *core.Session) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.iterations = s.Iterations()
-	j.applied = s.Applied()
-	j.ands = ev.Ands
-	j.curErr = ev.Err
-	if ev.Reason != "" {
-		j.reason = ev.Reason
-	}
-	j.history = s.History()
-	step := ev
-	j.publishLocked(Event{Step: &step})
 }
 
 // Subscribe registers an event-stream client: it returns a replay of the
 // event log from seq `from` onward, a channel for live events, and an
 // unsubscribe function. On a terminal job the channel is already closed.
 func (j *Job) Subscribe(from int) ([]Event, <-chan Event, func()) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if from < 0 {
-		from = 0
-	}
-	if from > len(j.events) {
-		from = len(j.events)
-	}
+	j.m.mu.Lock()
+	defer j.m.mu.Unlock()
+	from = max(0, min(from, len(j.events)))
 	replay := append([]Event(nil), j.events[from:]...)
 	ch := make(chan Event, 256)
-	if j.state.terminal() {
+	if j.state.Terminal() {
 		close(ch)
 		return replay, ch, func() {}
 	}
-	sub := &subscriber{ch: ch}
-	j.subs = append(j.subs, sub)
+	j.subs = append(j.subs, ch)
 	unsub := func() {
-		j.mu.Lock()
-		defer j.mu.Unlock()
+		j.m.mu.Lock()
+		defer j.m.mu.Unlock()
 		for i, s := range j.subs {
-			if s == sub {
+			if s == ch {
 				j.subs = append(j.subs[:i], j.subs[i+1:]...)
-				close(s.ch)
+				close(ch)
 				return
 			}
 		}

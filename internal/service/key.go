@@ -1,14 +1,4 @@
-// Package cluster scales alsracd from one process to a fault-tolerant
-// coordinator/worker fleet. The coordinator owns the job table, a
-// content-addressed checkpoint/result store, and the lease/hedge/quarantine
-// state machine; workers are thin claim-execute loops around the same
-// core.Session engine the single-process daemon drives. Determinism is the
-// load-bearing wall throughout: the flow is bitwise-deterministic in
-// (circuit, normalized spec), so a job may die on one machine and finish on
-// another — resumed from its last uploaded checkpoint — and still produce
-// the byte-identical result, and two submissions of the same work are one
-// computation.
-package cluster
+package service
 
 import (
 	"crypto/sha256"
@@ -16,7 +6,6 @@ import (
 	"fmt"
 
 	"repro/internal/aig"
-	"repro/internal/service"
 )
 
 // keyVersion tags the derivation so any change to the fingerprint, the
@@ -31,16 +20,17 @@ const keyVersion = "alsrac-cluster-key-v1"
 // and results are shared across job ids by key.
 //
 // Deliberately excluded:
-//   - Workers: intra-job parallelism is bitwise-invariant (the PR 1
-//     contract), so a 1-thread and an 8-thread run share cache entries.
+//   - Workers: intra-job parallelism is bitwise-invariant (the
+//     worker-count determinism contract), so a 1-thread and an 8-thread run share cache entries.
 //   - TimeoutSec: a deadline changes *whether* the run finishes, not what it
-//     converges to; timed-out best-so-far results are never cached.
+//     converges to; timed-out best-so-far results are never cached (they
+//     live in the job's own directory).
 //   - Format: the fingerprint is taken after parsing, so the same circuit
 //     submitted as BLIF and as AIGER collides — that is the point.
 //
 // The spec must already be normalized (Normalize fills defaults), otherwise
 // an explicit default and an absent field would key differently.
-func JobKey(spec service.JobSpec, g *aig.Graph) string {
+func JobKey(spec JobSpec, g *aig.Graph) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\n", keyVersion)
 	fmt.Fprintf(h, "fp=%016x\n", aig.Fingerprint(g))

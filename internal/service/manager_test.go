@@ -1,151 +1,17 @@
-package service
+package service_test
 
 import (
 	"bytes"
-	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/aiger"
-	"repro/internal/bench"
-	"repro/internal/core"
+	. "repro/internal/service"
 )
-
-// testCircuit returns a 16-bit carry-lookahead adder as ASCII AIGER bytes.
-// At the testSpec threshold the flow runs ~17 iterations — long enough to
-// interrupt mid-run, short enough for fast tests.
-func testCircuit(t *testing.T) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := aiger.Write(&buf, bench.CLA(16), "aag"); err != nil {
-		t.Fatalf("serializing test circuit: %v", err)
-	}
-	return buf.Bytes()
-}
-
-func testSpec() JobSpec {
-	return JobSpec{
-		Metric:       "er",
-		Threshold:    0.05,
-		Seed:         3,
-		EvalPatterns: 1024,
-		Workers:      1,
-	}
-}
-
-// graphAAG serializes a result graph for bitwise comparison.
-func graphAAG(t *testing.T, m *Manager, id string) []byte {
-	t.Helper()
-	g, err := m.ResultGraph(id)
-	if err != nil {
-		t.Fatalf("ResultGraph(%s): %v", id, err)
-	}
-	var buf bytes.Buffer
-	if err := aiger.Write(&buf, g, "aag"); err != nil {
-		t.Fatalf("serializing result: %v", err)
-	}
-	return buf.Bytes()
-}
-
-// referenceRun computes the uninterrupted single-process answer for a spec.
-func referenceRun(t *testing.T, spec JobSpec, circuit []byte) (core.Result, []byte) {
-	t.Helper()
-	if err := spec.Normalize(); err != nil {
-		t.Fatalf("normalize: %v", err)
-	}
-	opts, err := spec.Options()
-	if err != nil {
-		t.Fatalf("options: %v", err)
-	}
-	g, err := ParseCircuit(spec.Format, circuit)
-	if err != nil {
-		t.Fatalf("parse circuit: %v", err)
-	}
-	res := core.Run(g, opts)
-	var buf bytes.Buffer
-	if err := aiger.Write(&buf, res.Graph, "aag"); err != nil {
-		t.Fatalf("serializing reference: %v", err)
-	}
-	return res, buf.Bytes()
-}
-
-// startManager builds a manager over dir and runs its worker pool; the
-// returned stop function shuts it down gracefully and asserts no goroutine
-// leaked.
-func startManager(t *testing.T, cfg Config) (*Manager, func()) {
-	t.Helper()
-	base := runtime.NumGoroutine()
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		m.Run(ctx)
-	}()
-	var once sync.Once
-	stop := func() {
-		once.Do(func() {
-			cancel()
-			wg.Wait()
-			waitGoroutines(t, base)
-		})
-	}
-	return m, stop
-}
-
-// waitGoroutines polls until the goroutine count returns to (about) base,
-// failing the test on a leak. The small slack absorbs runtime-internal
-// goroutines (e.g. the race detector's background workers).
-func waitGoroutines(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if runtime.NumGoroutine() <= base+2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutine leak: %d running, started with %d\n%s",
-				runtime.NumGoroutine(), base, buf[:n])
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// waitState polls until the job reaches state want (or any terminal state,
-// which then must be want).
-func waitState(t *testing.T, m *Manager, id string, want State) JobStatus {
-	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		job, ok := m.Get(id)
-		if !ok {
-			t.Fatalf("job %s disappeared", id)
-		}
-		st := job.Status(true)
-		if st.State == want {
-			return st
-		}
-		if st.State.terminal() {
-			t.Fatalf("job %s reached %s (error %q), want %s", id, st.State, st.Error, want)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s stuck in %s, want %s", id, st.State, want)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
 
 // TestManagerRunsJobToCompletion: a submitted job must produce exactly the
 // result a direct core.Run yields for the same spec and circuit.
@@ -154,7 +20,7 @@ func TestManagerRunsJobToCompletion(t *testing.T) {
 	spec := testSpec()
 	want, wantAAG := referenceRun(t, spec, circuit)
 
-	m, stop := startManager(t, Config{Dir: t.TempDir(), Workers: 2, Now: time.Now})
+	m, stop := startManager(t, Config{Dir: t.TempDir(), Workers: 2})
 	defer stop()
 
 	st, err := m.Submit(spec, circuit)
@@ -180,15 +46,21 @@ func TestManagerRunsJobToCompletion(t *testing.T) {
 	}
 }
 
-// TestKillAndResume is the crash/resume e2e of the issue: run a job under a
-// manager, shut the manager down mid-run (checkpointing the in-flight
-// session), then bring up a fresh manager over the same directory and let
+// TestKillAndResume is the crash/resume e2e of the issue: run a job under an
+// engine, shut it down mid-run (the worker checkpoints its in-flight
+// session), then bring up a fresh engine over the same directory and let
 // the resumed session finish. The final result must be bitwise identical to
-// an uninterrupted run with the same seed.
+// an uninterrupted run with the same seed — whichever transport the worker
+// uses.
 func TestKillAndResume(t *testing.T) {
+	for _, tr := range transports {
+		t.Run(string(tr), func(t *testing.T) { testKillAndResume(t, tr, testSpec()) })
+	}
+}
+
+func testKillAndResume(t *testing.T, tr transport, spec JobSpec) {
 	dir := t.TempDir()
 	circuit := testCircuit(t)
-	spec := testSpec()
 	want, wantAAG := referenceRun(t, spec, circuit)
 	if want.Iterations < 3 {
 		t.Fatalf("reference run too short (%d iterations) to interrupt meaningfully", want.Iterations)
@@ -198,32 +70,22 @@ func TestKillAndResume(t *testing.T) {
 	// (graceful shutdown checkpoints the in-flight job and leaves it
 	// resumable — the same on-disk state a SIGKILL after a periodic
 	// checkpoint would leave).
-	m1, stop1 := startManager(t, Config{Dir: dir, CheckpointEvery: 1})
+	m1, stop1 := startRig(t, tr, Config{Dir: dir, CheckpointEvery: 1})
 	st, err := m1.Submit(spec, circuit)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		job, _ := m1.Get(st.ID)
-		s := job.Status(false)
-		if s.Iterations >= 1 || s.State.terminal() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never started iterating")
-		}
-	}
+	waitIterations(t, m1, st.ID, 1)
 	stop1()
 
 	interrupted, _ := m1.Get(st.ID)
 	istat := interrupted.Status(false)
-	if istat.State.terminal() && istat.State != StateDone {
+	if istat.State.Terminal() && istat.State != StateDone {
 		t.Fatalf("interrupted job in unexpected state %s (%s)", istat.State, istat.Error)
 	}
-	resumed := !istat.State.terminal()
+	resumed := !istat.State.Terminal()
 	if resumed {
-		gens, err := filepath.Glob(filepath.Join(dir, st.ID, "checkpoint.*"))
+		gens, err := filepath.Glob(filepath.Join(dir, "cas", "*", st.Key, "checkpoint.*"))
 		if err != nil || len(gens) == 0 {
 			t.Fatalf("no checkpoint generation after shutdown (%v, %v)", gens, err)
 		}
@@ -233,8 +95,8 @@ func TestKillAndResume(t *testing.T) {
 		t.Log("job finished before shutdown; exercising restart-load path only")
 	}
 
-	// Phase 2: a fresh manager over the same directory recovers the job.
-	m2, stop2 := startManager(t, Config{Dir: dir, CheckpointEvery: 1})
+	// Phase 2: a fresh engine over the same directory recovers the job.
+	m2, stop2 := startRig(t, tr, Config{Dir: dir, CheckpointEvery: 1})
 	defer stop2()
 	final := waitState(t, m2, st.ID, StateDone)
 	if final.FinalError != want.FinalError {
@@ -247,8 +109,26 @@ func TestKillAndResume(t *testing.T) {
 	if !bytes.Equal(graphAAG(t, m2, st.ID), wantAAG) {
 		t.Fatal("resumed result differs bitwise from uninterrupted run")
 	}
-	if resumed && m2.met.resumes.Value() == 0 {
+	if resumed && metric(t, m2, "alsrac_resumes_total") == 0 {
 		t.Fatal("job restarted from scratch: expected a checkpoint restore")
+	}
+	if tr == inproc {
+		// The rejection history survives the restart: rejected records in
+		// the final status must match the reference run's.
+		wantRejected, gotRejected := 0, 0
+		for _, rec := range want.History {
+			if rec.Rejected {
+				wantRejected++
+			}
+		}
+		for _, rec := range final.History {
+			if rec.Rejected {
+				gotRejected++
+			}
+		}
+		if gotRejected != wantRejected {
+			t.Fatalf("resumed history has %d rejected records, reference %d", gotRejected, wantRejected)
+		}
 	}
 }
 
@@ -281,7 +161,7 @@ func TestGracefulShutdownCheckpointsAllInflight(t *testing.T) {
 		started := 0
 		for _, id := range ids {
 			job, _ := m1.Get(id)
-			if s := job.Status(false); s.Iterations >= 1 || s.State.terminal() {
+			if s := job.Status(false); s.Iterations >= 1 || s.State.Terminal() {
 				started++
 			}
 		}
@@ -304,7 +184,7 @@ func TestGracefulShutdownCheckpointsAllInflight(t *testing.T) {
 // TestCancelQueuedJob: cancelling before a worker picks the job up must
 // finalize it immediately, and a worker that later pops it must skip it.
 func TestCancelQueuedJob(t *testing.T) {
-	m, err := New(Config{Dir: t.TempDir()})
+	m, err := New(Config{Dir: t.TempDir(), Now: time.Now})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -324,8 +204,8 @@ func TestCancelQueuedJob(t *testing.T) {
 	if got, err = m.Cancel(st.ID); err != nil || got.State != StateCancelled {
 		t.Fatalf("second cancel: %v, state %s", err, got.State)
 	}
-	if _, err := m.ResultGraph(st.ID); !errors.Is(err, ErrNotDone) {
-		t.Fatalf("ResultGraph on cancelled job: %v, want ErrNotDone", err)
+	if _, err := m.ResultAAG(st.ID); !errors.Is(err, ErrNotDone) {
+		t.Fatalf("ResultAAG on cancelled job: %v, want ErrNotDone", err)
 	}
 }
 
@@ -359,36 +239,80 @@ func TestCancelRunningJob(t *testing.T) {
 }
 
 // TestJobTimeoutReturnsBestSoFar: a job with a tiny deadline must complete
-// as done (not failed), flagged timed_out, with a valid best-so-far graph.
+// as done (not failed), flagged timed_out, with a valid best-so-far graph —
+// on either transport. The timed-out result depends on the deadline, not on
+// the job's key, so an identical submission without a timeout is not a
+// cache hit.
 func TestJobTimeoutReturnsBestSoFar(t *testing.T) {
+	for _, tr := range transports {
+		t.Run(string(tr), func(t *testing.T) {
+			m, stop := startRig(t, tr, Config{Dir: t.TempDir()})
+			defer stop()
+			spec := testSpec()
+			spec.TimeoutSec = 0.000001 // expires before the first step commits
+			st, err := m.Submit(spec, testCircuit(t))
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			final := waitState(t, m, st.ID, StateDone)
+			if !final.TimedOut {
+				t.Fatal("job not flagged timed_out")
+			}
+			if final.Reason != "deadline" {
+				t.Fatalf("reason %q, want deadline", final.Reason)
+			}
+			g, err := ParseCircuit("aag", graphAAG(t, m, st.ID))
+			if err != nil {
+				t.Fatalf("parsing result: %v", err)
+			}
+			if g.NumAnds() == 0 {
+				t.Fatal("best-so-far graph is empty")
+			}
+			again, err := m.Submit(testSpec(), testCircuit(t))
+			if err != nil {
+				t.Fatalf("resubmission: %v", err)
+			}
+			if again.CacheHit {
+				t.Fatal("a timed-out result answered a submission without a deadline")
+			}
+		})
+	}
+}
+
+// TestDaemonDuplicateSubmissionCacheHit: the daemon answers a repeated
+// submission from its content-addressed store — done at once, never
+// computed, with the stored summary and the identical result bytes.
+func TestDaemonDuplicateSubmissionCacheHit(t *testing.T) {
 	m, stop := startManager(t, Config{Dir: t.TempDir()})
 	defer stop()
-	spec := testSpec()
-	spec.TimeoutSec = 0.000001 // expires before the first step commits
-	st, err := m.Submit(spec, testCircuit(t))
+	circuit := testCircuit(t)
+	st1, err := m.Submit(testSpec(), circuit)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	final := waitState(t, m, st.ID, StateDone)
-	if !final.TimedOut {
-		t.Fatal("job not flagged timed_out")
-	}
-	if final.Reason != "deadline" {
-		t.Fatalf("reason %q, want deadline", final.Reason)
-	}
-	g, err := m.ResultGraph(st.ID)
+	first := waitState(t, m, st1.ID, StateDone)
+	st2, err := m.Submit(testSpec(), circuit)
 	if err != nil {
-		t.Fatalf("ResultGraph: %v", err)
+		t.Fatalf("duplicate Submit: %v", err)
 	}
-	if g.NumAnds() == 0 {
-		t.Fatal("best-so-far graph is empty")
+	if !st2.CacheHit || st2.State != StateDone || st2.Key != first.Key {
+		t.Fatalf("duplicate = %+v, want an instant cache hit on key %s", st2, first.Key)
+	}
+	if st2.Iterations != first.Iterations || st2.FinalError != first.FinalError || st2.Reason != first.Reason {
+		t.Fatalf("cache hit lost the stored summary: %+v vs %+v", st2, first)
+	}
+	if !bytes.Equal(graphAAG(t, m, st1.ID), graphAAG(t, m, st2.ID)) {
+		t.Fatal("cache hit served different bytes")
+	}
+	if got := fmt.Sprint(metric(t, m, "alsrac_cluster_cache_hits_total"), metric(t, m, "alsrac_lacs_applied_total")); got != fmt.Sprint(1, first.Applied) {
+		t.Fatalf("cache hits / LACs applied = %s, want 1 %d (the duplicate never ran)", got, first.Applied)
 	}
 }
 
 // TestSubmitRejectsBadInput: malformed circuits and specs fail at submit
 // time, never reaching a worker.
 func TestSubmitRejectsBadInput(t *testing.T) {
-	m, err := New(Config{Dir: t.TempDir()})
+	m, err := New(Config{Dir: t.TempDir(), Now: time.Now})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -409,7 +333,7 @@ func TestSubmitRejectsBadInput(t *testing.T) {
 // and leave no trace in memory or on disk.
 func TestSubmitQueueFull(t *testing.T) {
 	dir := t.TempDir()
-	m, err := New(Config{Dir: dir, QueueSize: 1})
+	m, err := New(Config{Dir: dir, QueueSize: 1, Now: time.Now})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -424,7 +348,7 @@ func TestSubmitQueueFull(t *testing.T) {
 	if n := len(m.Jobs()); n != 1 {
 		t.Fatalf("%d jobs after rollback, want 1", n)
 	}
-	entries, _ := os.ReadDir(dir)
+	entries, _ := os.ReadDir(filepath.Join(dir, "jobs"))
 	dirs := 0
 	for _, e := range entries {
 		if e.IsDir() && strings.HasPrefix(e.Name(), "j") {
@@ -452,7 +376,7 @@ func TestRestartServesTerminalJobs(t *testing.T) {
 	waitState(t, m1, st.ID, StateDone)
 	stop1()
 
-	m2, err := New(Config{Dir: dir})
+	m2, err := New(Config{Dir: dir, Now: time.Now})
 	if err != nil {
 		t.Fatalf("New after restart: %v", err)
 	}
@@ -514,7 +438,7 @@ donestream:
 				doneSteps++
 			}
 		}
-		if ev.State.terminal() {
+		if ev.State.Terminal() {
 			terminal = true
 		}
 	}
@@ -535,7 +459,7 @@ donestream:
 // TestMetricsExposition: after a completed job the Prometheus endpoint must
 // report consistent counters.
 func TestMetricsExposition(t *testing.T) {
-	m, stop := startManager(t, Config{Dir: t.TempDir(), Now: time.Now})
+	m, stop := startManager(t, Config{Dir: t.TempDir()})
 	defer stop()
 	st, err := m.Submit(testSpec(), testCircuit(t))
 	if err != nil {
@@ -556,10 +480,10 @@ func TestMetricsExposition(t *testing.T) {
 			t.Errorf("metrics output missing %q:\n%s", want, text)
 		}
 	}
-	if m.met.iterations.Value() != uint64(final.Iterations) {
-		t.Fatalf("iterations counter %d, status says %d", m.met.iterations.Value(), final.Iterations)
+	if got := metric(t, m, "alsrac_iterations_total"); got != float64(final.Iterations) {
+		t.Fatalf("iterations counter %v, status says %d", got, final.Iterations)
 	}
-	if m.met.lacsApplied.Value() != uint64(final.Applied) {
-		t.Fatalf("lacs counter %d, status says %d", m.met.lacsApplied.Value(), final.Applied)
+	if got := metric(t, m, "alsrac_lacs_applied_total"); got != float64(final.Applied) {
+		t.Fatalf("lacs counter %v, status says %d", got, final.Applied)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"hash/fnv"
 	"syscall"
 	"time"
+
+	"repro/internal/faultfs"
 )
 
 // Transient store errors — the errno classes that tend to clear on their
@@ -64,6 +66,14 @@ func (r *retrier) do(key string, f func() error) error {
 	return err
 }
 
+// write is the one durable-write path of the engine: faultfs.WriteAtomic
+// (temp file, fsync, rename, directory fsync) under transient-errno retry.
+// A failure leaves the target untouched (old version or absent) and no temp
+// residue.
+func (r *retrier) write(fsys faultfs.FS, path string, data []byte) error {
+	return r.do(path, func() error { return faultfs.WriteAtomic(fsys, path, data) })
+}
+
 // backoffDelay is the store retrier's schedule: Backoff at the package's
 // base and cap.
 func backoffDelay(key string, attempt int) time.Duration {
@@ -75,8 +85,8 @@ func backoffDelay(key string, attempt int) time.Duration {
 // (1-based) from base up to max, and the point inside the window is fixed by
 // hashing (key, attempt) — FNV-1a, no RNG, so concurrent callers with
 // distinct keys decorrelate while any single (key, attempt) pair always
-// waits the same duration. Exported for the cluster coordinator, which uses
-// the same schedule to pace job redispatch after a worker failure.
+// waits the same duration. The engine paces redispatch after a failed
+// attempt with it, and the cluster client paces its network retries.
 func Backoff(key string, attempt int, base, max time.Duration) time.Duration {
 	if attempt < 1 {
 		attempt = 1

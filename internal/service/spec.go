@@ -1,13 +1,15 @@
-// Package service implements alsracd's job engine: a bounded submission
-// queue feeding a pool of workers, each driving one checkpointed core.Session
-// at a time. Jobs survive process death — every job's spec, circuit,
-// checkpoint and result live under one directory, a new Manager re-enqueues
-// whatever was interrupted, and a restored session continues bitwise
-// identically to the run that was killed (the core checkpoint contract).
+// Package service is alsracd's job engine: one job table, one store — a
+// content-addressed store (CAS) for checkpoints and results plus each job's
+// own spec, circuit and state files — and one worker loop, run by the
+// engine's in-process workers and, over internal/cluster's HTTP wire, by
+// remote ones. Jobs survive process death: a new Manager requeues whatever
+// was unfinished, and a restored session continues bitwise identically to
+// the run that was killed (the core checkpoint contract), so a repeated
+// submission is answered from the CAS.
 //
 // The package obeys the same alsraclint determinism discipline as the
 // synthesis core: no wall-clock reads (the Manager's clock is injected via
-// Config.Now), no unseeded randomness (job IDs are sequential), and no
+// Config.Now), no unseeded randomness (job ids are sequential), and no
 // ordered results derived from map iteration (the job table keeps an
 // insertion-ordered slice beside its lookup map).
 package service

@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,14 +12,8 @@ import (
 	"repro/internal/faultfs"
 )
 
-func plainStore(t *testing.T, fsys faultfs.FS) *store {
-	t.Helper()
-	st, err := newStore(t.TempDir(), fsys, &retrier{sleep: noSleep})
-	if err != nil {
-		t.Fatalf("newStore: %v", err)
-	}
-	return st
-}
+// noSleep keeps retry backoff out of test wall-clock time.
+func noSleep(time.Duration) {}
 
 // TestWriteAtomicCrashNeverHalfVisible: for a crash at EVERY operation in the
 // atomic-write sequence (create, write, sync, close, rename, dir sync), the
@@ -41,7 +34,7 @@ func TestWriteAtomicCrashNeverHalfVisible(t *testing.T) {
 	for _, fault := range steps {
 		t.Run(string(fault.Op), func(t *testing.T) {
 			dir := t.TempDir()
-			jd := filepath.Join(dir, "j000001")
+			jd := filepath.Join(dir, "jobs", "j000001")
 			if err := os.MkdirAll(jd, 0o755); err != nil {
 				t.Fatal(err)
 			}
@@ -51,8 +44,7 @@ func TestWriteAtomicCrashNeverHalfVisible(t *testing.T) {
 			}
 
 			inj := faultfs.NewInjector(faultfs.OS{}, fault)
-			st := &store{dir: dir, fs: inj, retry: &retrier{sleep: noSleep}}
-			err := st.writeAtomic(target, next)
+			err := (&retrier{sleep: noSleep}).write(inj, target, next)
 			// Rename and dir-sync crashes may leave the NEW content visible
 			// (the rename itself can have completed); everything earlier must
 			// leave the OLD content. Either way: a complete version.
@@ -67,11 +59,9 @@ func TestWriteAtomicCrashNeverHalfVisible(t *testing.T) {
 				t.Fatalf("crash at %s reported no error", fault.Op)
 			}
 
-			// A fresh store's startup scan sweeps any stranded temp file.
-			clean := plainStore(t, faultfs.OS{})
-			clean.dir = dir
-			if _, err := clean.loadAll(); err != nil {
-				t.Fatalf("loadAll after crash: %v", err)
+			// A fresh engine's startup scan sweeps any stranded temp file.
+			if _, err := New(Config{Dir: dir, Now: time.Now}); err != nil {
+				t.Fatalf("restart after crash: %v", err)
 			}
 			entries, _ := os.ReadDir(jd)
 			for _, e := range entries {
@@ -91,15 +81,12 @@ func TestWriteAtomicRetriesTransient(t *testing.T) {
 	inj := faultfs.NewInjector(faultfs.OS{},
 		faultfs.Fault{Op: faultfs.OpSync, PathSubstr: ".tmp-", N: 1, Err: syscall.ENOSPC},
 	)
-	st, err := newStore(t.TempDir(), inj, &retrier{
+	r := &retrier{
 		sleep:   func(d time.Duration) { slept = append(slept, d) },
 		onRetry: func() { retried++ },
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	target := filepath.Join(st.dir, "state.json")
-	if err := st.writeAtomic(target, []byte("payload")); err != nil {
+	target := filepath.Join(t.TempDir(), "state.json")
+	if err := r.write(inj, target, []byte("payload")); err != nil {
 		t.Fatalf("writeAtomic did not recover from transient ENOSPC: %v", err)
 	}
 	if retried != 1 || len(slept) != 1 {
@@ -119,12 +106,9 @@ func TestWriteAtomicFailsFastOnPermanent(t *testing.T) {
 	inj := faultfs.NewInjector(faultfs.OS{},
 		faultfs.Fault{Op: faultfs.OpSync, PathSubstr: ".tmp-", N: 1, Err: syscall.EACCES},
 	)
-	st, err := newStore(t.TempDir(), inj, &retrier{sleep: noSleep, onRetry: func() { retried++ }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := filepath.Join(st.dir, "state.json")
-	if err := st.writeAtomic(target, []byte("x")); err == nil {
+	r := &retrier{sleep: noSleep, onRetry: func() { retried++ }}
+	target := filepath.Join(t.TempDir(), "state.json")
+	if err := r.write(inj, target, []byte("x")); err == nil {
 		t.Fatal("permanent EACCES reported success")
 	}
 	if retried != 0 {
@@ -178,48 +162,35 @@ func TestBackoffDelayDeterministicCappedJittered(t *testing.T) {
 }
 
 // TestCheckpointGenerationsRotateAndPrune: successive checkpoints produce
-// ascending generations, only the newest keepCheckpoints survive, and the
-// listing is newest-first with a legacy unnumbered file sorted last.
+// ascending generations in the CAS, only the newest keepGenerations
+// survive, and the listing is newest-first.
 func TestCheckpointGenerationsRotateAndPrune(t *testing.T) {
-	st := plainStore(t, faultfs.OS{})
-	const id = "j000001"
-	if err := st.fs.MkdirAll(st.jobDir(id), 0o755); err != nil {
+	c, err := NewCAS(t.TempDir(), faultfs.OS{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// A legacy pre-generation checkpoint from an older daemon.
-	if err := os.WriteFile(filepath.Join(st.jobDir(id), "checkpoint"), []byte("legacy"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	const key = "0123456789abcdef"
 	for i := 1; i <= 5; i++ {
-		payload := fmt.Sprintf("gen%d", i)
-		err := st.saveCheckpoint(id, func(w io.Writer) error {
-			_, err := w.Write([]byte(payload))
-			return err
-		})
+		if err := c.PutCheckpoint(key, []byte(fmt.Sprintf("gen%d", i))); err != nil {
+			t.Fatalf("PutCheckpoint %d: %v", i, err)
+		}
+	}
+	gens := c.gens(key)
+	if fmt.Sprint(gens) != "[5 4 3]" {
+		t.Fatalf("generations %v survive, want [5 4 3]", gens)
+	}
+	for _, n := range gens {
+		blob, err := os.ReadFile(filepath.Join(c.keyDir(key), genName(n)))
 		if err != nil {
-			t.Fatalf("saveCheckpoint %d: %v", i, err)
+			t.Fatal(err)
+		}
+		payload, err := unframe(blob)
+		if want := fmt.Sprintf("gen%d", n); err != nil || string(payload) != want {
+			t.Fatalf("%s holds (%q, %v), want %q", genName(n), payload, err, want)
 		}
 	}
-	gens := st.checkpointGens(id)
-	wantOrder := []string{"checkpoint.000005", "checkpoint.000004", "checkpoint.000003"}
-	if len(gens) != len(wantOrder) {
-		t.Fatalf("%d generations survive, want %d (%v)", len(gens), len(wantOrder), gens)
-	}
-	for i, g := range gens {
-		if filepath.Base(g) != wantOrder[i] {
-			t.Fatalf("generation order %v, want %v", gens, wantOrder)
-		}
-		want := fmt.Sprintf("gen%d", 5-i)
-		if got, _ := os.ReadFile(g); string(got) != want {
-			t.Fatalf("%s holds %q, want %q", filepath.Base(g), got, want)
-		}
-	}
-	if !st.hasCheckpoint(id) {
-		t.Fatal("hasCheckpoint false with generations present")
-	}
-	// The legacy file was beyond the keep window and must have been pruned.
-	if _, err := os.Stat(filepath.Join(st.jobDir(id), "checkpoint")); err == nil {
-		t.Fatal("legacy checkpoint survived pruning past the keep window")
+	if !c.HasCheckpoint(key) {
+		t.Fatal("HasCheckpoint false with generations present")
 	}
 }
 
@@ -229,28 +200,22 @@ func TestCheckpointFailureKeepsOldGenerations(t *testing.T) {
 	inj := faultfs.NewInjector(faultfs.OS{},
 		faultfs.Fault{Op: faultfs.OpRename, PathSubstr: "checkpoint.", N: 2, Err: syscall.EACCES},
 	)
-	st, err := newStore(t.TempDir(), inj, &retrier{sleep: noSleep})
+	c, err := NewCAS(t.TempDir(), inj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const id = "j000001"
-	if err := st.fs.MkdirAll(st.jobDir(id), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	save := func(p string) error {
-		return st.saveCheckpoint(id, func(w io.Writer) error { _, err := w.Write([]byte(p)); return err })
-	}
-	if err := save("good"); err != nil {
+	c.retry.sleep = noSleep
+	const key = "0123456789abcdef"
+	if err := c.PutCheckpoint(key, []byte("good")); err != nil {
 		t.Fatalf("first checkpoint: %v", err)
 	}
-	if err := save("doomed"); err == nil {
+	if err := c.PutCheckpoint(key, []byte("doomed")); err == nil {
 		t.Fatal("faulted checkpoint reported success")
 	}
-	gens := st.checkpointGens(id)
-	if len(gens) != 1 || filepath.Base(gens[0]) != "checkpoint.000001" {
-		t.Fatalf("surviving generations %v, want only checkpoint.000001", gens)
+	if gens := c.gens(key); fmt.Sprint(gens) != "[1]" {
+		t.Fatalf("surviving generations %v, want only generation 1", gens)
 	}
-	if got, _ := os.ReadFile(gens[0]); string(got) != "good" {
-		t.Fatalf("surviving generation corrupted: %q", got)
+	if payload, gen, _ := c.LatestCheckpoint(key); gen != 1 || string(payload) != "good" {
+		t.Fatalf("surviving generation = (%q, %d), want (good, 1)", payload, gen)
 	}
 }

@@ -75,7 +75,7 @@ w2_pid=$!
 echo "coordinator up (pid $coord_pid), workers $w1_pid and $w2_pid"
 
 id="$(curl -sf -X POST --data-binary @examples/circuits/cla16.blif \
-    "$base/jobs?$spec" | sed -n 's/.*"id": "\(c[0-9]*\)".*/\1/p')"
+    "$base/jobs?$spec" | sed -n 's/.*"id": "\(j[0-9]*\)".*/\1/p')"
 [ -n "$id" ] || { echo "cluster submit failed"; exit 1; }
 echo "submitted cluster job $id"
 
@@ -122,7 +122,7 @@ printf '%s\n' "$metrics" | awk '/^alsrac_cluster_leases_expired_total / { exit $
 dup="$(curl -sf -X POST --data-binary @examples/circuits/cla16.blif "$base/jobs?$spec")"
 printf '%s' "$dup" | grep -q '"cache_hit": true' || { echo "duplicate was not a cache hit: $dup"; exit 1; }
 printf '%s' "$dup" | grep -q '"state": "done"' || { echo "duplicate not instantly done: $dup"; exit 1; }
-did="$(printf '%s' "$dup" | sed -n 's/.*"id": "\(c[0-9]*\)".*/\1/p')"
+did="$(printf '%s' "$dup" | sed -n 's/.*"id": "\(j[0-9]*\)".*/\1/p')"
 curl -sf "$base/jobs/$did/result" >"$dir/dup.aag"
 cmp "$dir/reference.aag" "$dir/dup.aag" || { echo "cache hit served different bytes"; exit 1; }
 curl -sf "$base/metrics" | grep -q '^alsrac_cluster_cache_hits_total 1$' || {

@@ -16,18 +16,22 @@ go test ./...
 go test -race ./internal/wordops ./internal/sim ./internal/resub ./internal/window ./internal/errest ./internal/core ./internal/exact ./internal/exact/sat ./internal/obs ./internal/service ./internal/faultfs ./internal/cluster
 
 # Chaos gate: the seeded fault-injection matrix (torn writes, injected
-# errnos, crash points, worker panics, crash-loop quarantine) under the race
-# detector. Set CHAOS=0 to skip locally; CI always runs it.
+# errnos, crash points, worker panics, crash-loop quarantine, network
+# faults) on both transports, plus the lease and store faults over the
+# wire, under the race detector. Set CHAOS=0 to skip locally; CI always
+# runs it.
 CHAOS="${CHAOS:-1}"
 if [ "$CHAOS" != "0" ]; then
     go test -race -run '^TestChaos' ./internal/service
+    go test -race -run '^Test(ClusterKill|LongStepKeepsLease|CASConcurrent|TornCheckpoint)' ./internal/cluster
 fi
 
 # Daemon e2e smoke: submit over HTTP, poll to completion, scrape /metrics,
 # graceful shutdown.
 scripts/smoke_daemon.sh
 
-# Cluster e2e smoke: coordinator + two workers, kill -9 the owning worker
+# Cluster e2e smoke: a daemon with no local workers (-coordinator) + two
+# remote workers, kill -9 the owning worker
 # after its first checkpoint, assert the survivor finishes bit-identically
 # to a single-process run, and that a duplicate submission is a cache hit.
 scripts/smoke_cluster.sh
@@ -40,4 +44,4 @@ go test -run='^$' -fuzz='^FuzzEspresso$' -fuzztime="$FUZZTIME" ./internal/espres
 go test -run='^$' -fuzz='^FuzzAIGERParse$' -fuzztime="$FUZZTIME" ./internal/aiger
 go test -run='^$' -fuzz='^FuzzBLIFParse$' -fuzztime="$FUZZTIME" ./internal/blif
 go test -run='^$' -fuzz='^FuzzMiterSAT$' -fuzztime="$FUZZTIME" ./internal/exact
-go test -run='^$' -fuzz='^FuzzCASFrame$' -fuzztime="$FUZZTIME" ./internal/cluster
+go test -run='^$' -fuzz='^FuzzCASFrame$' -fuzztime="$FUZZTIME" ./internal/service
