@@ -246,11 +246,22 @@ func BenchmarkGenerate(b *testing.B) {
 	}
 }
 
+// BenchmarkOptimize times the optimizer script on an arithmetic circuit and
+// on the 13.2k-AND MAC tree the benchmark's mac-windowed workload runs on.
 func BenchmarkOptimize(b *testing.B) {
-	g := bench.WallaceMult(8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = opt.Optimize(g)
+	for _, c := range []struct {
+		name string
+		g    *aig.Graph
+	}{
+		{"wallace8", bench.WallaceMult(8)},
+		{"mac24x8", bench.MACTree(24, 8, 1)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = opt.Optimize(c.g)
+			}
+		})
 	}
 }
 

@@ -1,9 +1,12 @@
 package cut
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/aig"
+	"repro/internal/bench"
 	"repro/internal/sim"
 	"repro/internal/tt"
 )
@@ -11,38 +14,39 @@ import (
 func TestMergeLeaves(t *testing.T) {
 	a := []aig.Node{1, 3, 5}
 	b := []aig.Node{2, 3, 6}
-	got := mergeLeaves(a, b, 5)
+	dst := make([]aig.Node, 5)
+	n := mergeInto(dst, a, b)
 	want := []aig.Node{1, 2, 3, 5, 6}
-	if len(got) != len(want) {
-		t.Fatalf("merge = %v", got)
+	if n != len(want) {
+		t.Fatalf("merge = %v", dst[:max(n, 0)])
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("merge = %v, want %v", got, want)
+		if dst[i] != want[i] {
+			t.Fatalf("merge = %v, want %v", dst[:n], want)
 		}
 	}
-	if mergeLeaves(a, b, 4) != nil {
-		t.Fatalf("expected overflow to return nil")
+	if mergeInto(make([]aig.Node, 4), a, b) != -1 {
+		t.Fatalf("expected overflow to return -1")
 	}
-	if got := mergeLeaves(a, a, 3); len(got) != 3 {
-		t.Fatalf("self merge = %v", got)
+	if n := mergeInto(make([]aig.Node, 3), a, a); n != 3 {
+		t.Fatalf("self merge = %d leaves", n)
 	}
 }
 
 func TestDominates(t *testing.T) {
-	c := Cut{Leaves: []aig.Node{1, 2}}
-	d := Cut{Leaves: []aig.Node{1, 2, 3}}
-	e := Cut{Leaves: []aig.Node{1, 4}}
-	if !c.dominates(&d) {
+	c := []aig.Node{1, 2}
+	d := []aig.Node{1, 2, 3}
+	e := []aig.Node{1, 4}
+	if !dominates(c, d) {
 		t.Errorf("subset must dominate")
 	}
-	if d.dominates(&c) {
+	if dominates(d, c) {
 		t.Errorf("superset must not dominate")
 	}
-	if c.dominates(&e) || e.dominates(&c) {
+	if dominates(c, e) || dominates(e, c) {
 		t.Errorf("incomparable cuts must not dominate")
 	}
-	if !c.dominates(&c) {
+	if !dominates(c, c) {
 		t.Errorf("cut must dominate itself")
 	}
 }
@@ -110,7 +114,7 @@ func TestNoDominatedCutsStored(t *testing.T) {
 		cuts := s.Cuts(n)
 		for i := 1; i < len(cuts); i++ { // skip trivial
 			for j := 1; j < len(cuts); j++ {
-				if i != j && cuts[i].dominates(&cuts[j]) {
+				if i != j && dominates(cuts[i].Leaves, cuts[j].Leaves) {
 					t.Fatalf("node %d stores dominated cut %v (by %v)", n, cuts[j], cuts[i])
 				}
 			}
@@ -183,4 +187,109 @@ func TestVolume(t *testing.T) {
 	if v := Volume(g, f.Node(), leaves2); v != 2 {
 		t.Fatalf("volume = %d, want 2", v)
 	}
+}
+
+// circuit builds a circuit of nGates AND/OR/XOR gates over nPIs inputs and
+// the earlier gates, drawing every choice from pick(n) ∈ [0, n). Its last
+// four signals are the outputs.
+func circuit(nPIs, nGates int, pick func(n int) int) *aig.Graph {
+	g := aig.New()
+	lits := g.AddPIs(nPIs, "x")
+	for i := 0; i < nGates; i++ {
+		a := lits[pick(len(lits))].NotCond(pick(2) == 0)
+		b := lits[pick(len(lits))].NotCond(pick(2) == 0)
+		switch pick(3) {
+		case 0:
+			lits = append(lits, g.And(a, b))
+		case 1:
+			lits = append(lits, g.Or(a, b))
+		default:
+			lits = append(lits, g.Xor(a, b))
+		}
+	}
+	for i := 0; i < 4 && i < len(lits); i++ {
+		g.AddPO(lits[len(lits)-1-i], "f")
+	}
+	return g
+}
+
+// randomCircuit is a seeded random circuit.
+func randomCircuit(nPIs, nGates int, seed int64) *aig.Graph {
+	return circuit(nPIs, nGates, rand.New(rand.NewSource(seed)).Intn)
+}
+
+// checkTruths compares every stored cut's Truth against the Table oracle.
+func checkTruths(t *testing.T, g *aig.Graph, cfg Config) {
+	t.Helper()
+	s := Enumerate(g, cfg)
+	for n := aig.Node(0); int(n) < g.NumNodes(); n++ {
+		for _, c := range s.Cuts(n) {
+			if want := Table(g, n, c.Leaves).Words()[0]; c.Truth != want {
+				t.Fatalf("%+v node %d cut %v: Truth %#x, Table %#x", cfg, n, c.Leaves, c.Truth, want)
+			}
+		}
+	}
+}
+
+func TestCutTruthMatchesTable(t *testing.T) {
+	graphs := map[string]*aig.Graph{
+		"rca16":    bench.RCA(16),
+		"cla16":    bench.CLA(16),
+		"ksa16":    bench.KSA(16),
+		"mult6":    bench.ArrayMult(6),
+		"wallace6": bench.WallaceMult(6),
+		"alu":      bench.ALU(),
+		"mac4x4":   bench.MACTree(4, 4, 1),
+		"divider6": bench.Divider(6),
+		"booth6":   bench.Booth(6),
+		"sevenseg": bench.SevenSeg(),
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		graphs[fmt.Sprintf("random%d", seed)] = randomCircuit(7, 70, seed)
+	}
+	for name, g := range graphs {
+		for k := 3; k <= 6; k++ {
+			t.Run(fmt.Sprintf("%s/K=%d", name, k), func(t *testing.T) {
+				checkTruths(t, g, Config{K: k, PerNode: 8})
+			})
+		}
+	}
+}
+
+func TestCutTruthZeroAboveSixLeaves(t *testing.T) {
+	g := randomCircuit(9, 60, 1)
+	s := Enumerate(g, Config{K: 7, PerNode: 8})
+	for n := aig.Node(0); int(n) < g.NumNodes(); n++ {
+		for _, c := range s.Cuts(n) {
+			if c.Truth != 0 {
+				t.Fatalf("node %d cut %v: Truth %#x with K = 7", n, c.Leaves, c.Truth)
+			}
+		}
+	}
+}
+
+// FuzzCutTruth builds a small AIG from the fuzz bytes — the first two pick
+// K and PerNode, the rest drive the gate choices — and checks every cut's
+// Truth against Table.
+func FuzzCutTruth(f *testing.F) {
+	f.Add([]byte{3, 8, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	f.Add([]byte{2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{255, 255, 7, 200, 13, 99, 42, 42, 42, 1, 0, 0, 5, 17, 33, 250})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		cfg := Config{K: 3 + int(data[0])%4, PerNode: 1 + int(data[1])%12}
+		data = data[2:]
+		pick := func(n int) int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b) % n
+		}
+		nGates := min(len(data)/4, 64)
+		checkTruths(t, circuit(2+pick(7), nGates, pick), cfg)
+	})
 }

@@ -119,27 +119,12 @@ func transform(f tt.Table, k int, perm []int, phase int) uint16 {
 	return out
 }
 
-// pad16 widens a table over ≤4 variables into a 16-bit padded table.
-func pad16(t tt.Table) uint16 {
-	if t.NumVars() == 0 {
-		if t.Get(0) {
-			return 0xFFFF
-		}
-		return 0
-	}
-	w := t.Words()[0]
-	switch t.NumVars() {
-	case 1:
-		w &= 0x3
-		w |= w << 2
-		fallthrough
-	case 2:
-		w &= 0xF
-		w |= w << 4
-		fallthrough
-	case 3:
-		w &= 0xFF
-		w |= w << 8
+// pad16 widens the truth table w of a function over n ≤ 4 variables, in
+// the cut.Cut.Truth layout, into a 16-bit table that ignores the missing
+// variables.
+func pad16(n int, w uint64) uint16 {
+	for v := n; v < 4; v++ {
+		w |= w << (1 << uint(v))
 	}
 	return uint16(w)
 }
@@ -192,7 +177,7 @@ func MapCells(g *aig.Graph, lib []cell.Cell) CellResult {
 				if c.IsTrivial(nd) {
 					continue
 				}
-				f16 := pad16(cut.Table(g, nd, c.Leaves))
+				f16 := pad16(len(c.Leaves), c.Truth)
 				if p == 1 {
 					f16 = ^f16
 				}

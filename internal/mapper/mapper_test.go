@@ -100,7 +100,7 @@ func TestMatchTableCoversAllAndPhases(t *testing.T) {
 	for phase := 0; phase < 8; phase++ {
 		f := notIf(tt.Var(2, 0), phase&1 != 0).And(notIf(tt.Var(2, 1), phase&2 != 0))
 		f = notIf(f, phase&4 != 0)
-		if _, ok := mt.Lookup(pad16(f)); !ok {
+		if _, ok := mt.Lookup(pad16(2, f.Words()[0])); !ok {
 			t.Fatalf("AND phase %d not matched", phase)
 		}
 	}
@@ -126,14 +126,15 @@ func TestTransform(t *testing.T) {
 }
 
 func TestPad16(t *testing.T) {
-	if pad16(tt.Ones(0)) != 0xFFFF || pad16(tt.New(0)) != 0 {
+	pad := func(f tt.Table) uint16 { return pad16(f.NumVars(), f.Words()[0]) }
+	if pad(tt.Ones(0)) != 0xFFFF || pad(tt.New(0)) != 0 {
 		t.Fatalf("constant padding wrong")
 	}
-	v0 := pad16(tt.Var(1, 0))
+	v0 := pad(tt.Var(1, 0))
 	if v0 != 0xAAAA {
 		t.Fatalf("var0 over 1 var = %04x", v0)
 	}
-	x2 := pad16(tt.Var(3, 2))
+	x2 := pad(tt.Var(3, 2))
 	if x2 != 0xF0F0 {
 		t.Fatalf("var2 over 3 vars = %04x", x2)
 	}

@@ -6,6 +6,7 @@
 package opt
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/aig"
@@ -13,17 +14,59 @@ import (
 	"repro/internal/tt"
 )
 
-// Optimize runs the default script — the resyn2 analog: sweep, balance and
-// several rewriting passes. The result computes the same function with, in
-// practice, fewer AND nodes and smaller depth.
+// Optimize runs the default script — the resyn2 analog: sweep, balance,
+// rewrite, rewrite, balance, rewrite, sweep. The result computes the same
+// function with, in practice, fewer AND nodes and smaller depth.
+//
+// A rewrite whose input is a fixpoint of Rewrite, a graph that Rewrite
+// returns identical, is skipped: the second when the first changed nothing,
+// and the third when the graph entering the second Balance is a fixpoint
+// and that Balance changed nothing. Every graph here is freshly built by
+// Sweep, Balance or Rewrite, so Rewrite is a deterministic function of the
+// structure identical compares: a skipped pass would have returned its
+// input, and the result is the one the full script gives.
 func Optimize(g *aig.Graph) *aig.Graph {
-	g = g.Sweep()
-	g = Balance(g)
-	g = Rewrite(g)
-	g = Rewrite(g)
-	g = Balance(g)
-	g = Rewrite(g)
-	return g.Sweep()
+	g = Balance(g.Sweep())
+	r := Rewrite(g)
+	fixpoint := identical(r, g)
+	if !fixpoint {
+		g, r = r, Rewrite(r)
+		fixpoint = identical(r, g)
+	}
+	b := Balance(r)
+	if !fixpoint || !identical(b, r) {
+		b = Rewrite(b)
+	}
+	return b.Sweep()
+}
+
+// identical reports whether a and b have the same structure: name, node
+// kinds and fanins by id, and primary inputs and outputs with their names.
+func identical(a, b *aig.Graph) bool {
+	if a == b {
+		return true
+	}
+	if a.Name != b.Name || a.NumNodes() != b.NumNodes() || a.NumAnds() != b.NumAnds() ||
+		!slices.Equal(a.PIs(), b.PIs()) || !slices.Equal(a.POs(), b.POs()) {
+		return false
+	}
+	for i := 0; i < a.NumPIs(); i++ {
+		if a.PIName(i) != b.PIName(i) {
+			return false
+		}
+	}
+	for i := 0; i < a.NumPOs(); i++ {
+		if a.POName(i) != b.POName(i) {
+			return false
+		}
+	}
+	for n := aig.Node(1); int(n) < a.NumNodes(); n++ {
+		if a.Kind(n) != b.Kind(n) ||
+			a.IsAnd(n) && (a.Fanin0(n) != b.Fanin0(n) || a.Fanin1(n) != b.Fanin1(n)) {
+			return false
+		}
+	}
+	return true
 }
 
 // Balance rebuilds every multi-input AND tree in a balanced form, reducing
@@ -116,20 +159,20 @@ func argminLevel(ls []aig.Lit, lev []int32) int {
 // ISOP (in the cheaper output polarity), and replaces the node when the new
 // structure costs fewer AND nodes than the cut cone frees. All replacements
 // are exact, so they can be applied simultaneously. When the rewritten
-// graph is not smaller, an equivalent of the input graph is returned.
+// graph is not smaller, an equivalent of the input graph is returned. The
+// input graph is never modified.
 func Rewrite(g *aig.Graph) *aig.Graph {
-	origAnds := g.NumAnds()
-	origNodes := g.NumNodes() // scratch structures are appended past this
 	sets := cut.Enumerate(g, cut.DefaultConfig())
 	refs := g.RefCounts()
 
 	type choice struct {
+		n      aig.Node
 		cov    tt.Cover
 		compl  bool
 		leaves []aig.Node
 	}
-	sub := make(map[aig.Node]aig.Lit)
-	for n := aig.Node(1); int(n) < origNodes; n++ {
+	var choices []choice
+	for n := aig.Node(1); int(n) < g.NumNodes(); n++ {
 		if !g.IsAnd(n) {
 			continue
 		}
@@ -140,25 +183,30 @@ func Rewrite(g *aig.Graph) *aig.Graph {
 				continue
 			}
 			freed := coneFreed(g, n, c.Leaves, refs)
-			tab := cut.Table(g, n, c.Leaves)
-			cov, compl := cheaperCover(tab)
-			cost := coverAndCost(cov)
-			if gain := freed - cost; gain > bestGain {
+			if freed <= bestGain {
+				continue // the cover costs at least 0, so it cannot gain more
+			}
+			cov, compl := cheaperCover(len(c.Leaves), c.Truth)
+			if gain := freed - coverAndCost(cov); gain > bestGain {
 				bestGain = gain
-				best = choice{cov: cov, compl: compl, leaves: c.Leaves}
+				best = choice{n: n, cov: cov, compl: compl, leaves: c.Leaves}
 			}
 		}
 		if bestGain > 0 {
-			sub[n] = buildCover(g, best.cov, best.leaves).NotCond(best.compl)
+			choices = append(choices, best)
 		}
 	}
-	if len(sub) == 0 {
+	if len(choices) == 0 {
 		return g
 	}
-	ng := g.CopyWith(sub)
-	if ng.NumAnds() >= origAnds {
-		// Not an improvement; drop the scratch nodes added while building
-		// candidate structures.
+	// Build the covers on a clone, in node order, leaving g untouched.
+	work := g.Clone()
+	sub := make(map[aig.Node]aig.Lit, len(choices))
+	for _, ch := range choices {
+		sub[ch.n] = buildCover(work, ch.cov, ch.leaves).NotCond(ch.compl)
+	}
+	ng := work.CopyWith(sub)
+	if ng.NumAnds() >= g.NumAnds() {
 		return g.Sweep()
 	}
 	return ng
@@ -168,61 +216,59 @@ func Rewrite(g *aig.Graph) *aig.Graph {
 // structure whose inputs are the given leaves: the nodes of n's MFFC that
 // lie strictly inside the cut cone. refs is restored before returning.
 func coneFreed(g *aig.Graph, n aig.Node, leaves []aig.Node, refs []int32) int {
-	isLeaf := make(map[aig.Node]bool, len(leaves))
-	for _, l := range leaves {
-		isLeaf[l] = true
-	}
-	var deref func(aig.Node) int
-	deref = func(m aig.Node) int {
-		c := 1
-		for _, f := range [2]aig.Lit{g.Fanin0(m), g.Fanin1(m)} {
-			fn := f.Node()
-			refs[fn]--
-			if refs[fn] == 0 && g.IsAnd(fn) && !isLeaf[fn] {
-				c += deref(fn)
-			}
-		}
-		return c
-	}
-	var reref func(aig.Node)
-	reref = func(m aig.Node) {
-		for _, f := range [2]aig.Lit{g.Fanin0(m), g.Fanin1(m)} {
-			fn := f.Node()
-			if refs[fn] == 0 && g.IsAnd(fn) && !isLeaf[fn] {
-				reref(fn)
-			}
-			refs[fn]++
-		}
-	}
-	c := deref(n)
-	reref(n)
+	c := derefCone(g, n, leaves, refs)
+	rerefCone(g, n, leaves, refs)
 	return c
 }
 
-// cheaperCover returns the ISOP of tab or of its complement, whichever
-// needs fewer AND nodes, along with whether the output must be inverted.
-func cheaperCover(tab tt.Table) (tt.Cover, bool) {
-	n := tab.NumVars()
-	if n <= coverMemoMaxVars {
-		key := uint32(n)<<16 | uint32(tab.Words()[0]&(1<<(1<<uint(n))-1))
-		if e, ok := coverMemo.Load(key); ok {
-			ent := e.(coverMemoEntry)
-			return ent.cov, ent.compl
+// derefCone releases m's fanin references and recursively every cone node
+// below m, above the leaves, whose count drops to zero; it returns the
+// number of nodes released, m included.
+func derefCone(g *aig.Graph, m aig.Node, leaves []aig.Node, refs []int32) int {
+	c := 1
+	for _, f := range [2]aig.Lit{g.Fanin0(m), g.Fanin1(m)} {
+		fn := f.Node()
+		refs[fn]--
+		if refs[fn] == 0 && g.IsAnd(fn) && !slices.Contains(leaves, fn) {
+			c += derefCone(g, fn, leaves, refs)
 		}
-		cov, compl := cheaperCoverUncached(tab)
-		coverMemo.Store(key, coverMemoEntry{cov: cov, compl: compl})
-		return cov, compl
 	}
-	return cheaperCoverUncached(tab)
+	return c
+}
+
+// rerefCone undoes derefCone.
+func rerefCone(g *aig.Graph, m aig.Node, leaves []aig.Node, refs []int32) {
+	for _, f := range [2]aig.Lit{g.Fanin0(m), g.Fanin1(m)} {
+		fn := f.Node()
+		if refs[fn] == 0 && g.IsAnd(fn) && !slices.Contains(leaves, fn) {
+			rerefCone(g, fn, leaves, refs)
+		}
+		refs[fn]++
+	}
+}
+
+// cheaperCover returns the ISOP of the function with truth table bits over
+// n variables (the Cut.Truth layout), or of its complement, whichever needs
+// fewer AND nodes, along with whether the output must be inverted.
+func cheaperCover(n int, bits uint64) (tt.Cover, bool) {
+	if n > coverMemoMaxVars {
+		return cheaperCoverUncached(tt.FromBits(n, bits))
+	}
+	key := uint32(n)<<16 | uint32(bits)
+	if e, ok := coverMemo.Load(key); ok {
+		ent := e.(coverMemoEntry)
+		return ent.cov, ent.compl
+	}
+	cov, compl := cheaperCoverUncached(tt.FromBits(n, bits))
+	coverMemo.Store(key, coverMemoEntry{cov: cov, compl: compl})
+	return cov, compl
 }
 
 // coverMemoMaxVars bounds the memo key space: cut enumeration uses K=4, so
-// every table Rewrite sees fits in 16 truth-table bits, and the cache tops
-// out at 4·2^16 entries. The two ISOP runs per call dominate both the CPU
-// and the allocation profile of the whole ALSRAC flow (the same handful of
-// small functions recurs across cuts, iterations and circuits), so a
-// process-wide memo turns the optimize cadence from the flow's hot spot
-// into a table lookup.
+// every function Rewrite sees fits in 16 truth-table bits, and the cache
+// tops out at 4·2^16 entries. The same handful of small functions recurs
+// across cuts, passes and circuits, so the memo replaces two ISOP runs per
+// cut with a lookup.
 const coverMemoMaxVars = 4
 
 type coverMemoEntry struct {

@@ -1,10 +1,15 @@
 package opt
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/aig"
+	"repro/internal/bench"
+	"repro/internal/cell"
+	"repro/internal/mapper"
 	"repro/internal/sim"
 )
 
@@ -238,5 +243,108 @@ func TestResubPassOnOptimizedAdderIsSafe(t *testing.T) {
 	r := ResubPass(o, 6)
 	if !equivalent(t, o, r) {
 		t.Fatalf("ResubPass broke the adder")
+	}
+}
+
+// TestOptimizeGolden pins the optimizer's exact output, and the standard-cell
+// mapping of three of the results, so a kernel change that shifts QoR fails
+// here even when it keeps the function and does not grow the circuit.
+func TestOptimizeGolden(t *testing.T) {
+	lib := cell.MCNC()
+	for _, tc := range []struct {
+		name        string
+		g           *aig.Graph
+		fingerprint uint64
+		area, delay float64 // MapCells of the result; 0 when not pinned
+	}{
+		{"RCA(32)", bench.RCA(32), 0x9a6e65c9d3323836, 530.0, 78.50},
+		{"CLA(16)", bench.CLA(16), 0x27bdb566abc4ab27, 0, 0},
+		{"KSA(16)", bench.KSA(16), 0x03911235d5e7cda2, 0, 0},
+		{"ArrayMult(6)", bench.ArrayMult(6), 0x63a84bef0be9c6f5, 0, 0},
+		{"WallaceMult(8)", bench.WallaceMult(8), 0x5bdf02bbf1971aa0, 963.0, 40.40},
+		{"ALU()", bench.ALU(), 0xea11842e432e3af0, 0, 0},
+		{"MACTree(4, 8, 1)", bench.MACTree(4, 8, 1), 0x34285ff1fda15a1a, 4569.0, 52.30},
+	} {
+		o := Optimize(tc.g)
+		if got := aig.Fingerprint(o); got != tc.fingerprint {
+			t.Errorf("%s: Optimize fingerprint %016x, want %016x", tc.name, got, tc.fingerprint)
+		}
+		if tc.area == 0 {
+			continue
+		}
+		r := mapper.MapCells(o, lib)
+		if math.Abs(r.Area-tc.area) > 1e-6 || math.Abs(r.Delay-tc.delay) > 1e-6 {
+			t.Errorf("%s: MapCells area/delay %.2f/%.2f, want %.2f/%.2f", tc.name, r.Area, r.Delay, tc.area, tc.delay)
+		}
+	}
+}
+
+// fullScript is Optimize without the fixpoint skips.
+func fullScript(g *aig.Graph) *aig.Graph {
+	g = Balance(g.Sweep())
+	g = Rewrite(Rewrite(g))
+	g = Rewrite(Balance(g))
+	return g.Sweep()
+}
+
+func TestOptimizeMatchesFullScript(t *testing.T) {
+	graphs := []*aig.Graph{bench.RCA(16), bench.CLA(8), bench.KSA(8), bench.ArrayMult(5), bench.ALU()}
+	for seed := int64(0); seed < 40; seed++ {
+		graphs = append(graphs, randomCircuit(7, 50+int(seed), seed))
+	}
+	for i, g := range graphs {
+		o := Optimize(g)
+		if want := fullScript(g); !identical(o, want) {
+			t.Fatalf("graph %d: Optimize %016x differs from the full script %016x", i, aig.Fingerprint(o), aig.Fingerprint(want))
+		}
+		// An optimized graph is usually a fixpoint, so this run takes the
+		// skips.
+		if o2, want := Optimize(o), fullScript(o); !identical(o2, want) {
+			t.Fatalf("graph %d: re-Optimize %016x differs from the full script %016x", i, aig.Fingerprint(o2), aig.Fingerprint(want))
+		}
+	}
+}
+
+func TestIdentical(t *testing.T) {
+	g := randomCircuit(6, 40, 3)
+	if !identical(g, g.Clone()) {
+		t.Fatalf("a clone must be identical")
+	}
+	h := g.Clone()
+	h.AddPO(h.PO(0), "extra")
+	if identical(g, h) {
+		t.Fatalf("an extra PO must break identity")
+	}
+	h = g.Clone()
+	h.SetPO(0, h.PO(0).Not())
+	if identical(g, h) {
+		t.Fatalf("a flipped PO must break identity")
+	}
+	h = g.Clone()
+	h.And(h.PO(0), h.PO(1))
+	if identical(g, h) {
+		t.Fatalf("an extra AND must break identity")
+	}
+}
+
+// TestPassesLeaveInputUntouched checks that Rewrite and ResubPass build
+// their candidate structures off the caller's graph.
+func TestPassesLeaveInputUntouched(t *testing.T) {
+	graphs := map[string]*aig.Graph{"WallaceMult(8)": bench.WallaceMult(8)}
+	for seed := int64(0); seed < 40; seed++ {
+		graphs[fmt.Sprintf("randomCircuit(7, 70, %d)", seed)] = randomCircuit(7, 70, seed)
+	}
+	passes := map[string]func(*aig.Graph) *aig.Graph{
+		"Rewrite":   Rewrite,
+		"ResubPass": func(g *aig.Graph) *aig.Graph { return ResubPass(g, 6) },
+	}
+	for name, g := range graphs {
+		for pass, run := range passes {
+			fp, nodes := aig.Fingerprint(g), g.NumNodes()
+			run(g)
+			if aig.Fingerprint(g) != fp || g.NumNodes() != nodes {
+				t.Errorf("%s(%s) modified its input: %d -> %d nodes", pass, name, nodes, g.NumNodes())
+			}
+		}
 	}
 }

@@ -16,37 +16,53 @@ import (
 // input assignment induces some window pattern.
 //
 // Like Rewrite, the pass collects simultaneous exact replacements and
-// rebuilds once; it returns an equivalent of g when nothing improves.
+// rebuilds once; it returns an equivalent of g when nothing improves. The
+// input graph is never modified.
 func ResubPass(g *aig.Graph, k int) *aig.Graph {
-	origAnds := g.NumAnds()
-	origNodes := g.NumNodes()
 	sets := cut.Enumerate(g, cut.Config{K: k, PerNode: 6})
 	refs := g.RefCounts()
 
-	sub := make(map[aig.Node]aig.Lit)
-	for v := aig.Node(1); int(v) < origNodes; v++ {
-		if !g.IsAnd(v) {
-			continue
-		}
-		if lit, gain := bestWindowResub(g, sets, refs, v); gain > 0 {
-			sub[v] = lit
+	var builds []resubBuild
+	for v := aig.Node(1); int(v) < g.NumNodes(); v++ {
+		if g.IsAnd(v) {
+			builds = bestWindowResub(g, sets, refs, v, builds)
 		}
 	}
-	if len(sub) == 0 {
+	if len(builds) == 0 {
 		return g.Sweep()
 	}
-	ng := g.CopyWith(sub)
-	if ng.NumAnds() >= origAnds {
+	// Replay the recorded builds on a clone, in scan order, leaving g
+	// untouched. Superseded builds are replayed too: later covers can
+	// share their nodes, and the ids those nodes get decide the order in
+	// which CopyWith rebuilds. The last build recorded for a node is its
+	// best.
+	work := g.Clone()
+	sub := make(map[aig.Node]aig.Lit)
+	for _, b := range builds {
+		sub[b.v] = buildCover(work, b.cov, b.divs)
+	}
+	ng := work.CopyWith(sub)
+	if ng.NumAnds() >= g.NumAnds() {
 		return g.Sweep()
 	}
 	return ng
 }
 
+// resubBuild is an improving resubstitution of v found during the scan: the
+// cover over the divisor nodes divs.
+type resubBuild struct {
+	v    aig.Node
+	cov  tt.Cover
+	divs []aig.Node
+}
+
 // bestWindowResub looks for the highest-gain exact resubstitution of v
-// using one or two divisors drawn from inside its cut cones.
-func bestWindowResub(g *aig.Graph, sets *cut.Sets, refs []int32, v aig.Node) (aig.Lit, int) {
+// using one or two divisors drawn from inside its cut cones. It appends to
+// builds every candidate that improves on the best gain so far, so v has a
+// positive-gain resubstitution exactly when it appends one, and the last one
+// appended is the best.
+func bestWindowResub(g *aig.Graph, sets *cut.Sets, refs []int32, v aig.Node, builds []resubBuild) []resubBuild {
 	bestGain := 0
-	var bestLit aig.Lit
 	for _, c := range sets.Cuts(v) {
 		if c.IsTrivial(v) || c.Size() < 2 {
 			continue
@@ -75,7 +91,7 @@ func bestWindowResub(g *aig.Graph, sets *cut.Sets, refs []int32, v aig.Node) (ai
 				return
 			}
 			bestGain = gain
-			bestLit = buildCover(g, cover, divs)
+			builds = append(builds, resubBuild{v: v, cov: cover, divs: divs})
 		}
 		for i, d1 := range divNodes {
 			if d1 == v {
@@ -90,7 +106,7 @@ func bestWindowResub(g *aig.Graph, sets *cut.Sets, refs []int32, v aig.Node) (ai
 			}
 		}
 	}
-	return bestLit, bestGain
+	return builds
 }
 
 // windowNodes returns the AND nodes strictly inside the cut cone of root,

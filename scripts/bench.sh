@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # bench.sh — run the core benchmarks (simulation, candidate generation,
-# candidate ranking, end-to-end flow, service job throughput, cluster
-# dispatch) and record ns/op, B/op and allocs/op as JSON. Usage: scripts/bench.sh [out.json];
-# BENCHTIME overrides the per-benchmark time (default 1s).
+# optimizer script, candidate ranking, end-to-end flow, service job
+# throughput, cluster dispatch) and record ns/op, B/op and allocs/op as JSON.
+# Usage: scripts/bench.sh [out.json]; BENCHTIME overrides the per-benchmark
+# time (default 1s).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -12,7 +13,7 @@ benchtime="${BENCHTIME:-1s}"
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
-go test -run '^$' -bench 'BenchmarkSimulate$|BenchmarkGenerate$|BenchmarkALSRACFlowRCA32$' \
+go test -run '^$' -bench 'BenchmarkSimulate$|BenchmarkGenerate$|BenchmarkOptimize$|BenchmarkALSRACFlowRCA32$' \
     -benchmem -benchtime="$benchtime" . | tee -a "$tmp"
 go test -run '^$' -bench 'BenchmarkRankCandidates$|BenchmarkSessionStep$|BenchmarkWindowedFlow$' \
     -benchmem -benchtime="$benchtime" ./internal/core | tee -a "$tmp"
