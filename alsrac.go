@@ -65,6 +65,10 @@ const (
 	MRED = errest.MRED
 )
 
+// ParseMetric maps a metric name — er, nmed, mred, or maxerr (certified
+// mode, NMED-guided; set Options.MaxError) — to its Metric.
+func ParseMetric(s string) (Metric, error) { return core.ParseMetric(s) }
+
 // Options configures the ALSRAC flow; see DefaultOptions for the paper's
 // parameter values.
 type Options = core.Options

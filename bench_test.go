@@ -162,7 +162,7 @@ func BenchmarkAblationBatchVsNaive(b *testing.B) {
 	ev := errest.NewEvaluator(g, pats, errest.ER)
 	care := sim.UniformN(g.NumPIs(), 32, 7)
 	vecs := sim.Simulate(g, care)
-	lacs := resub.Generate(g, vecs, care.Valid, resub.DefaultConfig())
+	lacs := resub.Generate(g, vecs, care.Valid, resub.DefaultConfig(), 1, nil, nil)
 	if len(lacs) == 0 {
 		b.Skip("no candidates generated")
 	}
@@ -240,7 +240,7 @@ func BenchmarkGenerate(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = resub.GenerateWorkers(g, vecs, care.Valid, resub.DefaultConfig(), workers)
+				_ = resub.Generate(g, vecs, care.Valid, resub.DefaultConfig(), workers, nil, nil)
 			}
 		})
 	}

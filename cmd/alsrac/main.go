@@ -43,12 +43,7 @@ func main() {
 		timeout    = flag.Duration("timeout", 0, "stop after this long and keep the best result so far (0 = no limit)")
 		verbose    = flag.Bool("v", false, "log flow progress")
 
-		windowed    = flag.Bool("window", false, "windowed resubstitution: score LACs on bounded reconvergence-driven windows instead of full TFI cones (scales to very large AIGs)")
-		winMaxPIs   = flag.Int("window-max-pis", 0, "max window inputs (0 = default, negative = unbounded)")
-		winMaxNodes = flag.Int("window-max-nodes", 0, "max window volume in AND nodes (0 = default, negative = unbounded)")
-		winMaxDivs  = flag.Int("window-max-divisors", 0, "max divisors per window (0 = default, negative = unbounded)")
-		winSkipRoot = flag.Int("window-skip-fanout-roots", 0, "skip roots with more fanouts than this (0 = default, negative = no skip)")
-		winSkipDivs = flag.Int("window-skip-fanout-divisors", 0, "drop divisors with more fanouts than this (0 = default, negative = no skip)")
+		windowed = flag.Bool("window", false, "windowed resubstitution: score LACs on bounded reconvergence-driven windows instead of full TFI cones (scales to very large AIGs)")
 	)
 	flag.Parse()
 
@@ -64,7 +59,7 @@ func main() {
 		fail("%v", err)
 	}
 
-	m, err := parseMetric(*metric)
+	m, err := alsrac.ParseMetric(*metric)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -87,11 +82,6 @@ func main() {
 	opts.CertConflictBudget = *certBudget
 	opts.Workers = *workers
 	opts.Windowed = *windowed
-	opts.WindowMaxPIs = *winMaxPIs
-	opts.WindowMaxNodes = *winMaxNodes
-	opts.WindowMaxDivisors = *winMaxDivs
-	opts.WindowSkipFanoutRoots = *winSkipRoot
-	opts.WindowSkipFanoutDivisors = *winSkipDivs
 	if *verbose {
 		opts.Verbose = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
@@ -166,20 +156,6 @@ func load(inFile, benchName string) (*alsrac.Circuit, error) {
 		return g, nil
 	}
 	return nil, fmt.Errorf("no input: use -in <file.blif> or -bench <name>")
-}
-
-func parseMetric(s string) (alsrac.Metric, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "er":
-		return alsrac.ER, nil
-	case "nmed", "maxerr":
-		// maxerr is the certified mode: NMED guides the search, the exact
-		// checker (Options.MaxError) bounds every commit.
-		return alsrac.NMED, nil
-	case "mred":
-		return alsrac.MRED, nil
-	}
-	return 0, fmt.Errorf("unknown metric %q (er, nmed, mred, maxerr)", s)
 }
 
 func measure(g *alsrac.Circuit, target string) (float64, float64) {

@@ -6,7 +6,7 @@ package aig
 type replaceScratch struct {
 	foStart  []int32 // CSR fanout adjacency over the pre-replacement graph
 	foList   []int32
-	sub      []Lit  // old node -> replacement literal (litUnset when none)
+	sub      []Lit // old node -> replacement literal (litUnset when none)
 	heap     []int32
 	inHeap   []bool
 	refs     []int32

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -51,6 +52,45 @@ func TestJobKeyDeterministicAndSensitive(t *testing.T) {
 	timed.TimeoutSec = 30
 	if service.JobKey(timed, g) != base {
 		t.Fatalf("timeout leaked into the key")
+	}
+
+	// Windowed generation finds different candidates, so it must key apart.
+	windowed := spec
+	windowed.Windowed = true
+	if service.JobKey(windowed, g) == base {
+		t.Fatalf("windowed change did not change the key")
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite the golden files under testdata instead of checking them")
+
+const goldenJobKey = "testdata/job_key.golden"
+
+// TestJobKeyGolden pins the content address of testCircuit under the
+// normalized testSpec. Every cached checkpoint and result lives under such
+// a key, so the derivation must not drift silently: a deliberate change
+// bumps keyVersion and regenerates the file with -update.
+func TestJobKeyGolden(t *testing.T) {
+	spec := testSpec()
+	if err := spec.Normalize(); err != nil {
+		t.Fatalf("normalize: %v", err)
+	}
+	g, err := service.ParseCircuit(spec.Format, testCircuit(t))
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	key := service.JobKey(spec, g)
+	if *update {
+		if err := os.WriteFile(goldenJobKey, []byte(key+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(goldenJobKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if golden := string(bytes.TrimSpace(want)); key != golden {
+		t.Fatalf("JobKey = %s, golden %s", key, golden)
 	}
 }
 

@@ -24,8 +24,10 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,19 +102,16 @@ func (rg ResubGenerator) Generate(g *aig.Graph, care *sim.Vectors, valid int) []
 
 // GenerateWorkers implements IncrementalGenerator.
 func (rg ResubGenerator) GenerateWorkers(g *aig.Graph, care *sim.Vectors, valid int, workers int) []Candidate {
-	return wrapLACs(resub.GenerateWorkers(g, care, valid, rg.Cfg, workers))
+	return wrapLACs(resub.Generate(g, care, valid, rg.Cfg, workers, nil, nil))
 }
 
 // GenerateIncremental implements IncrementalGenerator: cache is the LAC
 // slice of the previous call, and nodes the stale mask spares reuse their
-// cached entries instead of re-running the divisor scan (resub.GenerateReuse).
+// cached entries instead of re-running the divisor scan (resub.Scan).
 func (rg ResubGenerator) GenerateIncremental(g *aig.Graph, care *sim.Vectors, valid, workers int,
 	stale []bool, cache any) ([]Candidate, any) {
 	cached, _ := cache.([]resub.LAC)
-	if stale == nil {
-		cached = nil
-	}
-	lacs := resub.GenerateReuse(g, care, valid, rg.Cfg, workers, stale, cached)
+	lacs := resub.Generate(g, care, valid, rg.Cfg, workers, stale, cached)
 	return wrapLACs(lacs), lacs
 }
 
@@ -135,20 +134,17 @@ func (wg WindowedGenerator) Generate(g *aig.Graph, care *sim.Vectors, valid int)
 
 // GenerateWorkers implements IncrementalGenerator.
 func (wg WindowedGenerator) GenerateWorkers(g *aig.Graph, care *sim.Vectors, valid int, workers int) []Candidate {
-	return wrapLACs(window.GenerateWorkers(g, care, valid, wg.Win, wg.Cfg, workers))
+	return wrapLACs(window.Generate(g, care, valid, wg.Win, wg.Cfg, workers, nil, nil))
 }
 
 // GenerateIncremental implements IncrementalGenerator, mirroring
 // ResubGenerator: unstale nodes keep their cached window candidates, stale
-// ones get fresh windows (window.GenerateReuse — the stale closure covers
-// every window dependency, see that function's contract).
+// ones get fresh windows (the stale closure covers every window dependency,
+// see window.Generate).
 func (wg WindowedGenerator) GenerateIncremental(g *aig.Graph, care *sim.Vectors, valid, workers int,
 	stale []bool, cache any) ([]Candidate, any) {
 	cached, _ := cache.([]resub.LAC)
-	if stale == nil {
-		cached = nil
-	}
-	lacs := window.GenerateReuse(g, care, valid, wg.Win, wg.Cfg, workers, stale, cached)
+	lacs := window.Generate(g, care, valid, wg.Win, wg.Cfg, workers, stale, cached)
 	return wrapLACs(lacs), lacs
 }
 
@@ -219,17 +215,10 @@ type Options struct {
 	// bound instead of circuit size² — the mode that reaches million-node
 	// AIGs. Circuits below windowedFallbackAnds AND nodes fall back to the
 	// global scan, where full cones are cheap and find strictly more
-	// divisors. Ignored when Generator is set.
+	// divisors. The windows are bounded by window.DefaultConfig; a Go caller
+	// that needs other bounds sets Generator to a WindowedGenerator. Ignored
+	// when Generator is set.
 	Windowed bool
-	// WindowMaxPIs, WindowMaxNodes, WindowMaxDivisors, WindowSkipFanoutRoots
-	// and WindowSkipFanoutDivisors bound the extracted windows (see
-	// window.Config). 0 picks the production default of
-	// window.DefaultConfig; a negative value means unbounded / no skip.
-	WindowMaxPIs             int
-	WindowMaxNodes           int
-	WindowMaxDivisors        int
-	WindowSkipFanoutRoots    int
-	WindowSkipFanoutDivisors int
 	// Generator overrides the LAC generator; nil means ALSRAC resubstitution
 	// (windowed when Windowed is set).
 	Generator IncrementalGenerator
@@ -260,25 +249,11 @@ type Options struct {
 	Verbose func(format string, args ...any)
 }
 
-// WindowConfig resolves the Window* knobs against the production defaults:
-// zero fields pick the window.DefaultConfig value, negative fields mean
-// unbounded / no skip (window.Config's zero value).
+// WindowConfig returns the window bounds of a Windowed session, the
+// constant window.DefaultConfig. It stays for the benchmark harness, which
+// calls it, until that harness's next revision.
 func (o *Options) WindowConfig() window.Config {
-	cfg := window.DefaultConfig()
-	resolve := func(dst *int, v int) {
-		switch {
-		case v > 0:
-			*dst = v
-		case v < 0:
-			*dst = 0
-		}
-	}
-	resolve(&cfg.MaxPIs, o.WindowMaxPIs)
-	resolve(&cfg.MaxNodes, o.WindowMaxNodes)
-	resolve(&cfg.MaxDivisors, o.WindowMaxDivisors)
-	resolve(&cfg.SkipFanoutRoots, o.WindowSkipFanoutRoots)
-	resolve(&cfg.SkipFanoutDivisors, o.WindowSkipFanoutDivisors)
-	return cfg
+	return window.DefaultConfig()
 }
 
 // windowedFallbackAnds is the circuit size below which a Windowed session
@@ -298,7 +273,7 @@ func flowGenerator(opts *Options, numAnds int) (IncrementalGenerator, bool) {
 		UseEspresso:     opts.UseEspresso,
 	}
 	if opts.Windowed && numAnds >= windowedFallbackAnds {
-		return WindowedGenerator{Win: opts.WindowConfig(), Cfg: rcfg}, false
+		return WindowedGenerator{Win: window.DefaultConfig(), Cfg: rcfg}, false
 	}
 	return ResubGenerator{Cfg: rcfg}, opts.Windowed
 }
@@ -320,6 +295,22 @@ func DefaultOptions(metric errest.Metric, threshold float64) Options {
 		Seed:           1,
 		MaxStall:       60,
 	}
+}
+
+// ParseMetric maps a metric name to the errest constant that guides the
+// search. Case and surrounding space are ignored. "maxerr" names certified
+// mode (see Options.MaxError), which is guided by NMED: the statistical
+// estimate of the same arithmetic-error scale the exact checker certifies.
+func ParseMetric(s string) (errest.Metric, error) {
+	switch strings.ToLower(strings.TrimSpace(s)) {
+	case "er":
+		return errest.ER, nil
+	case "nmed", "maxerr":
+		return errest.NMED, nil
+	case "mred":
+		return errest.MRED, nil
+	}
+	return 0, fmt.Errorf("unknown metric %q (er, nmed, mred, maxerr)", s)
 }
 
 // IterRecord traces one flow iteration.

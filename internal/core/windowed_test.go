@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/errest"
+	"repro/internal/resub"
 	"repro/internal/window"
 )
 
@@ -30,29 +31,13 @@ func TestFlowGeneratorSelection(t *testing.T) {
 
 func must(g IncrementalGenerator, _ bool) IncrementalGenerator { return g }
 
-// TestWindowConfigResolution pins the knob semantics: 0 = production
-// default, negative = unbounded, positive = verbatim.
-func TestWindowConfigResolution(t *testing.T) {
-	var opts Options
-	if got := opts.WindowConfig(); got != window.DefaultConfig() {
-		t.Fatalf("zero knobs resolved to %+v, want defaults", got)
-	}
-	opts = Options{WindowMaxPIs: -1, WindowMaxNodes: 7, WindowMaxDivisors: -1,
-		WindowSkipFanoutRoots: 3, WindowSkipFanoutDivisors: -1}
-	want := window.Config{MaxPIs: 0, MaxNodes: 7, MaxDivisors: 0,
-		SkipFanoutRoots: 3, SkipFanoutDivisors: 0}
-	if got := opts.WindowConfig(); got != want {
-		t.Fatalf("knobs resolved to %+v, want %+v", got, want)
-	}
-}
-
 // TestWindowedSessionMatchesGlobalOnFullWindows runs the full flow twice on
 // the same circuit — once with the global generator, once windowed with
 // every bound lifted — and requires bitwise-identical outcomes: with
 // unbounded windows every window reaches the circuit PIs, so the windowed
 // session must reproduce the global one exactly, iteration by iteration.
 func TestWindowedSessionMatchesGlobalOnFullWindows(t *testing.T) {
-	g := bench.ArrayMult(8) // 424 ANDs: above the windowed fallback floor
+	g := bench.ArrayMult(8)
 	opts := DefaultOptions(errest.NMED, 0.002)
 	opts.EvalPatterns = 512
 	opts.MaxStall = 8
@@ -60,9 +45,7 @@ func TestWindowedSessionMatchesGlobalOnFullWindows(t *testing.T) {
 
 	global := Run(g, opts)
 
-	opts.Windowed = true
-	opts.WindowMaxPIs, opts.WindowMaxNodes, opts.WindowMaxDivisors = -1, -1, -1
-	opts.WindowSkipFanoutRoots, opts.WindowSkipFanoutDivisors = -1, -1
+	opts.Generator = WindowedGenerator{Win: window.Config{}, Cfg: resub.DefaultConfig()}
 	windowed := Run(g, opts)
 
 	if global.FinalError != windowed.FinalError ||
@@ -89,8 +72,9 @@ func TestWindowedRunDeterministicAcrossWorkers(t *testing.T) {
 	opts := DefaultOptions(errest.ER, 0.05)
 	opts.EvalPatterns = 512
 	opts.MaxStall = 8
-	opts.Windowed = true
-	opts.WindowMaxPIs, opts.WindowMaxNodes = 6, 32
+	win := window.DefaultConfig()
+	win.MaxPIs, win.MaxNodes = 6, 32
+	opts.Generator = WindowedGenerator{Win: win, Cfg: resub.DefaultConfig()}
 
 	var ref Result
 	for i, workers := range []int{1, 2, 4} {

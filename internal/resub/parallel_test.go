@@ -37,9 +37,9 @@ func TestGenerateWorkersDeterministic(t *testing.T) {
 			{MaxLACsPerNode: 2, MaxDivisors: 3},
 			{MaxLACsPerNode: 1, MaxDivisors: 2, UseEspresso: true},
 		} {
-			ref := Generate(g, vecs, care.Valid, cfg)
+			ref := Generate(g, vecs, care.Valid, cfg, 1, nil, nil)
 			for _, workers := range []int{2, 3, 7, 64} {
-				got := GenerateWorkers(g, vecs, care.Valid, cfg, workers)
+				got := Generate(g, vecs, care.Valid, cfg, workers, nil, nil)
 				if !reflect.DeepEqual(ref, got) {
 					t.Fatalf("trial %d cfg %+v workers %d: candidate list differs (%d vs %d LACs)",
 						trial, cfg, workers, len(ref), len(got))
@@ -58,7 +58,7 @@ func TestEvalVecPooledScratch(t *testing.T) {
 	g := randomAIG(rng, 6, 80, 3)
 	care := sim.UniformN(g.NumPIs(), 128, 11)
 	vecs := sim.Simulate(g, care)
-	lacs := Generate(g, vecs, care.Valid, Config{MaxLACsPerNode: 4, MaxDivisors: 3})
+	lacs := Generate(g, vecs, care.Valid, Config{MaxLACsPerNode: 4, MaxDivisors: 3}, 1, nil, nil)
 	if len(lacs) == 0 {
 		t.Skip("no candidates generated")
 	}

@@ -9,10 +9,17 @@
 // theorem (Theorem 1). For a feasible set, the replacement function is an
 // irredundant sum-of-products computed over the sampled truth table, with
 // all unseen divisor patterns as don't-cares (Section III-B3).
+//
+// Candidate generation (Algorithm 2) has one driver, Scan: a sharded scan
+// over the live AND nodes with stale-mask reuse of the previous candidate
+// list, which asks a per-worker Source for each root's divisor pool and
+// gain base. Generate supplies the paper's source — the node's TFI cone in
+// level order (Algorithm 1) — and package window a windowed one.
 package resub
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -207,7 +214,7 @@ func (l *LAC) Apply(g *aig.Graph) *aig.Graph {
 // them, so the live-node set matches Apply's swept result. When touched is
 // non-nil it accumulates every node whose structure or reference count
 // changed — together with an epoch snapshot taken before this call it seeds
-// Graph.StaleClosure, the invalidation mask GenerateReuse consumes.
+// Graph.StaleClosure, the invalidation mask Scan consumes.
 func (l *LAC) ApplyInPlace(g *aig.Graph, touched *[]aig.Node) {
 	g.ReplaceNode(l.Node, l.BuildLit(g), touched)
 	g.CollectGarbage(touched)
@@ -237,81 +244,83 @@ func (l *LAC) EvalVec(vecs *sim.Vectors, out []uint64) {
 	}
 }
 
-// Generate produces the LAC candidate set of Algorithm 2: for every AND
-// node, divisor sets from Algorithm 1 are checked for feasibility on the
-// valid patterns of vecs, and feasible ones yield ISOP-based candidates.
-// Candidates whose new structure would be larger than the logic they free
-// are dropped — they cannot shrink the circuit. Zero-gain candidates are
-// kept: exchanging a function for an equally sized one over more distant
-// divisors regularly unlocks sharing for the follow-up optimization pass.
-func Generate(g *aig.Graph, vecs *sim.Vectors, valid int, cfg Config) []LAC {
-	return GenerateWorkers(g, vecs, valid, cfg, 1)
+// Source supplies the divisor pool of each root the candidate scan visits.
+// Pool returns root v's divisor pool (candidate nodes in scan order) and its
+// structural gain base mffc, or ok false to skip v. refs is the calling
+// worker's mutable copy of the graph's reference counts: Pool may change it
+// but must restore it before returning. The result must be a pure function
+// of the graph and the root — independent of any earlier call — because
+// Scan shards roots across workers and keeps the cached entries of roots the
+// stale mask spares. A Source is single-goroutine scratch; Scan asks for one
+// per worker.
+type Source interface {
+	Pool(v aig.Node, refs []int32) (pool []aig.Node, mffc int, ok bool)
 }
 
-// GenerateWorkers is Generate with the per-node scan sharded across worker
-// goroutines (0 = GOMAXPROCS). Per-node candidate generation only reads the
-// shared graph, level order and value vectors — each worker owns a genState
-// with a private reference-count copy (the MFFC computation temporarily
-// mutates it), an epoch-stamped cone marker and reusable divisor scratch —
-// and per-chunk outputs are concatenated in node order, so the candidate
-// list is identical to the sequential scan for every worker count.
-func GenerateWorkers(g *aig.Graph, vecs *sim.Vectors, valid int, cfg Config, workers int) []LAC {
-	var ands []aig.Node
-	for v := aig.Node(1); int(v) < g.NumNodes(); v++ {
-		if g.IsAnd(v) {
-			ands = append(ands, v)
-		}
-	}
-	return generateOver(g, vecs, valid, cfg, workers, ands)
-}
-
-// GenerateReuse is GenerateWorkers with cross-iteration candidate reuse:
-// cached holds the previous iteration's candidate list (sorted by node id,
-// as Generate* return it) and stale flags the nodes whose candidates may
-// have changed. Candidates of live unstale nodes are copied from the cache
-// verbatim; only stale nodes are rescanned. The result is identical to a
-// full GenerateWorkers run, because a node's candidates depend only on its
-// TFI cone — structure, logic levels, value words — and on the reference
-// counts inside it (via the MFFC gain), all of which a correct stale mask
-// covers by construction (see core's dirty-TFO closure).
-//
-// Nodes at or beyond len(stale) are treated as stale (freshly grown slots).
-// A nil stale mask or nil cache degrades to a full scan.
-func GenerateReuse(g *aig.Graph, vecs *sim.Vectors, valid int, cfg Config, workers int,
+// Generate is Scan over the paper's divisor source (Algorithm 1): each
+// root's full TFI cone in level order, with its full MFFC size as the gain
+// base.
+func Generate(g *aig.Graph, vecs *sim.Vectors, valid int, cfg Config, workers int,
 	stale []bool, cached []LAC) []LAC {
 
-	if stale == nil || cached == nil {
-		return GenerateWorkers(g, vecs, valid, cfg, workers)
-	}
+	levels := g.Levels()
+	order, lstart := g.LevelOrder(levels)
+	return Scan(g, vecs, valid, cfg, workers, stale, cached, func() Source {
+		return &coneSource{g: g, desc: cfg.DescendingLevels,
+			levels: levels, order: order, lstart: lstart, marker: aig.NewConeMarker(g)}
+	})
+}
+
+// Scan produces the LAC candidate set of Algorithm 2: for every root, the
+// divisor sets drawn from the pool its Source returns are checked for
+// feasibility on the valid patterns of vecs, and feasible ones yield
+// ISOP-based candidates. Candidates whose new structure would be larger than
+// the logic they free are dropped — they cannot shrink the circuit.
+// Zero-gain candidates are kept: exchanging a function for an equally sized
+// one over more distant divisors regularly unlocks sharing for the follow-up
+// optimization pass. Candidates come in ascending node order.
+//
+// A nil stale mask or nil cache scans every live AND node. Otherwise cached
+// is the previous candidate list (as Scan returned it) and only the nodes
+// stale flags are rescanned; every other live AND node keeps its cached
+// entries verbatim. Nodes at or beyond len(stale) are stale (freshly grown
+// slots). The result equals a full scan whenever the mask covers every node
+// whose pool, gain base or value words may have changed, which core's
+// dirty-TFO closure does by construction: a pool, its level order and its
+// MFFC are functions of the root's TFI — structure, logic levels, value
+// words and reference counts.
+//
+// Roots are sharded across worker goroutines (0 = GOMAXPROCS). Each worker
+// owns a Source from newSource and a private copy of the reference counts,
+// claims chunks of chunkRoots roots from an atomic cursor, and the chunk
+// outputs are concatenated in root order, so the candidate list is identical
+// for every worker count.
+func Scan(g *aig.Graph, vecs *sim.Vectors, valid int, cfg Config, workers int,
+	stale []bool, cached []LAC, newSource func() Source) []LAC {
+
+	reuse := stale != nil && cached != nil
 	isStale := func(v aig.Node) bool {
 		return int(v) >= len(stale) || stale[v]
 	}
-	var ands, rescan []aig.Node
+	var roots []aig.Node
+	for v := aig.Node(1); int(v) < g.NumNodes(); v++ {
+		if g.IsAnd(v) && (!reuse || isStale(v)) {
+			roots = append(roots, v)
+		}
+	}
+	fresh := scanRoots(g, vecs, valid, cfg, workers, roots, newSource)
+	if !reuse {
+		return fresh
+	}
+
+	// Merge in ascending node order: stale nodes take their fresh entries,
+	// the others their cached ones; entries of dead nodes are dropped.
+	out := make([]LAC, 0, len(cached)+len(fresh))
+	ci, fi := 0, 0
 	for v := aig.Node(1); int(v) < g.NumNodes(); v++ {
 		if !g.IsAnd(v) {
 			continue
 		}
-		ands = append(ands, v)
-		if isStale(v) {
-			rescan = append(rescan, v)
-		}
-	}
-	fresh := generateOver(g, vecs, valid, cfg, workers, rescan)
-	return MergeByNode(ands, isStale, cached, fresh)
-}
-
-// MergeByNode merges a previous candidate list with freshly rescanned
-// entries in ascending node order: ands is the full live AND-node list,
-// isStale selects the nodes whose entries come from fresh, and every other
-// node keeps its cached entries verbatim. Cache entries of dead or stale
-// nodes are dropped on the floor. Both candidate lists must be sorted by
-// node id, as the Generate* functions produce them. It is shared by
-// GenerateReuse and by package window's incremental path, which maintains
-// the same per-node candidate layout.
-func MergeByNode(ands []aig.Node, isStale func(aig.Node) bool, cached, fresh []LAC) []LAC {
-	out := make([]LAC, 0, len(cached)+len(fresh))
-	ci, fi := 0, 0
-	for _, v := range ands {
 		for ci < len(cached) && cached[ci].Node < v {
 			ci++
 		}
@@ -330,29 +339,23 @@ func MergeByNode(ands []aig.Node, isStale func(aig.Node) bool, cached, fresh []L
 	return out
 }
 
-// generateOver runs the per-node candidate scan of Algorithm 2 over an
-// explicit, ascending list of AND nodes.
-func generateOver(g *aig.Graph, vecs *sim.Vectors, valid int, cfg Config, workers int,
-	ands []aig.Node) []LAC {
+// chunkRoots is how many consecutive roots a worker claims at a time. Late
+// roots have larger TFI cones, so fixed per-worker halves would imbalance
+// badly; the output does not depend on the chunk size.
+const chunkRoots = 16
 
-	levels := g.Levels()
-	order, lstart := g.LevelOrder(levels)
+// scanRoots runs the per-root scan over an explicit, ascending root list.
+func scanRoots(g *aig.Graph, vecs *sim.Vectors, valid int, cfg Config, workers int,
+	roots []aig.Node, newSource func() Source) []LAC {
+
 	refs := g.RefCounts()
-	workers = sim.Workers(workers, len(ands))
-	if workers <= 1 {
-		st := newGenState(g, vecs, valid, cfg, levels, order, lstart, refs)
-		var lacs []LAC
-		for _, v := range ands {
-			lacs = st.appendNodeLACs(lacs, v)
-		}
-		return lacs
+	if workers = sim.Workers(workers, len(roots)); workers <= 1 {
+		// Every Pool call restores the counts, so the one array is lent to
+		// the one source.
+		return newGenState(g, vecs, valid, cfg, newSource(), refs).scan(roots)
 	}
 
-	// Workers draw small contiguous node chunks from an atomic counter —
-	// late nodes have larger TFI cones, so fixed per-worker halves would
-	// imbalance badly — and chunks are merged in index order afterwards.
-	const chunkNodes = 16
-	nChunks := (len(ands) + chunkNodes - 1) / chunkNodes
+	nChunks := (len(roots) + chunkRoots - 1) / chunkRoots
 	results := make([][]LAC, nChunks)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -360,74 +363,25 @@ func generateOver(g *aig.Graph, vecs *sim.Vectors, valid int, cfg Config, worker
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st := newGenState(g, vecs, valid, cfg, levels, order, lstart,
-				append([]int32(nil), refs...))
+			st := newGenState(g, vecs, valid, cfg, newSource(), append([]int32(nil), refs...))
 			for {
 				c := int(next.Add(1)) - 1
 				if c >= nChunks {
 					return
 				}
-				lo := c * chunkNodes
-				hi := min(lo+chunkNodes, len(ands))
-				var lacs []LAC
-				for _, v := range ands[lo:hi] {
-					lacs = st.appendNodeLACs(lacs, v)
-				}
-				results[c] = lacs
+				lo := c * chunkRoots
+				results[c] = st.scan(roots[lo:min(lo+chunkRoots, len(roots))])
 			}
 		}()
 	}
 	wg.Wait()
-
-	total := 0
-	for _, r := range results {
-		total += len(r)
-	}
-	out := make([]LAC, 0, total)
-	for _, r := range results {
-		out = append(out, r...)
-	}
-	return out
+	return slices.Concat(results...)
 }
 
-// Scanner exposes the per-node candidate scan of Algorithm 2 over an
-// explicit divisor pool, for callers that select divisors by other means
-// than the full TFI cone — package window hands it the nodes of a
-// reconvergence-driven window. A Scanner is single-goroutine scratch;
-// concurrent workers each construct their own.
-//
-// ScanNode is bitwise identical to the Generate path's per-node scan
-// whenever pool equals the node's TFI cone in the configured level order
-// and mffc its full MFFC size; that identity is what the window-vs-global
-// equivalence property rests on.
-type Scanner struct {
-	st genState
-}
-
-// NewScanner prepares a Scanner over the given graph and care-set value
-// vectors (of which the first valid patterns are meaningful).
-func NewScanner(g *aig.Graph, vecs *sim.Vectors, valid int, cfg Config) *Scanner {
-	minimize := tt.ISOP
-	if cfg.UseEspresso {
-		minimize = espresso.Minimize
-	}
-	s := &Scanner{}
-	s.st = genState{g: g, vecs: vecs, valid: valid, cfg: cfg, minimize: minimize}
-	return s
-}
-
-// ScanNode appends node v's feasible candidates over the divisor pool
-// (candidate nodes in scan order; entries equal to v, v's fanins or the
-// constant node are skipped like the cone scan skips them) using mffc as
-// the structural gain base, and returns the extended slice.
-func (s *Scanner) ScanNode(lacs []LAC, v aig.Node, pool []aig.Node, mffc int) []LAC {
-	return s.st.scanPool(lacs, v, pool, mffc)
-}
-
-// genState is the per-worker scratch of the candidate scan. The graph, its
-// level order and the value vectors are shared read-only; the marker, the
-// reference counts, and the cone/pool/divisor buffers are private, so the
-// per-node loop allocates only when a feasible candidate is emitted.
+// genState is the per-worker scratch of the candidate scan. The graph and
+// the value vectors are shared read-only; the source, the reference counts
+// and the divisor buffers are private, so the per-root loop allocates only
+// when a feasible candidate is emitted.
 type genState struct {
 	g        *aig.Graph
 	vecs     *sim.Vectors
@@ -435,19 +389,14 @@ type genState struct {
 	cfg      Config
 	minimize func(on, dc tt.Table) tt.Cover
 
-	levels []int32
-	order  []aig.Node // nodes sorted by (level, id), CSR per level
-	lstart []int32
-
+	src    Source
 	refs   []int32
-	marker *aig.ConeMarker
-	cone   []aig.Node // TFI of the current node in the configured level order
 	tried  []aig.Node // scanned replacement candidates, reused for triples
 	divBuf [3]aig.Lit
 }
 
 func newGenState(g *aig.Graph, vecs *sim.Vectors, valid int, cfg Config,
-	levels []int32, order []aig.Node, lstart []int32, refs []int32) *genState {
+	src Source, refs []int32) *genState {
 
 	minimize := tt.ISOP
 	if cfg.UseEspresso {
@@ -455,9 +404,40 @@ func newGenState(g *aig.Graph, vecs *sim.Vectors, valid int, cfg Config,
 	}
 	return &genState{
 		g: g, vecs: vecs, valid: valid, cfg: cfg, minimize: minimize,
-		levels: levels, order: order, lstart: lstart, refs: refs,
-		marker: aig.NewConeMarker(g),
+		src: src, refs: refs,
 	}
+}
+
+// scan appends the candidates of every root in order.
+func (s *genState) scan(roots []aig.Node) []LAC {
+	var lacs []LAC
+	for _, v := range roots {
+		if pool, mffc, ok := s.src.Pool(v, s.refs); ok {
+			lacs = s.scanPool(lacs, v, pool, mffc)
+		}
+	}
+	return lacs
+}
+
+// coneSource is the paper's divisor source (Algorithm 1): the pool is the
+// root's full TFI cone sorted by logic level, the gain base its full MFFC
+// size. The graph and its level order are shared read-only; the marker and
+// the cone buffer are private.
+type coneSource struct {
+	g      *aig.Graph
+	desc   bool // Config.DescendingLevels
+	levels []int32
+	order  []aig.Node // nodes sorted by (level, id), CSR per level
+	lstart []int32
+	marker *aig.ConeMarker
+	cone   []aig.Node
+}
+
+// Pool implements Source.
+func (s *coneSource) Pool(v aig.Node, refs []int32) ([]aig.Node, int, bool) {
+	mffc := s.g.MFFCSize(v, refs)
+	s.coneInLevelOrder(v)
+	return s.cone, mffc, true
 }
 
 // coneInLevelOrder fills s.cone with the TFI cone of v in the configured
@@ -466,11 +446,11 @@ func newGenState(g *aig.Graph, vecs *sim.Vectors, valid int, cfg Config,
 // Only the level buckets up to v's own level are visited.
 //
 //alsrac:hotpath
-func (s *genState) coneInLevelOrder(v aig.Node) {
+func (s *coneSource) coneInLevelOrder(v aig.Node) {
 	s.marker.MarkTFI(s.g, v)
 	s.cone = s.cone[:0]
 	vl := int(s.levels[v])
-	if s.cfg.DescendingLevels {
+	if s.desc {
 		for lev := vl; lev >= 0; lev-- {
 			for _, u := range s.order[s.lstart[lev]:s.lstart[lev+1]] {
 				if s.marker.InCone(u) {
@@ -489,21 +469,11 @@ func (s *genState) coneInLevelOrder(v aig.Node) {
 	}
 }
 
-// appendNodeLACs implements the per-node part of Algorithm 2 over the
-// divisor sets of Algorithm 1: the divisor pool is the node's full TFI cone
-// in the configured level order, and the gain base its full MFFC size.
-func (s *genState) appendNodeLACs(lacs []LAC, v aig.Node) []LAC {
-	mffc := s.g.MFFCSize(v, s.refs)
-	// Algorithm 1: the TFI cone of V sorted by logic level.
-	s.coneInLevelOrder(v)
-	return s.scanPool(lacs, v, s.cone, mffc)
-}
-
-// scanPool runs the divisor-set scan of Algorithm 2 for node v over an
-// explicit divisor pool (candidate nodes in scan order) with a precomputed
-// structural gain base mffc. It is the common kernel of the global path
-// (pool = full TFI cone, mffc = full MFFC) and the windowed path of package
-// window (pool = window nodes, mffc = window-bounded MFFC).
+// scanPool runs the divisor-set scan of Algorithm 2 for node v over its
+// divisor pool (entries equal to v, v's fanins or the constant node are
+// skipped) with the structural gain base mffc. It is the one kernel of
+// every Source: the cone source (pool = full TFI cone, mffc = full MFFC)
+// and package window's (pool = window nodes, mffc = window-bounded MFFC).
 func (s *genState) scanPool(lacs []LAC, v aig.Node, pool []aig.Node, mffc int) []LAC {
 	g, cfg := s.g, &s.cfg
 	target := aig.MakeLit(v, false)

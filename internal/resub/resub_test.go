@@ -247,7 +247,7 @@ func TestGenerateFindsExactResubstitutions(t *testing.T) {
 
 	p := sim.Exhaustive(3)
 	vecs := sim.Simulate(g, p)
-	lacs := Generate(g, vecs, p.Valid, DefaultConfig())
+	lacs := Generate(g, vecs, p.Valid, DefaultConfig(), 1, nil, nil)
 	if len(lacs) == 0 {
 		t.Fatalf("no LACs generated for redundant circuit")
 	}
@@ -279,7 +279,7 @@ func TestGenerateRespectsLACLimit(t *testing.T) {
 
 	cfg := DefaultConfig()
 	cfg.MaxLACsPerNode = 1
-	lacs1 := Generate(g, vecs, p.Valid, cfg)
+	lacs1 := Generate(g, vecs, p.Valid, cfg, 1, nil, nil)
 	perNode := map[aig.Node]int{}
 	for _, l := range lacs1 {
 		perNode[l.Node]++
@@ -290,7 +290,7 @@ func TestGenerateRespectsLACLimit(t *testing.T) {
 		}
 	}
 	cfg.MaxLACsPerNode = 4
-	lacs4 := Generate(g, vecs, p.Valid, cfg)
+	lacs4 := Generate(g, vecs, p.Valid, cfg, 1, nil, nil)
 	if len(lacs4) < len(lacs1) {
 		t.Errorf("raising L reduced candidates: %d -> %d", len(lacs1), len(lacs4))
 	}
@@ -303,7 +303,7 @@ func TestGenerateGainIsPositive(t *testing.T) {
 	g.AddPO(f, "f")
 	p := sim.UniformN(6, 16, 3)
 	vecs := sim.Simulate(g, p)
-	for _, l := range Generate(g, vecs, p.Valid, DefaultConfig()) {
+	for _, l := range Generate(g, vecs, p.Valid, DefaultConfig(), 1, nil, nil) {
 		if l.Gain <= 0 {
 			t.Errorf("LAC %v has non-positive gain", &l)
 		}
@@ -363,10 +363,10 @@ func TestTripleDivisorExtension(t *testing.T) {
 
 	cfg := DefaultConfig()
 	cfg.MaxLACsPerNode = 1 << 20
-	two := Generate(g, vecs, p.Valid, cfg)
+	two := Generate(g, vecs, p.Valid, cfg, 1, nil, nil)
 
 	cfg.MaxDivisors = 3
-	three := Generate(g, vecs, p.Valid, cfg)
+	three := Generate(g, vecs, p.Valid, cfg, 1, nil, nil)
 	if len(three) < len(two) {
 		t.Fatalf("triple extension lost candidates: %d -> %d", len(two), len(three))
 	}
@@ -395,7 +395,7 @@ func TestGenerateDefaultIsTwoDivisors(t *testing.T) {
 	vecs := sim.Simulate(g, p)
 	cfg := DefaultConfig()
 	cfg.MaxLACsPerNode = 1 << 20
-	for _, l := range Generate(g, vecs, p.Valid, cfg) {
+	for _, l := range Generate(g, vecs, p.Valid, cfg, 1, nil, nil) {
 		if len(l.Divisors) > 2 {
 			t.Fatalf("paper-default config produced %d divisors", len(l.Divisors))
 		}

@@ -10,10 +10,10 @@ import (
 )
 
 // TestGenerateReuseMatchesFull drives random in-place replacement sequences
-// and checks after each commit that GenerateReuse with the stale-closure
-// mask and the previous candidate list reproduces a from-scratch
-// GenerateWorkers run exactly — covers, divisors, gains, order — while
-// actually reusing cached entries.
+// and checks after each commit that Generate with the stale-closure mask
+// and the previous candidate list reproduces a from-scratch full scan
+// exactly — covers, divisors, gains, order — while actually reusing cached
+// entries.
 func TestGenerateReuseMatchesFull(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxLACsPerNode = 2
@@ -23,7 +23,7 @@ func TestGenerateReuseMatchesFull(t *testing.T) {
 			g := genTestGraph(rng, 8, 60)
 			pats := sim.Uniform(g.NumPIs(), 2, seed+900)
 			arena := sim.NewArena(g, pats, workers)
-			cache := GenerateWorkers(g, arena.Vectors(), pats.Valid, cfg, workers)
+			cache := Generate(g, arena.Vectors(), pats.Valid, cfg, workers, nil, nil)
 			reused := false
 			for step := 0; step < 12; step++ {
 				ands := liveAndNodes(g)
@@ -40,8 +40,8 @@ func TestGenerateReuseMatchesFull(t *testing.T) {
 				arena.Update()
 
 				stale := g.StaleClosure(epochs, touched)
-				got := GenerateReuse(g, arena.Vectors(), pats.Valid, cfg, workers, stale, cache)
-				want := GenerateWorkers(g, arena.Vectors(), pats.Valid, cfg, workers)
+				got := Generate(g, arena.Vectors(), pats.Valid, cfg, workers, stale, cache)
+				want := Generate(g, arena.Vectors(), pats.Valid, cfg, workers, nil, nil)
 				if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
 					t.Fatalf("workers %d seed %d step %d: reuse diverged from full generation:\n got %v\nwant %v",
 						workers, seed, step, got, want)
@@ -74,7 +74,7 @@ func TestApplyInPlaceMatchesApply(t *testing.T) {
 		pats := sim.Uniform(g.NumPIs(), 2, seed+450)
 		for step := 0; step < 6; step++ {
 			vecs := sim.Simulate(g, pats)
-			lacs := GenerateWorkers(g, vecs, pats.Valid, cfg, 1)
+			lacs := Generate(g, vecs, pats.Valid, cfg, 1, nil, nil)
 			vecs.Release()
 			if len(lacs) == 0 {
 				break
@@ -118,19 +118,19 @@ func TestGenerateReuseDegradesToFull(t *testing.T) {
 	vecs := sim.Simulate(g, pats)
 	defer vecs.Release()
 	cfg := DefaultConfig()
-	want := GenerateWorkers(g, vecs, pats.Valid, cfg, 1)
-	if got := GenerateReuse(g, vecs, pats.Valid, cfg, 1, nil, want); !reflect.DeepEqual(got, want) {
+	want := Generate(g, vecs, pats.Valid, cfg, 1, nil, nil)
+	if got := Generate(g, vecs, pats.Valid, cfg, 1, nil, want); !reflect.DeepEqual(got, want) {
 		t.Fatal("nil stale mask did not degrade to a full scan")
 	}
 	stale := make([]bool, g.NumNodes())
-	if got := GenerateReuse(g, vecs, pats.Valid, cfg, 1, stale, nil); !reflect.DeepEqual(got, want) {
+	if got := Generate(g, vecs, pats.Valid, cfg, 1, stale, nil); !reflect.DeepEqual(got, want) {
 		t.Fatal("nil cache did not degrade to a full scan")
 	}
 	// All-stale mask with an empty cache must also reproduce the full scan.
 	for i := range stale {
 		stale[i] = true
 	}
-	if got := GenerateReuse(g, vecs, pats.Valid, cfg, 1, stale, []LAC{}); !reflect.DeepEqual(got, want) {
+	if got := Generate(g, vecs, pats.Valid, cfg, 1, stale, []LAC{}); !reflect.DeepEqual(got, want) {
 		t.Fatal("all-stale mask did not reproduce the full scan")
 	}
 }

@@ -153,11 +153,6 @@ func specFromQuery(r *http.Request) (JobSpec, error) {
 			err = fmt.Errorf("bad windowed=%q", q.Get("windowed"))
 		}
 	}
-	parseI("window_max_pis", &spec.WindowMaxPIs)
-	parseI("window_max_nodes", &spec.WindowMaxNodes)
-	parseI("window_max_divisors", &spec.WindowMaxDivisors)
-	parseI("window_skip_fanout_roots", &spec.WindowSkipFanoutRoots)
-	parseI("window_skip_fanout_divisors", &spec.WindowSkipFanoutDivisors)
 	return spec, err
 }
 

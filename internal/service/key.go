@@ -11,7 +11,7 @@ import (
 // keyVersion tags the derivation so any change to the fingerprint, the
 // field list, or the session semantics (a new optimization that changes
 // results) can invalidate every cached blob at once by bumping it.
-const keyVersion = "alsrac-cluster-key-v1"
+const keyVersion = "alsrac-cluster-key-v2"
 
 // JobKey derives the content address of a job: a hex SHA-256 over the
 // circuit's structural fingerprint and every spec field that influences the
@@ -39,8 +39,6 @@ func JobKey(spec JobSpec, g *aig.Graph) string {
 	fmt.Fprintf(h, "seed=%d eval=%d n=%d l=%d t=%d r=%g maxstall=%d maxdepth=%g\n",
 		spec.Seed, spec.EvalPatterns, spec.InitialRounds, spec.MaxLACsPerNode,
 		spec.Patience, spec.Scale, spec.MaxStall, spec.MaxDepthRatio)
-	fmt.Fprintf(h, "windowed=%t wpis=%d wnodes=%d wdivs=%d wsfr=%d wsfd=%d\n",
-		spec.Windowed, spec.WindowMaxPIs, spec.WindowMaxNodes, spec.WindowMaxDivisors,
-		spec.WindowSkipFanoutRoots, spec.WindowSkipFanoutDivisors)
+	fmt.Fprintf(h, "windowed=%t\n", spec.Windowed)
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -53,15 +53,9 @@ type JobSpec struct {
 	MaxDepthRatio  float64 `json:"max_depth_ratio"`
 	Workers        int     `json:"workers"` // per-session worker goroutines (0 = all CPUs)
 
-	// Windowed selects reconvergence-driven windowed candidate generation;
-	// the Window* knobs follow core.Options semantics (0 = production
-	// default, negative = unbounded / no skip).
-	Windowed                 bool `json:"windowed,omitempty"`
-	WindowMaxPIs             int  `json:"window_max_pis,omitempty"`
-	WindowMaxNodes           int  `json:"window_max_nodes,omitempty"`
-	WindowMaxDivisors        int  `json:"window_max_divisors,omitempty"`
-	WindowSkipFanoutRoots    int  `json:"window_skip_fanout_roots,omitempty"`
-	WindowSkipFanoutDivisors int  `json:"window_skip_fanout_divisors,omitempty"`
+	// Windowed selects reconvergence-driven windowed candidate generation
+	// under the constant window.DefaultConfig bounds.
+	Windowed bool `json:"windowed,omitempty"`
 
 	// Format of the submitted circuit: "blif", "aag", "aig" or "auto"
 	// (sniffed from the payload).
@@ -71,22 +65,6 @@ type JobSpec struct {
 	// completes with its best-so-far result (TimedOut is set on the status).
 	// 0 means no deadline.
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
-}
-
-// ParseMetric maps the wire name of a metric to the errest constant that
-// guides the search. "maxerr" — the certified job type — is guided by NMED
-// (the statistical estimate of the same arithmetic-error scale the exact
-// checker certifies).
-func ParseMetric(s string) (errest.Metric, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "er":
-		return errest.ER, nil
-	case "nmed", "maxerr":
-		return errest.NMED, nil
-	case "mred":
-		return errest.MRED, nil
-	}
-	return 0, fmt.Errorf("unknown metric %q (er, nmed, mred, maxerr)", s)
 }
 
 // Normalize fills unset fields with the paper's default parameters so the
@@ -102,7 +80,7 @@ func (s *JobSpec) Normalize() error {
 	if s.Metric == "" {
 		s.Metric = "er"
 	}
-	if _, err := ParseMetric(s.Metric); err != nil {
+	if _, err := core.ParseMetric(s.Metric); err != nil {
 		return err
 	}
 	if s.Threshold < 0 {
@@ -155,23 +133,6 @@ func (s *JobSpec) Normalize() error {
 	if s.TimeoutSec < 0 {
 		s.TimeoutSec = 0
 	}
-	if s.Windowed {
-		// Pin the window bounds a zero knob resolves to, so the persisted
-		// spec stays self-contained even if the production defaults change
-		// between daemon versions. Negative (unbounded) knobs keep their
-		// stable meaning and persist as-is.
-		def := (&core.Options{}).WindowConfig()
-		fill := func(v *int, d int) {
-			if *v == 0 {
-				*v = d
-			}
-		}
-		fill(&s.WindowMaxPIs, def.MaxPIs)
-		fill(&s.WindowMaxNodes, def.MaxNodes)
-		fill(&s.WindowMaxDivisors, def.MaxDivisors)
-		fill(&s.WindowSkipFanoutRoots, def.SkipFanoutRoots)
-		fill(&s.WindowSkipFanoutDivisors, def.SkipFanoutDivisors)
-	}
 	if s.Format == "" {
 		s.Format = "auto"
 	}
@@ -187,7 +148,7 @@ func (s *JobSpec) Normalize() error {
 // normalized spec return identical options — the property crash-safe resume
 // relies on.
 func (s JobSpec) Options() (core.Options, error) {
-	m, err := ParseMetric(s.Metric)
+	m, err := core.ParseMetric(s.Metric)
 	if err != nil {
 		return core.Options{}, err
 	}
@@ -204,11 +165,6 @@ func (s JobSpec) Options() (core.Options, error) {
 	opts.MaxDepthRatio = s.MaxDepthRatio
 	opts.Workers = s.Workers
 	opts.Windowed = s.Windowed
-	opts.WindowMaxPIs = s.WindowMaxPIs
-	opts.WindowMaxNodes = s.WindowMaxNodes
-	opts.WindowMaxDivisors = s.WindowMaxDivisors
-	opts.WindowSkipFanoutRoots = s.WindowSkipFanoutRoots
-	opts.WindowSkipFanoutDivisors = s.WindowSkipFanoutDivisors
 	return opts, nil
 }
 

@@ -6,42 +6,26 @@ import (
 	"testing"
 )
 
-// TestSpecWindowQueryRoundTrip pins the windowed knobs end to end: HTTP
-// query → JobSpec → Normalize (self-contained persisted bounds) →
-// core.Options.
+// TestSpecWindowQueryRoundTrip pins the windowed switch end to end: HTTP
+// query → JobSpec → Normalize → core.Options.
 func TestSpecWindowQueryRoundTrip(t *testing.T) {
-	r, _ := http.NewRequest(http.MethodPost,
-		"/jobs?metric=er&threshold=0.01&windowed=1&window_max_pis=6"+
-			"&window_max_nodes=48&window_skip_fanout_divisors=-1", nil)
+	r, _ := http.NewRequest(http.MethodPost, "/jobs?metric=er&threshold=0.01&windowed=1", nil)
 	spec, err := specFromQuery(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !spec.Windowed || spec.WindowMaxPIs != 6 || spec.WindowMaxNodes != 48 ||
-		spec.WindowSkipFanoutDivisors != -1 {
+	if !spec.Windowed {
 		t.Fatalf("query did not reach the spec: %+v", spec)
 	}
 	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	// Unset knobs are pinned to concrete production bounds; negative ones
-	// keep their stable "unbounded" encoding.
-	if spec.WindowMaxDivisors <= 0 || spec.WindowSkipFanoutRoots <= 0 {
-		t.Fatalf("Normalize left windowed bounds unpinned: %+v", spec)
-	}
-	if spec.WindowSkipFanoutDivisors != -1 {
-		t.Fatalf("Normalize rewrote the unbounded knob: %+v", spec)
-	}
 	opts, err := spec.Options()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !opts.Windowed || opts.WindowMaxPIs != 6 || opts.WindowMaxNodes != 48 {
+	if !opts.Windowed {
 		t.Fatalf("spec did not reach the options: %+v", opts)
-	}
-	win := opts.WindowConfig()
-	if win.MaxPIs != 6 || win.MaxNodes != 48 || win.SkipFanoutDivisors != 0 {
-		t.Fatalf("options resolved to %+v", win)
 	}
 	opts2, _ := spec.Options()
 	if !reflect.DeepEqual(opts, opts2) {

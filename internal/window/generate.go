@@ -1,157 +1,46 @@
 package window
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/aig"
 	"repro/internal/resub"
 	"repro/internal/sim"
 )
 
-// Generate produces the windowed candidate set: for every live AND node, a
-// reconvergence-driven window is extracted under wcfg and the divisor-set
-// scan of Algorithm 2 (resub.Scanner, bitwise the global kernel) runs over
-// the window's divisor pool on the global care vectors. Candidates are
-// returned in ascending node order, exactly like resub.Generate.
-func Generate(g *aig.Graph, vecs *sim.Vectors, valid int, wcfg Config, rcfg resub.Config) []resub.LAC {
-	return GenerateWorkers(g, vecs, valid, wcfg, rcfg, 1)
-}
-
-// GenerateWorkers is Generate with the roots sharded across worker
-// goroutines (0 = GOMAXPROCS): workers shard by window, not by candidate —
-// each worker owns an Extractor, a resub.Scanner and a private
-// reference-count copy, draws contiguous root chunks from an atomic
-// counter, and per-chunk outputs are concatenated in chunk order, so the
-// candidate list is identical for every worker count.
-func GenerateWorkers(g *aig.Graph, vecs *sim.Vectors, valid int, wcfg Config, rcfg resub.Config, workers int) []resub.LAC {
-	var roots []aig.Node
-	for v := aig.Node(1); int(v) < g.NumNodes(); v++ {
-		if g.IsAnd(v) {
-			roots = append(roots, v)
-		}
-	}
-	return generateOver(g, vecs, valid, wcfg, rcfg, workers, roots)
-}
-
-// GenerateReuse is GenerateWorkers with cross-iteration candidate reuse,
-// the windowed analogue of resub.GenerateReuse: cached holds the previous
-// candidate list and stale flags the nodes to rescan; live unstale nodes
-// keep their cached entries verbatim (resub.MergeByNode). The stale
-// closure of package core covers every windowed dependency: a root's
-// window, divisor pool and window-MFFC are functions of its TFI — fanin
-// structure, logic levels, value words and reference counts (the fanout
-// skip limits read the same counts) — and any node whose structure or
-// reference count changed seeds the closure, which marks its entire
-// transitive fanout, root included. Nodes at or beyond len(stale) are
-// treated as stale; a nil mask or cache degrades to a full scan.
-func GenerateReuse(g *aig.Graph, vecs *sim.Vectors, valid int, wcfg Config, rcfg resub.Config,
+// Generate produces the windowed candidate set: resub.Scan over the window
+// source, which hands the scan, per live AND root, the divisor pool of a
+// reconvergence-driven window extracted under wcfg and the window-bounded
+// MFFC as gain base, scored on the global care vectors. Candidates come in
+// ascending node order, exactly like resub.Generate, and with the zero
+// Config every window reaches the PIs, so the two are bitwise identical.
+//
+// workers, stale and cached follow resub.Scan. The stale closure of package
+// core covers every windowed dependency: a root's window, divisor pool and
+// window-MFFC are functions of its TFI — fanin structure, logic levels,
+// value words and reference counts (the fanout skip limits read the same
+// counts) — and any node whose structure or reference count changed seeds
+// the closure, which marks its entire transitive fanout, root included.
+func Generate(g *aig.Graph, vecs *sim.Vectors, valid int, wcfg Config, rcfg resub.Config,
 	workers int, stale []bool, cached []resub.LAC) []resub.LAC {
 
-	if stale == nil || cached == nil {
-		return GenerateWorkers(g, vecs, valid, wcfg, rcfg, workers)
-	}
-	isStale := func(v aig.Node) bool {
-		return int(v) >= len(stale) || stale[v]
-	}
-	var ands, rescan []aig.Node
-	for v := aig.Node(1); int(v) < g.NumNodes(); v++ {
-		if !g.IsAnd(v) {
-			continue
-		}
-		ands = append(ands, v)
-		if isStale(v) {
-			rescan = append(rescan, v)
-		}
-	}
-	fresh := generateOver(g, vecs, valid, wcfg, rcfg, workers, rescan)
-	return resub.MergeByNode(ands, isStale, cached, fresh)
+	levels, fanout := g.Levels(), g.RefCounts()
+	return resub.Scan(g, vecs, valid, rcfg, workers, stale, cached, func() resub.Source {
+		return &source{ex: NewExtractor(g, wcfg, levels, fanout), desc: rcfg.DescendingLevels}
+	})
 }
 
-// winState is the per-worker scratch of the windowed scan.
-type winState struct {
+// source is the windowed resub.Source: each root's pool is the divisor pool
+// of its window, in the level order the cone source uses.
+type source struct {
 	ex   *Extractor
-	sc   *resub.Scanner
-	desc bool
-	refs []int32 // mutable reference counts for the window-MFFC computation
+	desc bool // resub.Config.DescendingLevels
 }
 
-func newWinState(g *aig.Graph, vecs *sim.Vectors, valid int, wcfg Config, rcfg resub.Config,
-	levels, fanout, refs []int32) *winState {
-
-	return &winState{
-		ex:   NewExtractor(g, wcfg, levels, fanout),
-		sc:   resub.NewScanner(g, vecs, valid, rcfg),
-		desc: rcfg.DescendingLevels,
-		refs: refs,
+// Pool implements resub.Source. A root Extract skips for its fanout yields
+// no pool, so the scan skips it too.
+func (s *source) Pool(root aig.Node, refs []int32) ([]aig.Node, int, bool) {
+	if s.ex.Extract(root) == nil {
+		return nil, 0, false
 	}
-}
-
-func (w *winState) appendRootLACs(lacs []resub.LAC, root aig.Node) []resub.LAC {
-	win := w.ex.Extract(root)
-	if win == nil {
-		return lacs
-	}
-	pool := w.ex.Divisors(w.desc)
-	mffc := w.ex.MFFCInWindow(w.refs)
-	return w.sc.ScanNode(lacs, root, pool, mffc)
-}
-
-// generateOver runs the windowed scan over an explicit, ascending root list.
-func generateOver(g *aig.Graph, vecs *sim.Vectors, valid int, wcfg Config, rcfg resub.Config,
-	workers int, roots []aig.Node) []resub.LAC {
-
-	levels := g.Levels()
-	fanout := g.RefCounts()
-	workers = sim.Workers(workers, len(roots))
-	if workers <= 1 {
-		// Sequential: the MFFC computation restores the counts after every
-		// root, so the shared fanout slice doubles as the mutable copy.
-		st := newWinState(g, vecs, valid, wcfg, rcfg, levels, fanout, fanout)
-		var lacs []resub.LAC
-		for _, v := range roots {
-			lacs = st.appendRootLACs(lacs, v)
-		}
-		return lacs
-	}
-
-	// Window work is bounded per root, so chunks can be larger than the
-	// global scan's without imbalance; chunk outputs merge in index order.
-	const chunkRoots = 64
-	nChunks := (len(roots) + chunkRoots - 1) / chunkRoots
-	results := make([][]resub.LAC, nChunks)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st := newWinState(g, vecs, valid, wcfg, rcfg, levels, fanout,
-				append([]int32(nil), fanout...))
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= nChunks {
-					return
-				}
-				lo := c * chunkRoots
-				hi := min(lo+chunkRoots, len(roots))
-				var lacs []resub.LAC
-				for _, v := range roots[lo:hi] {
-					lacs = st.appendRootLACs(lacs, v)
-				}
-				results[c] = lacs
-			}
-		}()
-	}
-	wg.Wait()
-
-	total := 0
-	for _, r := range results {
-		total += len(r)
-	}
-	out := make([]resub.LAC, 0, total)
-	for _, r := range results {
-		out = append(out, r...)
-	}
-	return out
+	pool := s.ex.Divisors(s.desc)
+	return pool, s.ex.MFFCInWindow(refs), true
 }

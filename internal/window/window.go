@@ -17,10 +17,14 @@
 // node on the window's input stimuli (the leaves' arena words) equals its
 // global function on the circuit stimuli, so the arena words of the window
 // nodes ARE the local simulation — reused, not recomputed, which keeps
-// local patterns bitwise consistent with global ones. Candidate generation
-// over the window divisor pool runs through resub.Scanner, the same kernel
-// as the global path: a window that reaches the circuit PIs produces
-// bitwise-identical candidates (see the equivalence property test).
+// local patterns bitwise consistent with global ones.
+//
+// A window is only a divisor source: Generate runs resub.Scan — the one
+// candidate driver and kernel, shared with the global path — and supplies
+// each root's window pool and window-bounded MFFC in place of its TFI cone
+// and full MFFC. A window that reaches the circuit PIs therefore produces
+// bitwise-identical candidates (see the equivalence property test). Flows
+// use the constant DefaultConfig bounds; other bounds are for Go callers.
 package window
 
 import (

@@ -48,10 +48,10 @@ func TestWindowedEqualsGlobal(t *testing.T) {
 		pats := sim.UniformN(g.NumPIs(), 64, 11)
 		vecs := sim.Simulate(g, pats)
 		for ci, rcfg := range configs {
-			want := resub.GenerateWorkers(g, vecs, pats.Valid, rcfg, 1)
+			want := resub.Generate(g, vecs, pats.Valid, rcfg, 1, nil, nil)
 			total += len(want)
 			for _, workers := range []int{1, 2, 4} {
-				got := GenerateWorkers(g, vecs, pats.Valid, Config{}, rcfg, workers)
+				got := Generate(g, vecs, pats.Valid, Config{}, rcfg, workers, nil, nil)
 				if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
 					t.Errorf("%s cfg %d workers %d: windowed full-PI scan diverged from global generation (%d vs %d candidates)",
 						c.name, ci, workers, len(got), len(want))
@@ -176,9 +176,9 @@ func TestExtractSkipsAndCaps(t *testing.T) {
 
 // TestWindowedGenerateReuse drives random in-place replacement sequences
 // through the windowed generator with bounded windows: after each commit,
-// GenerateReuse with the stale closure and the previous candidate list must
-// reproduce a from-scratch GenerateWorkers run exactly, while actually
-// sparing unstale nodes.
+// Generate with the stale closure and the previous candidate list must
+// reproduce a from-scratch full scan exactly, while actually sparing unstale
+// nodes.
 func TestWindowedGenerateReuse(t *testing.T) {
 	rcfg := resub.DefaultConfig()
 	wcfg := Config{MaxPIs: 5, MaxNodes: 12, MaxDivisors: 20}
@@ -188,7 +188,7 @@ func TestWindowedGenerateReuse(t *testing.T) {
 			g := genTestGraph(rng, 8, 60)
 			pats := sim.Uniform(g.NumPIs(), 2, seed+300)
 			arena := sim.NewArena(g, pats, workers)
-			cache := GenerateWorkers(g, arena.Vectors(), pats.Valid, wcfg, rcfg, workers)
+			cache := Generate(g, arena.Vectors(), pats.Valid, wcfg, rcfg, workers, nil, nil)
 			reused := false
 			for step := 0; step < 12; step++ {
 				ands := liveAndNodes(g)
@@ -202,8 +202,8 @@ func TestWindowedGenerateReuse(t *testing.T) {
 				arena.Update()
 
 				stale := g.StaleClosure(epochs, touched)
-				got := GenerateReuse(g, arena.Vectors(), pats.Valid, wcfg, rcfg, workers, stale, cache)
-				want := GenerateWorkers(g, arena.Vectors(), pats.Valid, wcfg, rcfg, workers)
+				got := Generate(g, arena.Vectors(), pats.Valid, wcfg, rcfg, workers, stale, cache)
+				want := Generate(g, arena.Vectors(), pats.Valid, wcfg, rcfg, workers, nil, nil)
 				if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
 					t.Fatalf("workers %d seed %d step %d: windowed reuse diverged from full generation",
 						workers, seed, step)
@@ -230,12 +230,12 @@ func TestGenerateReuseDegradesToFull(t *testing.T) {
 	vecs := sim.Simulate(g, pats)
 	defer vecs.Release()
 	wcfg, rcfg := DefaultConfig(), resub.DefaultConfig()
-	want := GenerateWorkers(g, vecs, pats.Valid, wcfg, rcfg, 1)
-	if got := GenerateReuse(g, vecs, pats.Valid, wcfg, rcfg, 1, nil, want); !reflect.DeepEqual(got, want) {
+	want := Generate(g, vecs, pats.Valid, wcfg, rcfg, 1, nil, nil)
+	if got := Generate(g, vecs, pats.Valid, wcfg, rcfg, 1, nil, want); !reflect.DeepEqual(got, want) {
 		t.Fatal("nil stale mask did not degrade to a full scan")
 	}
 	stale := make([]bool, g.NumNodes())
-	if got := GenerateReuse(g, vecs, pats.Valid, wcfg, rcfg, 1, stale, nil); !reflect.DeepEqual(got, want) {
+	if got := Generate(g, vecs, pats.Valid, wcfg, rcfg, 1, stale, nil); !reflect.DeepEqual(got, want) {
 		t.Fatal("nil cache did not degrade to a full scan")
 	}
 }

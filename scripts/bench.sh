@@ -2,12 +2,18 @@
 # bench.sh — run the core benchmarks (simulation, candidate generation,
 # optimizer script, candidate ranking, end-to-end flow, service job
 # throughput, cluster dispatch) and record ns/op, B/op and allocs/op as JSON.
-# Usage: scripts/bench.sh [out.json]; BENCHTIME overrides the per-benchmark
-# time (default 1s).
+# Usage: scripts/bench.sh OUT.json; BENCHTIME overrides the per-benchmark
+# time (default 1s). The output path is required: benchcheck.sh gates on the
+# committed BENCH_*.json records, so a run must never overwrite one by
+# default.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_PR4.json}"
+if [[ $# -lt 1 ]]; then
+    echo "usage: scripts/bench.sh OUT.json" >&2
+    exit 2
+fi
+out="$1"
 benchtime="${BENCHTIME:-1s}"
 
 tmp="$(mktemp)"

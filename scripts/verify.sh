@@ -1,16 +1,23 @@
 #!/usr/bin/env bash
-# Tier-1 verification: build, vet, the project's own analyzer suite (all
+# Tier-1 verification: build, vet, gofmt, the project's own analyzer suite (all
 # seven rules — determinism, concurrency, tailmask, plus the
 # interprocedural allocflow, leaks, ctxflow and errwrap on the shared
 # dataflow engine), the full test suite, the race detector over the
 # concurrency-bearing packages, and a short fuzz smoke over the
 # property-tested kernels. Any failure is fatal (set -e): a vet finding, an
-# alsraclint diagnostic, a race, or a fuzz counterexample all fail the gate.
+# unformatted file, an alsraclint diagnostic, a race, or a fuzz
+# counterexample all fail the gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+    echo "gofmt -l lists unformatted files:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 go run ./cmd/alsraclint ./...
 go test ./...
 go test -race ./internal/wordops ./internal/sim ./internal/resub ./internal/window ./internal/errest ./internal/core ./internal/exact ./internal/exact/sat ./internal/obs ./internal/service ./internal/faultfs ./internal/cluster
