@@ -155,7 +155,9 @@ func BenchmarkAblationDivisorOrder(b *testing.B) {
 
 // BenchmarkAblationBatchVsNaive measures the batch error estimator (Su
 // DAC'18, reused by ALSRAC) against naive per-candidate resimulation —
-// the speedup the paper attributes to batching.
+// the speedup the paper attributes to batching. Each batch iteration pays
+// the estimator's setup too: it simulates the circuit into a fresh arena,
+// ranks every candidate against it and releases both.
 func BenchmarkAblationBatchVsNaive(b *testing.B) {
 	g := opt.Optimize(bench.CLA(32))
 	pats := sim.Uniform(g.NumPIs(), 32, 5) // 2048 patterns
@@ -169,7 +171,8 @@ func BenchmarkAblationBatchVsNaive(b *testing.B) {
 
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			batch := errest.NewBatch(ev, g, pats)
+			arena := sim.NewArena(g, pats, 1)
+			batch := errest.NewBatch(ev, arena)
 			buf := make([]uint64, pats.Words)
 			var prepared aig.Node = -1
 			for j := range lacs {
@@ -180,6 +183,8 @@ func BenchmarkAblationBatchVsNaive(b *testing.B) {
 				lacs[j].EvalVec(batch.Vectors(), buf)
 				_ = batch.EvalCandidate(lacs[j].Node, buf)
 			}
+			batch.Release()
+			arena.Release()
 		}
 		b.ReportMetric(float64(len(lacs)), "candidates")
 	})

@@ -4,11 +4,9 @@ package aig
 // steady stream of in-place substitutions allocates nothing once the buffers
 // have grown to the graph size.
 type replaceScratch struct {
-	foStart  []int32 // CSR fanout adjacency over the pre-replacement graph
-	foList   []int32
+	fo       FanoutIndex // over the pre-replacement graph
+	queue    EventQueue
 	sub      []Lit // old node -> replacement literal (litUnset when none)
-	heap     []int32
-	inHeap   []bool
 	refs     []int32
 	replaced []Node // old nodes with a sub entry, ascending id
 	created  []Node // nodes returned by And() during the walk
@@ -47,13 +45,12 @@ func (g *Graph) ReplaceNode(v Node, l Lit, touched *[]Node) {
 	}
 	n := g.NumNodes()
 	s := &g.repl
-	s.buildFanouts(g, n)
-	s.sub = growLits(s.sub, n)
+	s.fo.Build(g)
+	s.queue.Reset(n)
+	s.sub = grow(s.sub, n)
 	for i := range s.sub {
 		s.sub[i] = litUnset
 	}
-	s.heap = s.heap[:0]
-	s.inHeap = growBools(s.inHeap, n)
 	s.replaced = s.replaced[:0]
 	s.created = s.created[:0]
 
@@ -66,16 +63,17 @@ func (g *Graph) ReplaceNode(v Node, l Lit, touched *[]Node) {
 	s.sub[v] = l
 	s.replaced = append(s.replaced, v)
 	note(l.Node())
-	s.pushFanouts(v)
+	s.queue.PushFanouts(&s.fo, v)
 
 	// Event-driven rebuild of the dirty TFO slice: pop old node ids in
 	// ascending (topological) order, remap each popped node's fanins through
 	// sub, and create the remapped node — And() strash-shares, folds trivial
 	// identities, and recycles free slots whose id respects the topological
 	// order. New references created here keep shared logic alive through the
-	// dead sweep below.
-	for len(s.heap) > 0 {
-		a := Node(s.popMin())
+	// dead sweep below. Only old slots appear in the index, so freshly
+	// created or recycled nodes are never queued.
+	for s.queue.Len() > 0 {
+		a := s.queue.Pop()
 		if g.kind[a] != KindAnd {
 			continue
 		}
@@ -95,7 +93,7 @@ func (g *Graph) ReplaceNode(v Node, l Lit, touched *[]Node) {
 			note(g.fanin0[nl.Node()].Node())
 			note(g.fanin1[nl.Node()].Node())
 		}
-		s.pushFanouts(a)
+		s.queue.PushFanouts(&s.fo, a)
 	}
 
 	for i, po := range g.pos {
@@ -110,10 +108,8 @@ func (g *Graph) ReplaceNode(v Node, l Lit, touched *[]Node) {
 	// into its fanin cone (the MFFC of the change). Replaced nodes that
 	// gained new references — strash hits resurrecting shared structure —
 	// survive; so do ex-MFFC nodes referenced by the replacement cover.
-	s.refs = growI32(s.refs, g.NumNodes())
-	for i := range s.refs {
-		s.refs[i] = 0
-	}
+	s.refs = grow(s.refs, g.NumNodes())
+	clear(s.refs)
 	for m := Node(1); int(m) < g.NumNodes(); m++ {
 		if g.kind[m] == KindAnd {
 			s.refs[g.fanin0[m].Node()]++
@@ -165,10 +161,8 @@ func (g *Graph) ReplaceNode(v Node, l Lit, touched *[]Node) {
 func (g *Graph) CollectGarbage(touched *[]Node) int {
 	s := &g.repl
 	n := g.NumNodes()
-	s.refs = growI32(s.refs, n)
-	for i := range s.refs {
-		s.refs[i] = 0
-	}
+	s.refs = grow(s.refs, n)
+	clear(s.refs)
 	for m := Node(1); int(m) < n; m++ {
 		if g.kind[m] == KindAnd {
 			s.refs[g.fanin0[m].Node()]++
@@ -263,107 +257,4 @@ func (s *replaceScratch) mapLit(f Lit) Lit {
 		return t.NotCond(f.IsCompl())
 	}
 	return f
-}
-
-// buildFanouts computes the CSR fanout adjacency of the n pre-replacement
-// slots into the persistent scratch arrays.
-//
-//alsrac:hotpath
-func (s *replaceScratch) buildFanouts(g *Graph, n int) {
-	s.foStart = growI32(s.foStart, n+1)
-	for i := range s.foStart {
-		s.foStart[i] = 0
-	}
-	for m := Node(1); int(m) < n; m++ {
-		if g.kind[m] != KindAnd {
-			continue
-		}
-		s.foStart[g.fanin0[m].Node()+1]++
-		s.foStart[g.fanin1[m].Node()+1]++
-	}
-	for i := 1; i <= n; i++ {
-		s.foStart[i] += s.foStart[i-1]
-	}
-	s.foList = growI32(s.foList, int(s.foStart[n]))
-	s.refs = growI32(s.refs, n) // reused as the CSR fill cursor here
-	copy(s.refs, s.foStart[:n])
-	for m := Node(1); int(m) < n; m++ {
-		if g.kind[m] != KindAnd {
-			continue
-		}
-		for _, f := range [2]Node{g.fanin0[m].Node(), g.fanin1[m].Node()} {
-			s.foList[s.refs[f]] = int32(m)
-			s.refs[f]++
-		}
-	}
-}
-
-// pushFanouts queues the pre-replacement AND fanouts of n onto the min-heap,
-// each at most once. Only old slots appear in the adjacency, so freshly
-// created or recycled nodes are never queued.
-//
-//alsrac:hotpath
-func (s *replaceScratch) pushFanouts(n Node) {
-	for _, m := range s.foList[s.foStart[n]:s.foStart[n+1]] {
-		if s.inHeap[m] {
-			continue
-		}
-		s.inHeap[m] = true
-		s.heap = append(s.heap, m)
-		for i := len(s.heap) - 1; i > 0; {
-			p := (i - 1) / 2
-			if s.heap[p] <= s.heap[i] {
-				break
-			}
-			s.heap[p], s.heap[i] = s.heap[i], s.heap[p]
-			i = p
-		}
-	}
-}
-
-//alsrac:hotpath
-func (s *replaceScratch) popMin() int32 {
-	m := s.heap[0]
-	last := len(s.heap) - 1
-	s.heap[0] = s.heap[last]
-	s.heap = s.heap[:last]
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < last && s.heap[l] < s.heap[small] {
-			small = l
-		}
-		if r < last && s.heap[r] < s.heap[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		s.heap[i], s.heap[small] = s.heap[small], s.heap[i]
-		i = small
-	}
-	s.inHeap[m] = false
-	return m
-}
-
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		//alsrac:alloc-ok amortized capacity growth; recycled scratch makes steady-state calls allocation-free
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
-}
-
-func growLits(s []Lit, n int) []Lit {
-	if cap(s) < n {
-		return make([]Lit, n)
-	}
-	return s[:n]
 }

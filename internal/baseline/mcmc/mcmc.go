@@ -85,7 +85,11 @@ func Run(g *aig.Graph, o Options) Result {
 	temp := o.InitTemp
 
 	res := Result{}
-	batch := errest.NewBatch(ev, cur, pats)
+	// One arena holds the simulation of the current circuit that every
+	// proposal is ranked against; an accepted move rebinds it to the new
+	// circuit. The batch borrows the arena, so it is released first.
+	arena := sim.NewArena(cur, pats, 1)
+	batch := errest.NewBatch(ev, arena)
 	sinceOpt := 0
 
 	for res.Proposed < o.Proposals {
@@ -152,13 +156,18 @@ func Run(g *aig.Graph, o Options) Result {
 			cur = opt.Optimize(cur)
 			sinceOpt = 0
 		}
-		batch = errest.NewBatch(ev, cur, pats)
+		batch.Release()
+		arena.Rebind(cur, pats)
+		batch = errest.NewBatch(ev, arena)
 
 		if cur.NumAnds() < bestArea && batch.CurrentError() <= o.Threshold {
 			best = cur
 			bestArea = cur.NumAnds()
 		}
 	}
+
+	batch.Release()
+	arena.Release()
 
 	best = opt.Optimize(best)
 	res.Graph = best

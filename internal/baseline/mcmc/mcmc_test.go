@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/aig"
+	"repro/internal/bench"
 	"repro/internal/errest"
+	"repro/internal/opt"
 )
 
 func rippleAdder(n int) *aig.Graph {
@@ -106,5 +108,43 @@ func TestMCMCCertifiedAcceptance(t *testing.T) {
 	}
 	if cert.FinalError > o.Threshold {
 		t.Fatalf("certified run exceeded threshold")
+	}
+}
+
+// TestMCMCGolden pins two complete chains, one per metric of Tables VI and
+// VII, to their result graph, error and acceptance count. Every proposal
+// is scored by the batch estimator over the run's one simulation arena,
+// which each accepted move rebinds; OptimizeEvery is small so the chains
+// also cross several periodic re-optimizations. A change here means
+// proposals are ranked differently, not just faster.
+func TestMCMCGolden(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		g         *aig.Graph
+		metric    errest.Metric
+		threshold float64
+		fp        uint64
+		finalErr  float64
+		accepted  int
+	}{
+		{"mtp4/ER", bench.ArrayMult(4), errest.ER, 0.1, 0xb3a8b45ddf82f77f, 0.09912109375, 10},
+		{"cla8/MRED", bench.CLA(8), errest.MRED, 0.05, 0x787363e6427bb305, 0.048080167898798765, 19},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			o := DefaultOptions(c.metric, c.threshold)
+			o.Proposals = 1000
+			o.EvalPatterns = 2048
+			o.OptimizeEvery = 4
+			res := Run(opt.Optimize(c.g), o)
+			if fp := aig.Fingerprint(res.Graph); fp != c.fp {
+				t.Errorf("fingerprint %#016x, want %#016x", fp, c.fp)
+			}
+			if res.FinalError != c.finalErr {
+				t.Errorf("final error %v, want %v", res.FinalError, c.finalErr)
+			}
+			if res.Accepted != c.accepted {
+				t.Errorf("accepted %d, want %d", res.Accepted, c.accepted)
+			}
+		})
 	}
 }

@@ -365,10 +365,11 @@ func RunCtx(ctx context.Context, g *aig.Graph, opts Options) Result {
 // or nil when there are no candidates. Candidates are grouped by node so
 // each node's fanout cone is re-simulated once (the batch estimation
 // trick); with workers > 1 the node groups are partitioned across worker
-// goroutines, each owning a Fork of the batch estimator. baseVecs, when
-// non-nil, is a caller-owned up-to-date simulation of cur on the
-// evaluation patterns (the incremental session's persistent arena), which
-// skips the full-circuit resimulation the batch setup otherwise performs.
+// goroutines, each owning a Fork of the batch estimator. arena is the
+// session's up-to-date simulation of the working graph on the evaluation
+// patterns; the batch borrows its vectors and fanout index, so a ranking
+// round neither resimulates the circuit nor rebuilds an index the arena
+// already holds.
 //
 // Evaluation is branch-and-bound: the smallest exact error seen by ANY
 // worker so far — published through an atomic — bounds every later
@@ -386,17 +387,12 @@ func RunCtx(ctx context.Context, g *aig.Graph, opts Options) Result {
 // Cancelling ctx stops the scan at the next group boundary; the caller
 // (Session.Step) detects ctx.Err and discards the partial ranking, so a
 // cancelled iteration commits nothing.
-func rankCandidates(ctx context.Context, ev *errest.Evaluator, cur *aig.Graph, evalPats *sim.Patterns, baseVecs *sim.Vectors, cands []Candidate, workers int) *Candidate {
+func rankCandidates(ctx context.Context, ev *errest.Evaluator, arena *sim.Arena, cands []Candidate, workers int) *Candidate {
 	if len(cands) == 0 {
 		return nil
 	}
 	slices.SortStableFunc(cands, func(a, b Candidate) int { return int(a.Node) - int(b.Node) })
-	var batch *errest.Batch
-	if baseVecs != nil {
-		batch = errest.NewBatchVecs(ev, cur, baseVecs)
-	} else {
-		batch = errest.NewBatchWorkers(ev, cur, evalPats, workers)
-	}
+	batch := errest.NewBatch(ev, arena)
 	defer batch.Release()
 
 	// Group boundaries: candidates sharing a node form one work unit.

@@ -260,7 +260,7 @@ func (s *Session) Step(ctx context.Context) (Event, error) {
 		return ev, nil
 	}
 
-	bestCand := rankCandidates(ctx, s.ev, s.cur, s.evalPats, s.evalArena.Vectors(), cands, s.workers)
+	bestCand := rankCandidates(ctx, s.ev, s.evalArena, cands, s.workers)
 	if err := ctx.Err(); err != nil {
 		// Ranking was cut short; nothing has been committed. (The care
 		// reroll and generator cache refresh above are idempotent: a later

@@ -20,10 +20,14 @@ import (
 // reconvergence included — and matches the accuracy of per-candidate
 // resimulation, as the paper notes.
 //
-// A Batch is confined to one goroutine, but Fork returns additional views
-// that share the (read-only) base simulation while owning their own
-// re-simulation state, so disjoint candidate subsets can be ranked
-// concurrently.
+// A Batch ranks against a sim.Arena's simulation of the current circuit on
+// the evaluation patterns, and borrows the arena's vectors, fanout index
+// and an event queue through its sim.Resimulator: setting up a ranking
+// round simulates nothing, and builds the fanout index only when the arena
+// has none for its graph yet. A Batch is confined to one goroutine, but
+// Fork returns additional views that share the (read-only) base simulation
+// and index while owning their own re-simulation state and queue, so
+// disjoint candidate subsets can be ranked concurrently.
 type Batch struct {
 	Eval *Evaluator
 
@@ -39,40 +43,21 @@ type Batch struct {
 
 	prepared aig.Node
 	isFork   bool
-	borrowed bool // vecs owned by the caller, not released here
 }
 
-// NewBatch simulates the current circuit g on patterns p and prepares batch
-// estimation against the given evaluator (whose golden values come from the
-// original circuit).
-func NewBatch(ev *Evaluator, g *aig.Graph, p *sim.Patterns) *Batch {
-	return NewBatchWorkers(ev, g, p, 1)
-}
-
-// NewBatchWorkers is NewBatch with the base simulation sharded over the
-// given number of worker goroutines (0 = GOMAXPROCS).
-func NewBatchWorkers(ev *Evaluator, g *aig.Graph, p *sim.Patterns, workers int) *Batch {
-	return newBatch(ev, g, sim.SimulateWorkers(g, p, workers), false)
-}
-
-// NewBatchVecs prepares batch estimation on top of an existing simulation
-// of g — typically a persistent sim.Arena kept incrementally up to date
-// across flow iterations, which turns the full-circuit resimulation that
-// NewBatchWorkers performs on every ranking round into a no-op. The vectors
-// stay owned by the caller: Release leaves them untouched, and they must
-// outlive the batch and every fork.
-func NewBatchVecs(ev *Evaluator, g *aig.Graph, vecs *sim.Vectors) *Batch {
-	return newBatch(ev, g, vecs, true)
-}
-
-func newBatch(ev *Evaluator, g *aig.Graph, vecs *sim.Vectors, borrowed bool) *Batch {
+// NewBatch prepares batch estimation against the given evaluator (whose
+// golden values come from the original circuit) over the arena's current
+// simulation of its graph. The arena must be up to date, and the batch and
+// every fork must be released before the arena's next Update, Rebind or
+// Release.
+func NewBatch(ev *Evaluator, arena *sim.Arena) *Batch {
+	g, vecs := arena.Graph(), arena.Vectors()
 	b := &Batch{
 		Eval:     ev,
 		g:        g,
 		vecs:     vecs,
-		resim:    sim.NewResimulator(g, vecs),
+		resim:    sim.NewResimulator(arena),
 		prepared: -1,
-		borrowed: borrowed,
 	}
 	b.cur, b.curFlat = allocPO(g.NumPOs(), vecs.Words)
 	b.flipped, b.flipFlat = allocPO(g.NumPOs(), vecs.Words)
@@ -102,10 +87,11 @@ func (b *Batch) Fork() *Batch {
 	return f
 }
 
-// Release returns the batch's buffers to the shared word pool. A fork
-// releases only its private state; the root batch also releases the base
-// simulation (so every fork must be released first). The Batch must not be
-// used afterwards.
+// Release returns the batch's buffers to the shared word pool; the base
+// simulation stays with the arena. A fork releases only its private state;
+// the root batch also releases the current PO words the forks share (so
+// every fork must be released first). The Batch must not be used
+// afterwards.
 func (b *Batch) Release() {
 	b.resim.Release()
 	releasePO(b.flipped, b.flipFlat)
@@ -114,9 +100,6 @@ func (b *Batch) Release() {
 	if !b.isFork {
 		releasePO(b.cur, b.curFlat)
 		b.cur, b.curFlat = nil, nil
-		if !b.borrowed {
-			b.vecs.Release()
-		}
 	}
 	b.vecs = nil
 }

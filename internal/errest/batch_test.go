@@ -47,7 +47,9 @@ func TestBatchForkMatchesRoot(t *testing.T) {
 		}
 	}
 
-	batch := NewBatch(ev, g, pats)
+	arena := sim.NewArena(g, pats, 1)
+	defer arena.Release()
+	batch := NewBatch(ev, arena)
 	want := make([]float64, len(cands))
 	for i := range cands {
 		batch.Prepare(candNode[i])

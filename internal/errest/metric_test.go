@@ -159,7 +159,8 @@ func TestBatchMatchesFullResimulation(t *testing.T) {
 	p := sim.Exhaustive(6)
 	for _, metric := range []Metric{ER, NMED, MRED} {
 		ev := NewEvaluator(g, p, metric)
-		b := NewBatch(ev, g, p)
+		arena := sim.NewArena(g, p, 1)
+		b := NewBatch(ev, arena)
 		if e := b.CurrentError(); e != 0 {
 			t.Fatalf("%v: current error of exact circuit = %v", metric, e)
 		}
@@ -191,6 +192,8 @@ func TestBatchMatchesFullResimulation(t *testing.T) {
 				t.Fatalf("%v node %d const0: batch %v, full %v", metric, n, got, want)
 			}
 		}
+		b.Release()
+		arena.Release()
 	}
 }
 
@@ -203,7 +206,10 @@ func TestBatchCumulativeAgainstOriginal(t *testing.T) {
 
 	// Apply: stuck carry-out at 0.
 	approx := g.CopyWith(map[aig.Node]aig.Lit{g.PO(2).Node(): aig.LitFalse.NotCond(g.PO(2).IsCompl())})
-	b := NewBatch(ev, approx, p)
+	arena := sim.NewArena(approx, p, 1)
+	defer arena.Release()
+	b := NewBatch(ev, arena)
+	defer b.Release()
 	base := b.CurrentError()
 	if base <= 0 {
 		t.Fatalf("expected nonzero cumulative error, got %v", base)

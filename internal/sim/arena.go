@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"sync"
+
 	"repro/internal/aig"
 	"repro/internal/wordops"
 )
@@ -25,13 +27,21 @@ type Arena struct {
 	vecs    *Vectors
 	epochs  []uint32 // graph epochs at last sync
 
-	// Update scratch, reused across calls so steady-state updates allocate
-	// nothing once grown to the graph size.
-	heap    []int32
-	inHeap  []bool
-	foStart []int32
-	foList  []int32
-	foFill  []int32
+	// The fanout index of the bound graph and the event queue of Update,
+	// both reused across calls so steady-state updates allocate nothing once
+	// grown to the graph size. A dirty Update rebuilds the index; after a
+	// Rebind it is built on first use (see fanouts), so an arena that is
+	// never resimulated from and never goes dirty never builds it.
+	fo    aig.FanoutIndex
+	foOK  bool // fo matches the bound graph
+	queue aig.EventQueue
+
+	// queues holds the event queues that released Resimulators handed back
+	// (a queue value carries its storage), lent again to the next ones, so
+	// ranking rounds allocate no queue once each worker has had one. Forks
+	// borrow concurrently, hence the lock.
+	queuesMu sync.Mutex
+	queues   []aig.EventQueue
 }
 
 // NewArena builds an arena bound to g and p and fully simulates it (with
@@ -51,8 +61,12 @@ func (a *Arena) Rebind(g *aig.Graph, p *Patterns) {
 	a.vecs.Release()
 	a.g, a.p = g, p
 	a.vecs = SimulateWorkers(g, p, a.workers)
+	a.foOK = false
 	a.syncEpochs()
 }
+
+// Graph returns the graph the arena is bound to.
+func (a *Arena) Graph() *aig.Graph { return a.g }
 
 // Vectors returns the arena's value vectors. The returned object is owned
 // by the arena: it is updated in place by Update and freed by Release.
@@ -86,50 +100,73 @@ func (a *Arena) Update() int {
 		a.epochs = append(a.epochs, 0)
 	}
 
-	// Seed the heap with every epoch-dirty live AND node. Recycled slots
+	// Seed the queue with every epoch-dirty live AND node. Recycled slots
 	// hold stale value words from their previous occupant; their fanouts are
 	// necessarily also epoch-dirty (an old node cannot reference a slot that
 	// was dead when it was built), so even a coincidental AndDiff match on
 	// garbage cannot mask a needed downstream update.
-	// inHeap is all-false between Updates (every push is matched by a pop
-	// that clears the flag), so growing without clearing is safe.
-	a.heap = a.heap[:0]
-	a.inHeap = growBools(a.inHeap, n)
+	a.queue.Reset(n)
 	dirty := false
 	for i := 0; i < n; i++ {
 		if a.epochs[i] != g.Epoch(aig.Node(i)) {
 			dirty = true
 			if g.IsAnd(aig.Node(i)) {
-				a.push(int32(i))
+				a.queue.Push(aig.Node(i))
 			}
 		}
 	}
 	if !dirty {
 		return 0
 	}
-	a.buildFanouts()
+	a.fo.Build(g)
+	a.foOK = true
 
 	evals := 0
 	vecs := a.vecs
-	for len(a.heap) > 0 {
-		m := a.popMin()
-		node := aig.Node(m)
-		if !g.IsAnd(node) {
+	for a.queue.Len() > 0 {
+		m := a.queue.Pop()
+		if !g.IsAnd(m) {
 			continue
 		}
-		f0, f1 := g.Fanin0(node), g.Fanin1(node)
-		changed := wordops.AndDiff(vecs.Node(node),
+		f0, f1 := g.Fanin0(m), g.Fanin1(m)
+		changed := wordops.AndDiff(vecs.Node(m),
 			vecs.Node(f0.Node()), vecs.Node(f1.Node()),
 			f0.IsCompl(), f1.IsCompl())
 		evals++
-		if changed || a.epochs[m] != g.Epoch(node) {
-			for _, fo := range a.foList[a.foStart[m]:a.foStart[m+1]] {
-				a.push(fo)
-			}
+		if changed || a.epochs[m] != g.Epoch(m) {
+			a.queue.PushFanouts(&a.fo, m)
 		}
 	}
 	a.syncEpochs()
 	return evals
+}
+
+// fanouts returns the fanout index of the bound graph as of the last
+// Update or Rebind, building it if that was a Rebind.
+func (a *Arena) fanouts() *aig.FanoutIndex {
+	if !a.foOK {
+		a.fo.Build(a.g)
+		a.foOK = true
+	}
+	return &a.fo
+}
+
+func (a *Arena) borrowQueue() aig.EventQueue {
+	a.queuesMu.Lock()
+	defer a.queuesMu.Unlock()
+	k := len(a.queues)
+	if k == 0 {
+		return aig.EventQueue{}
+	}
+	q := a.queues[k-1]
+	a.queues = a.queues[:k-1]
+	return q
+}
+
+func (a *Arena) returnQueue(q aig.EventQueue) {
+	a.queuesMu.Lock()
+	defer a.queuesMu.Unlock()
+	a.queues = append(a.queues, q)
 }
 
 func (a *Arena) syncEpochs() {
@@ -144,82 +181,6 @@ func (a *Arena) syncEpochs() {
 	}
 }
 
-// buildFanouts computes the CSR fanout adjacency of the bound graph into
-// the arena's scratch.
-//
-//alsrac:hotpath
-func (a *Arena) buildFanouts() {
-	g := a.g
-	n := g.NumNodes()
-	a.foStart = growI32Clear(a.foStart, n+1)
-	for m := aig.Node(1); int(m) < n; m++ {
-		if !g.IsAnd(m) {
-			continue
-		}
-		a.foStart[g.Fanin0(m).Node()+1]++
-		a.foStart[g.Fanin1(m).Node()+1]++
-	}
-	for i := 1; i <= n; i++ {
-		a.foStart[i] += a.foStart[i-1]
-	}
-	a.foList = growI32(a.foList, int(a.foStart[n]))
-	a.foFill = growI32(a.foFill, n)
-	copy(a.foFill, a.foStart[:n])
-	for m := aig.Node(1); int(m) < n; m++ {
-		if !g.IsAnd(m) {
-			continue
-		}
-		for _, f := range [2]aig.Node{g.Fanin0(m).Node(), g.Fanin1(m).Node()} {
-			a.foList[a.foFill[f]] = int32(m)
-			a.foFill[f]++
-		}
-	}
-}
-
-// push adds node m to the min-heap unless already queued.
-//
-//alsrac:hotpath
-func (a *Arena) push(m int32) {
-	if a.inHeap[m] {
-		return
-	}
-	a.inHeap[m] = true
-	a.heap = append(a.heap, m)
-	for i := len(a.heap) - 1; i > 0; {
-		p := (i - 1) / 2
-		if a.heap[p] <= a.heap[i] {
-			break
-		}
-		a.heap[p], a.heap[i] = a.heap[i], a.heap[p]
-		i = p
-	}
-}
-
-//alsrac:hotpath
-func (a *Arena) popMin() int32 {
-	m := a.heap[0]
-	last := len(a.heap) - 1
-	a.heap[0] = a.heap[last]
-	a.heap = a.heap[:last]
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < last && a.heap[l] < a.heap[small] {
-			small = l
-		}
-		if r < last && a.heap[r] < a.heap[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		a.heap[i], a.heap[small] = a.heap[small], a.heap[i]
-		i = small
-	}
-	a.inHeap[m] = false
-	return m
-}
-
 // EnsureNodes grows the vector storage to hold at least `nodes` node
 // vectors, preserving existing contents. Newly covered slots hold arbitrary
 // words until written.
@@ -232,27 +193,4 @@ func (v *Vectors) EnsureNodes(nodes int) {
 	copy(nf, v.flat)
 	wordops.Put(v.flat)
 	v.flat = nf
-}
-
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		//alsrac:alloc-ok amortized capacity growth; the arena reuses storage so steady-state calls are allocation-free
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growI32Clear(s []int32, n int) []int32 {
-	s = growI32(s, n)
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -133,8 +134,9 @@ func TestResimulatorEventDrivenMatchesFullRescan(t *testing.T) {
 			continue
 		}
 		p := Uniform(g.NumPIs(), 1+rng.Intn(4), int64(trial))
-		base := Simulate(g, p)
-		r := NewResimulator(g, base)
+		arena := NewArena(g, p, 1)
+		base := arena.Vectors()
+		r := NewResimulator(arena)
 		got := make([][]uint64, g.NumPOs())
 		want := make([][]uint64, g.NumPOs())
 		for i := range got {
@@ -166,7 +168,7 @@ func TestResimulatorEventDrivenMatchesFullRescan(t *testing.T) {
 			}
 		}
 		r.Release()
-		base.Release()
+		arena.Release()
 	}
 }
 
@@ -176,8 +178,9 @@ func TestResimulatorForkIndependence(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := randomAIG(rng, 6, 40, 3)
 	p := Uniform(g.NumPIs(), 2, 9)
-	base := Simulate(g, p)
-	r := NewResimulator(g, base)
+	arena := NewArena(g, p, 1)
+	base := arena.Vectors()
+	r := NewResimulator(arena)
 	f := r.Fork()
 
 	var n1, n2 aig.Node
@@ -232,7 +235,124 @@ func TestResimulatorForkIndependence(t *testing.T) {
 	}
 	f.Release()
 	r.Release()
-	base.Release()
+	arena.Release()
+}
+
+// TestBorrowedResimulatorMatchesFreshArena: a Resimulator borrows its
+// arena's vectors and fanout index. After a run of in-place commits (which
+// leave dead and recycled slots) and one Update, and again after a Rebind
+// to a different graph, the borrowed Resimulator and a Fork of it must
+// produce the PO words of a Resimulator built from a fresh arena on the
+// same graph, and those of the full-rescan reference.
+func TestBorrowedResimulatorMatchesFreshArena(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	dead := 0
+	for trial := 0; trial < 12; trial++ {
+		g := randomAIG(rng, 6+rng.Intn(4), 40+rng.Intn(80), 1+rng.Intn(4))
+		p := Uniform(g.NumPIs(), 1+rng.Intn(3), int64(trial))
+		arena := NewArena(g, p, 1+trial%2)
+		// Borrow once up front, so the index exists and Update must rebuild it.
+		NewResimulator(arena).Release()
+		for step := 0; step < 10; step++ {
+			randomCommit(rng, g)
+		}
+		for n := aig.Node(1); int(n) < g.NumNodes(); n++ {
+			if g.Kind(n) == aig.KindDead {
+				dead++
+			}
+		}
+		arena.Update()
+		checkBorrowedResimulator(t, rng, fmt.Sprintf("trial %d after commits", trial), arena)
+
+		g2 := randomAIG(rng, g.NumPIs(), 40+rng.Intn(80), 1+rng.Intn(4))
+		arena.Rebind(g2, Uniform(g2.NumPIs(), 1+rng.Intn(3), int64(trial)+100))
+		checkBorrowedResimulator(t, rng, fmt.Sprintf("trial %d after rebind", trial), arena)
+		arena.Release()
+	}
+	if dead == 0 {
+		t.Fatal("the commits left no dead slots; the test does not exercise recycling")
+	}
+}
+
+// randomCommit replaces a random live AND node in place by a constant or by
+// a fresh AND of two older signals, which cannot depend on it.
+func randomCommit(rng *rand.Rand, g *aig.Graph) {
+	ands := liveAndNodes(g)
+	if len(ands) == 0 {
+		return
+	}
+	v := ands[rng.Intn(len(ands))]
+	pick := func() aig.Lit {
+		n := aig.Node(rng.Intn(int(v)))
+		for g.Kind(n) == aig.KindDead {
+			n--
+		}
+		return aig.MakeLit(n, rng.Intn(2) == 0)
+	}
+	l := aig.LitFalse
+	if rng.Intn(8) != 0 {
+		l = g.And(pick(), pick())
+	}
+	g.ReplaceNode(v, l, nil)
+}
+
+func checkBorrowedResimulator(t *testing.T, rng *rand.Rand, label string, arena *Arena) {
+	t.Helper()
+	g, words := arena.Graph(), arena.Vectors().Words
+	fresh := NewArena(g, arena.Patterns(), 1)
+	defer fresh.Release()
+	borrowed := NewResimulator(arena)
+	fork := borrowed.Fork()
+	ref := NewResimulator(fresh)
+	defer func() {
+		fork.Release()
+		borrowed.Release()
+		ref.Release()
+	}()
+	ands := liveAndNodes(g)
+	if len(ands) == 0 {
+		return
+	}
+	rows := func() [][]uint64 {
+		out := make([][]uint64, g.NumPOs())
+		for i := range out {
+			out[i] = make([]uint64, words)
+		}
+		return out
+	}
+	got, gotFork, want, rescan := rows(), rows(), rows(), rows()
+	for rep := 0; rep < 10; rep++ {
+		n := ands[rng.Intn(len(ands))]
+		newVec := make([]uint64, words)
+		for w := range newVec {
+			newVec[w] = rng.Uint64()
+		}
+		borrowed.Resimulate(n, newVec)
+		borrowed.POWordsInto(got)
+		fork.Resimulate(n, newVec)
+		fork.POWordsInto(gotFork)
+		ref.Resimulate(n, newVec)
+		ref.POWordsInto(want)
+		fullRescanResimulate(g, fresh.Vectors(), n, newVec, rescan)
+		for i := range want {
+			for w := range want[i] {
+				if got[i][w] != want[i][w] || gotFork[i][w] != want[i][w] || rescan[i][w] != want[i][w] {
+					t.Fatalf("%s: node %d PO %d word %d: borrowed %x, fork %x, fresh arena %x, full rescan %x",
+						label, n, i, w, got[i][w], gotFork[i][w], want[i][w], rescan[i][w])
+				}
+			}
+		}
+	}
+}
+
+func liveAndNodes(g *aig.Graph) []aig.Node {
+	var out []aig.Node
+	for n := aig.Node(1); int(n) < g.NumNodes(); n++ {
+		if g.IsAnd(n) {
+			out = append(out, n)
+		}
+	}
+	return out
 }
 
 // TestSimWorkersClamp pins the small-simulation fan-out skip: below the

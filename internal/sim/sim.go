@@ -332,87 +332,51 @@ func POWords(g *aig.Graph, v *Vectors) [][]uint64 {
 // Resimulate call per (node, replacement-vector) pair yields the exact
 // primary-output words the circuit would produce.
 //
-// The fanout adjacency of the graph is computed once at construction, so
-// Resimulate walks an event queue over the actual transitive fanout of the
-// changed node instead of scanning every node above it.
+// A Resimulator is created from an Arena and borrows the arena's vectors,
+// fanout index and one of its event queues, so Resimulate walks the actual
+// transitive fanout of the changed node instead of scanning every node
+// above it, and a Resimulator keeps no adjacency of its own.
 type Resimulator struct {
-	g    *aig.Graph
-	base *Vectors
-
-	// AND-node fanouts of every node in CSR form, shared across Forks.
-	foStart []int32
-	foList  []int32
+	arena *Arena
+	g     *aig.Graph
+	base  *Vectors
+	queue aig.EventQueue // lent by the arena until Release
 
 	// overlay[n] is non-nil when node n has a recomputed vector.
 	overlay [][]uint64
 	touched []int32
 	pool    [][]uint64
 
-	// Event queue: a binary min-heap of node ids, so fanouts are processed
-	// in topological (increasing-id) order and each at most once.
-	heap   []int32
-	inHeap []bool
-
-	// isFork marks Resimulators that share foStart/foList with their root;
-	// only the root returns the adjacency to the pool on Release.
-	isFork bool
+	// Forks run concurrently and are allocated back to back. The pad keeps
+	// every field above, which the walk rewrites on each push and pop, off
+	// the cache lines of the next Resimulator's fields.
+	_ [64]byte
 }
 
-// NewResimulator prepares incremental re-simulation over the given base
-// simulation of graph g.
-func NewResimulator(g *aig.Graph, base *Vectors) *Resimulator {
-	n := g.NumNodes()
-	start := wordops.GetI32(n + 1)
-	for i := range start {
-		start[i] = 0
-	}
-	for m := aig.Node(1); int(m) < n; m++ {
-		if !g.IsAnd(m) {
-			continue
-		}
-		start[g.Fanin0(m).Node()+1]++
-		start[g.Fanin1(m).Node()+1]++
-	}
-	for i := 1; i <= n; i++ {
-		start[i] += start[i-1]
-	}
-	list := wordops.GetI32(int(start[n]))
-	fill := wordops.GetI32(n)
-	copy(fill, start[:n])
-	for m := aig.Node(1); int(m) < n; m++ {
-		if !g.IsAnd(m) {
-			continue
-		}
-		for _, f := range [2]aig.Node{g.Fanin0(m).Node(), g.Fanin1(m).Node()} {
-			list[fill[f]] = int32(m)
-			fill[f]++
-		}
-	}
-	wordops.PutI32(fill)
-	return &Resimulator{
-		g: g, base: base, foStart: start, foList: list,
+// NewResimulator prepares incremental re-simulation over the arena's
+// current simulation of its graph. The arena must be up to date (Update
+// after every in-place edit), and the Resimulator and its Forks must be
+// released before the arena's next Update, Rebind or Release.
+func NewResimulator(a *Arena) *Resimulator {
+	a.fanouts() // built here, before any Fork can read it concurrently
+	return newResimulator(a)
+}
+
+// Fork returns a Resimulator over the same arena state as r with its own
+// overlay and event queue, so it can run on another goroutine concurrently
+// with r (the shared state is only read).
+func (r *Resimulator) Fork() *Resimulator { return newResimulator(r.arena) }
+
+func newResimulator(a *Arena) *Resimulator {
+	n := a.g.NumNodes()
+	r := &Resimulator{
+		arena: a, g: a.g, base: a.vecs, queue: a.borrowQueue(),
 		overlay: wordops.GetVecsZero(n),
 		touched: wordops.GetI32(n)[:0],
 		pool:    wordops.GetVecsZero(n)[:0],
-		heap:    wordops.GetI32(n)[:0],
-		inHeap:  wordops.GetBoolZero(n),
 	}
-}
-
-// Fork returns a Resimulator that shares the graph, base vectors and fanout
-// adjacency with r but owns its own overlay state, so it can run on another
-// goroutine concurrently with r (the base vectors are only read).
-func (r *Resimulator) Fork() *Resimulator {
-	n := r.g.NumNodes()
-	return &Resimulator{
-		g: r.g, base: r.base, foStart: r.foStart, foList: r.foList,
-		overlay: wordops.GetVecsZero(n),
-		touched: wordops.GetI32(n)[:0],
-		pool:    wordops.GetVecsZero(n)[:0],
-		heap:    wordops.GetI32(n)[:0],
-		inHeap:  wordops.GetBoolZero(n),
-		isFork:  true,
-	}
+	r.queue.Reset(n)
+	return r
 }
 
 func (r *Resimulator) get(n aig.Node) []uint64 {
@@ -440,9 +404,9 @@ func (r *Resimulator) Resimulate(n aig.Node, newVec []uint64) func(aig.Node) []u
 	copy(ov, newVec)
 	r.overlay[n] = ov
 	r.touched = append(r.touched, int32(n))
-	r.pushFanouts(n)
-	for len(r.heap) > 0 {
-		m := aig.Node(r.popMin())
+	r.queue.PushFanouts(&r.arena.fo, n)
+	for r.queue.Len() > 0 {
+		m := r.queue.Pop()
 		out := r.alloc()
 		evalAnd(r.g, m, r.get, out)
 		// Skip nodes whose value did not actually change: this prunes the
@@ -453,55 +417,9 @@ func (r *Resimulator) Resimulate(n aig.Node, newVec []uint64) func(aig.Node) []u
 		}
 		r.overlay[m] = out
 		r.touched = append(r.touched, int32(m))
-		r.pushFanouts(m)
+		r.queue.PushFanouts(&r.arena.fo, m)
 	}
 	return r.get
-}
-
-// pushFanouts queues the AND fanouts of n for re-evaluation. A node is
-// queued at most once: all its potential enqueuers have smaller ids, and
-// the heap pops ids in increasing order, so once a node is popped no later
-// event can target it again.
-func (r *Resimulator) pushFanouts(n aig.Node) {
-	for _, m := range r.foList[r.foStart[n]:r.foStart[n+1]] {
-		if r.inHeap[m] {
-			continue
-		}
-		r.inHeap[m] = true
-		r.heap = append(r.heap, m)
-		for i := len(r.heap) - 1; i > 0; {
-			p := (i - 1) / 2
-			if r.heap[p] <= r.heap[i] {
-				break
-			}
-			r.heap[p], r.heap[i] = r.heap[i], r.heap[p]
-			i = p
-		}
-	}
-}
-
-func (r *Resimulator) popMin() int32 {
-	m := r.heap[0]
-	last := len(r.heap) - 1
-	r.heap[0] = r.heap[last]
-	r.heap = r.heap[:last]
-	for i := 0; ; {
-		l, rr := 2*i+1, 2*i+2
-		small := i
-		if l < last && r.heap[l] < r.heap[small] {
-			small = l
-		}
-		if rr < last && r.heap[rr] < r.heap[small] {
-			small = rr
-		}
-		if small == i {
-			break
-		}
-		r.heap[i], r.heap[small] = r.heap[small], r.heap[i]
-		i = small
-	}
-	r.inHeap[m] = false
-	return m
 }
 
 // POWordsInto evaluates the primary output words under the current overlay,
@@ -521,10 +439,9 @@ func (r *Resimulator) reset() {
 	r.touched = r.touched[:0]
 }
 
-// Release returns the Resimulator's scratch vectors and scaffolding arrays
-// to the shared pools. The Resimulator must not be used afterwards; Forks
-// must be released before their root (the root owns the shared fanout
-// adjacency).
+// Release returns the Resimulator's scratch vectors and overlay rows to the
+// shared pools and its event queue to the arena. The Resimulator must not
+// be used afterwards.
 func (r *Resimulator) Release() {
 	r.reset()
 	for _, w := range r.pool {
@@ -533,12 +450,6 @@ func (r *Resimulator) Release() {
 	wordops.PutVecs(r.pool)
 	wordops.PutVecs(r.overlay) // all-nil after reset
 	wordops.PutI32(r.touched)
-	wordops.PutI32(r.heap) // empty: every Resimulate drains the queue
-	wordops.PutBool(r.inHeap)
-	r.pool, r.overlay, r.touched, r.heap, r.inHeap = nil, nil, nil, nil, nil
-	if !r.isFork {
-		wordops.PutI32(r.foStart)
-		wordops.PutI32(r.foList)
-		r.foStart, r.foList = nil, nil
-	}
+	r.arena.returnQueue(r.queue)
+	r.pool, r.overlay, r.touched, r.queue = nil, nil, nil, aig.EventQueue{}
 }

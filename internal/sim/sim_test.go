@@ -152,9 +152,11 @@ func TestResimulatorMatchesFullSim(t *testing.T) {
 	g.AddPO(g.Xor(f1, f2), "f2")
 
 	p := Exhaustive(3)
-	base := Simulate(g, p)
+	arena := NewArena(g, p, 1)
+	defer arena.Release()
+	base := arena.Vectors()
 
-	r := NewResimulator(g, base)
+	r := NewResimulator(arena)
 	flipped := make([]uint64, base.Words)
 	for i, w := range base.Node(ab.Node()) {
 		flipped[i] = ^w
@@ -196,8 +198,10 @@ func TestResimulatorReuse(t *testing.T) {
 	y := g.Or(a, b)
 	g.AddPO(g.Xor(x, y), "f")
 	p := Exhaustive(2)
-	base := Simulate(g, p)
-	r := NewResimulator(g, base)
+	arena := NewArena(g, p, 1)
+	defer arena.Release()
+	base := arena.Vectors()
+	r := NewResimulator(arena)
 
 	out := [][]uint64{make([]uint64, 1)}
 
@@ -233,8 +237,10 @@ func TestResimulateIdentityIsNoop(t *testing.T) {
 	x := g.And(a, b)
 	g.AddPO(x, "f")
 	p := Exhaustive(2)
-	base := Simulate(g, p)
-	r := NewResimulator(g, base)
+	arena := NewArena(g, p, 1)
+	defer arena.Release()
+	base := arena.Vectors()
+	r := NewResimulator(arena)
 	get := r.Resimulate(x.Node(), base.Node(x.Node()))
 	if get(x.Node())[0] != base.Node(x.Node())[0] {
 		t.Fatalf("identity resimulation changed values")
@@ -258,8 +264,10 @@ func TestResimulatorRandomVectorsProperty(t *testing.T) {
 		g.AddPO(lits[len(lits)-1-i], "f")
 	}
 	p := Exhaustive(5)
-	base := Simulate(g, p)
-	r := NewResimulator(g, base)
+	arena := NewArena(g, p, 1)
+	defer arena.Release()
+	base := arena.Vectors()
+	r := NewResimulator(arena)
 	out := make([][]uint64, g.NumPOs())
 	for i := range out {
 		out[i] = make([]uint64, base.Words)

@@ -191,9 +191,12 @@ func CoverScan(divs [][]uint64, dinv []uint64, tgt []uint64, tinv uint64, valid 
 // length up to the next power of two, so a buffer returned by put lands in
 // the bucket get draws from. Buckets are bounded so that transient bursts
 // cannot pin unbounded memory. Besides the value-word pool there are pools
-// for the graph-sized scaffolding of the incremental resimulator (int32
-// fanout lists and heaps, bool marks, overlay pointer rows), so a
-// per-iteration batch setup allocates nothing in steady state either.
+// for the per-round scaffolding of the incremental resimulator (int32
+// touched lists, vector pointer rows for its overlay and the batch
+// estimator's PO rows) and for the simulator's int32 shard bounds, so a
+// per-iteration batch setup allocates nothing in steady state either. The
+// fanout index and event queues it walks are not pooled: the simulation
+// arena owns them and keeps them across rounds.
 
 type bucket[T any] struct {
 	mu   sync.Mutex
@@ -270,10 +273,9 @@ func (p *pool[T]) put(s []T) {
 }
 
 var (
-	words    = pool[uint64]{elemShift: 3}
-	ints32   = pool[int32]{elemShift: 2}
-	booleans = pool[bool]{elemShift: 0}
-	vecPtrs  = pool[[]uint64]{elemShift: 3, clearOnPut: true} // header is 24 bytes; shift 3 is close enough
+	words   = pool[uint64]{elemShift: 3}
+	ints32  = pool[int32]{elemShift: 2}
+	vecPtrs = pool[[]uint64]{elemShift: 3, clearOnPut: true} // header is 24 bytes; shift 3 is close enough
 )
 
 // Get returns a word slice of length n drawn from the pool, allocating a
@@ -301,18 +303,6 @@ func GetI32(n int) []int32 { return ints32.get(n) }
 
 // PutI32 returns a slice obtained from GetI32 to the pool.
 func PutI32(s []int32) { ints32.put(s) }
-
-// GetBoolZero returns an all-false bool slice of length n from the pool.
-func GetBoolZero(n int) []bool {
-	s := booleans.get(n)
-	for i := range s {
-		s[i] = false
-	}
-	return s
-}
-
-// PutBool returns a slice obtained from GetBoolZero to the pool.
-func PutBool(s []bool) { booleans.put(s) }
 
 // GetVecsZero returns an all-nil slice of vector pointers of length n from
 // the pool — the overlay row of an incremental resimulation, or a batch

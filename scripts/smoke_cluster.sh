@@ -125,7 +125,8 @@ printf '%s' "$dup" | grep -q '"state": "done"' || { echo "duplicate not instantl
 did="$(printf '%s' "$dup" | sed -n 's/.*"id": "\(j[0-9]*\)".*/\1/p')"
 curl -sf "$base/jobs/$did/result" >"$dir/dup.aag"
 cmp "$dir/reference.aag" "$dir/dup.aag" || { echo "cache hit served different bytes"; exit 1; }
-curl -sf "$base/metrics" | grep -q '^alsrac_cluster_cache_hits_total 1$' || {
+metrics="$(curl -sf "$base/metrics")"
+printf '%s\n' "$metrics" | grep -q '^alsrac_cluster_cache_hits_total 1$' || {
     echo "cache-hit counter did not move"; exit 1; }
 echo "duplicate submission served from cache, bitwise identical"
 
