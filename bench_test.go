@@ -173,15 +173,18 @@ func BenchmarkAblationBatchVsNaive(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			arena := sim.NewArena(g, pats, 1)
 			batch := errest.NewBatch(ev, arena)
-			buf := make([]uint64, pats.Words)
-			var prepared aig.Node = -1
-			for j := range lacs {
-				if lacs[j].Node != prepared {
-					batch.Prepare(lacs[j].Node)
-					prepared = lacs[j].Node
+			// One unbounded Score call per run of candidates at one node.
+			for lo := 0; lo < len(lacs); {
+				hi := lo + 1
+				for hi < len(lacs) && lacs[hi].Node == lacs[lo].Node {
+					hi++
 				}
-				lacs[j].EvalVec(batch.Vectors(), buf)
-				_ = batch.EvalCandidate(lacs[j].Node, buf)
+				news := batch.Rows(hi - lo)
+				for j := lo; j < hi; j++ {
+					lacs[j].EvalVec(batch.Vectors(), news[j-lo])
+				}
+				_ = batch.Score(lacs[lo].Node, news, nil)
+				lo = hi
 			}
 			batch.Release()
 			arena.Release()

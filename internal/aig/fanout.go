@@ -1,5 +1,7 @@
 package aig
 
+import "math/bits"
+
 // FanoutIndex is a CSR index of the AND fanouts of every slot of a graph:
 // Of(n) lists, in ascending id order, the live AND nodes with a fanin on n.
 // It is a snapshot of the structure at the last Build; in-place edits leave
@@ -56,45 +58,48 @@ func (x *FanoutIndex) Of(n Node) []int32 {
 	return x.list[x.start[n]:x.start[n+1]]
 }
 
-// EventQueue is the event queue of a fanout walk: a binary min-heap of node
-// ids in which each node is queued at most once. Nodes pop in ascending id
-// order, which is a topological order, so a walk that only queues the
-// fanouts of the node it just popped visits every node after all of its
-// changed fanins and never sees a popped node again.
+// EventQueue is the event queue of a fanout walk: a bitset of node ids with
+// a forward cursor, in which each node is queued at most once. Pop returns
+// the smallest queued id, which is a topological order, so a walk that only
+// queues the fanouts of the node it just popped visits every node after all
+// of its changed fanins and never sees a popped node again. Such a walk
+// only pushes ids above the one it popped, and the cursor only moves
+// forward: one walk scans each bitset word at most once. A push below the
+// cursor (a caller seeding an arbitrary set, as Arena.Update does) lowers
+// the cursor, so the queue stays a correct min-queue for any push order.
 type EventQueue struct {
-	heap   []int32
-	queued []bool // queued[m]: m is in heap; all false while the queue is empty
+	bits []uint64 // bit m%64 of bits[m/64]: m is queued; all zero while the queue is empty
+	cur  int      // no bit is set in the words below bits[cur]
+	n    int      // number of queued ids
 }
 
-// Reset empties the queue and sizes it for node ids below n. The heap gets
-// capacity n, the most it can hold, so Push never allocates.
+// Reset empties the queue, including one a walk abandoned, and sizes it
+// for node ids below n. Push never allocates.
 func (q *EventQueue) Reset(n int) {
-	for _, m := range q.heap {
-		q.queued[m] = false
+	if q.n > 0 {
+		clear(q.bits)
 	}
-	q.heap = grow(q.heap, n)[:0]
-	q.queued = grow(q.queued, n)
+	// A drained queue leaves every bit zero and Reset keeps them so over
+	// the whole capacity, so re-slicing to a larger size needs no clear.
+	q.bits = grow(q.bits, (n+63)/64)
+	q.cur, q.n = 0, 0
 }
 
 // Len returns the number of queued nodes.
-func (q *EventQueue) Len() int { return len(q.heap) }
+func (q *EventQueue) Len() int { return q.n }
 
 // Push queues m unless it is already queued.
 //
 //alsrac:hotpath
 func (q *EventQueue) Push(m Node) {
-	if q.queued[m] {
+	i, bit := int(m)>>6, uint64(1)<<(uint(m)&63)
+	if q.bits[i]&bit != 0 {
 		return
 	}
-	q.queued[m] = true
-	q.heap = append(q.heap, int32(m))
-	for i := len(q.heap) - 1; i > 0; {
-		p := (i - 1) / 2
-		if q.heap[p] <= q.heap[i] {
-			break
-		}
-		q.heap[p], q.heap[i] = q.heap[i], q.heap[p]
-		i = p
+	q.bits[i] |= bit
+	q.n++
+	if i < q.cur {
+		q.cur = i
 	}
 }
 
@@ -112,27 +117,13 @@ func (q *EventQueue) PushFanouts(x *FanoutIndex, n Node) {
 //
 //alsrac:hotpath
 func (q *EventQueue) Pop() Node {
-	m := q.heap[0]
-	last := len(q.heap) - 1
-	q.heap[0] = q.heap[last]
-	q.heap = q.heap[:last]
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < last && q.heap[l] < q.heap[small] {
-			small = l
-		}
-		if r < last && q.heap[r] < q.heap[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		q.heap[i], q.heap[small] = q.heap[small], q.heap[i]
-		i = small
+	for q.bits[q.cur] == 0 {
+		q.cur++
 	}
-	q.queued[m] = false
-	return Node(m)
+	w := q.bits[q.cur]
+	q.bits[q.cur] = w & (w - 1)
+	q.n--
+	return Node(q.cur<<6 | bits.TrailingZeros64(w))
 }
 
 // grow returns s resized to length n, reusing its storage when it is large

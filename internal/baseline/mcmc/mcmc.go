@@ -91,6 +91,10 @@ func Run(g *aig.Graph, o Options) Result {
 	arena := sim.NewArena(cur, pats, 1)
 	batch := errest.NewBatch(ev, arena)
 	sinceOpt := 0
+	// The proposal's replacement vector, as the one candidate of each
+	// scoring call.
+	newVec := make([]uint64, pats.Words)
+	news := [][]uint64{newVec}
 
 	for res.Proposed < o.Proposals {
 		res.Proposed++
@@ -125,11 +129,9 @@ func Run(g *aig.Graph, o Options) Result {
 			sub = aig.MakeLit(s, rng.Intn(2) == 0)
 		}
 
-		// Estimate the error cheaply with the batch estimator.
-		batch.Prepare(v)
-		newVec := make([]uint64, pats.Words)
+		// Estimate the error cheaply with the batch estimator, unbounded.
 		batch.Vectors().LitInto(sub, newVec)
-		err := batch.EvalCandidate(v, newVec)
+		err := batch.Score(v, news, nil)[0]
 		if o.CertifyDelta > 0 {
 			if !ev.Certify(err, o.Threshold, o.CertifyDelta) {
 				continue

@@ -17,11 +17,12 @@ import (
 // borrows the arena's vectors and fanout index and simulates nothing. With
 // pooled buffers the steady-state allocation count per op stays near zero
 // (the candidate grouping, goroutine bookkeeping and each fork's event
-// queue remain).
+// queue remain). The workers=N cases rank by ER, as the windowed flows do;
+// the NMED/workers=N cases rank the same candidates by NMED, as the
+// arithmetic and certified flows do.
 func BenchmarkRankCandidates(b *testing.B) {
 	g := rippleAdder(32)
 	evalPats := sim.Uniform(g.NumPIs(), 64, 1) // 4096 patterns
-	ev := errest.NewEvaluator(g, evalPats, errest.ER)
 	arena := sim.NewArena(g, evalPats, 1)
 	defer arena.Release()
 
@@ -38,14 +39,21 @@ func BenchmarkRankCandidates(b *testing.B) {
 		b.Fatal("no candidates generated")
 	}
 
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = rankCandidates(context.Background(), ev, arena, cands, workers)
-			}
-			b.ReportMetric(float64(len(cands)), "candidates")
-		})
+	for _, metric := range []errest.Metric{errest.ER, errest.NMED} {
+		ev := errest.NewEvaluator(g, evalPats, metric)
+		prefix := ""
+		if metric != errest.ER {
+			prefix = metric.String() + "/"
+		}
+		for _, workers := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("%sworkers=%d", prefix, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					_ = rankCandidates(context.Background(), ev, arena, cands, workers)
+				}
+				b.ReportMetric(float64(len(cands)), "candidates")
+			})
+		}
 	}
 }
 

@@ -25,7 +25,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -37,7 +36,6 @@ import (
 	"repro/internal/resub"
 	"repro/internal/sim"
 	"repro/internal/window"
-	"repro/internal/wordops"
 )
 
 // Candidate is one local approximate change proposed by an
@@ -362,22 +360,25 @@ func RunCtx(ctx context.Context, g *aig.Graph, opts Options) Result {
 
 // rankCandidates estimates the error of every candidate with the batch
 // estimator and returns the best one (smallest error, then largest gain),
-// or nil when there are no candidates. Candidates are grouped by node so
-// each node's fanout cone is re-simulated once (the batch estimation
-// trick); with workers > 1 the node groups are partitioned across worker
-// goroutines, each owning a Fork of the batch estimator. arena is the
-// session's up-to-date simulation of the working graph on the evaluation
-// patterns; the batch borrows its vectors and fanout index, so a ranking
-// round neither resimulates the circuit nor rebuilds an index the arena
-// already holds.
+// or nil when there are no candidates. Candidates are grouped by node, and
+// each group is one errest.Batch.Score call, so each node's fanout cone is
+// re-simulated once (the batch estimation trick) — or, under a finite
+// bound, probed on one word and walked again only if a candidate survives
+// the probe. With workers > 1 the node groups are claimed off an atomic
+// counter by worker goroutines, each owning a Fork of the batch estimator;
+// with one worker the same loop runs inline on the root batch. arena is
+// the session's up-to-date simulation of the working graph on the
+// evaluation patterns; the batch borrows its vectors and fanout index, so
+// a ranking round neither resimulates the circuit nor rebuilds an index
+// the arena already holds.
 //
 // Evaluation is branch-and-bound: the smallest exact error seen by ANY
-// worker so far — published through an atomic — bounds every later
-// evaluation, so hopeless candidates abort at the first simulation word
-// that exceeds it and report +Inf. Which candidates get pruned depends on
-// scheduling, but the winner does not: a pruned candidate's error strictly
-// exceeds some exact error and therefore the global minimum, and a
-// candidate at least as good as the bound always gets its exact value (see
+// worker so far — the shared errest.Bound — bounds every later evaluation,
+// so hopeless candidates abort at the first simulation word that exceeds
+// it and report +Inf. Which candidates get pruned depends on scheduling,
+// but the winner does not: a pruned candidate's error strictly exceeds
+// some exact error and therefore the global minimum, and a candidate at
+// least as good as the bound always gets its exact value (see
 // errest.Evaluator.EvalPOWordsBounded), so every minimum-error candidate is
 // evaluated exactly. The reduction is a sequential scan with a fixed
 // tie-break (smallest error, then largest gain, then first in node order);
@@ -406,31 +407,27 @@ func rankCandidates(ctx context.Context, ev *errest.Evaluator, arena *sim.Arena,
 		lo = hi
 	}
 
-	if workers = sim.Workers(workers, len(groups)); workers <= 1 {
-		// Sequential scan: the pruning bound is a plain local, no atomics.
-		vecs := batch.Vectors()
-		buf := wordops.Get(vecs.Words)
-		bound := math.Inf(1)
-		for gi := 0; gi < len(groups) && ctx.Err() == nil; gi++ {
-			lo, hi := groups[gi][0], groups[gi][1]
-			batch.Prepare(cands[lo].Node)
-			for i := lo; i < hi; i++ {
-				c := &cands[i]
-				c.NewVec(vecs, buf)
-				c.Err = batch.EvalCandidateBounded(c.Node, buf, bound)
-				if c.Err < bound {
-					bound = c.Err
-				}
+	bound := errest.NewBound()
+	var next atomic.Int64
+	rank := func(b *errest.Batch) {
+		for {
+			gi := int(next.Add(1)) - 1
+			if gi >= len(groups) || ctx.Err() != nil {
+				return
+			}
+			group := cands[groups[gi][0]:groups[gi][1]]
+			news := b.Rows(len(group))
+			for i := range group {
+				group[i].NewVec(b.Vectors(), news[i])
+			}
+			for i, e := range b.Score(group[0].Node, news, bound) {
+				group[i].Err = e
 			}
 		}
-		wordops.Put(buf)
+	}
+	if workers = sim.Workers(workers, len(groups)); workers <= 1 {
+		rank(batch)
 	} else {
-		// The shared pruning bound, stored as float64 bits (see lowerBound):
-		// the smallest exact error any worker has published prunes every
-		// later evaluation on all workers.
-		var boundBits atomic.Uint64
-		boundBits.Store(math.Float64bits(math.Inf(1)))
-		var next atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
@@ -438,24 +435,7 @@ func rankCandidates(ctx context.Context, ev *errest.Evaluator, arena *sim.Arena,
 				defer wg.Done()
 				fork := batch.Fork()
 				defer fork.Release()
-				vecs := fork.Vectors()
-				buf := wordops.Get(vecs.Words)
-				defer wordops.Put(buf)
-				for {
-					gi := int(next.Add(1)) - 1
-					if gi >= len(groups) || ctx.Err() != nil {
-						return
-					}
-					lo, hi := groups[gi][0], groups[gi][1]
-					fork.Prepare(cands[lo].Node)
-					for i := lo; i < hi; i++ {
-						c := &cands[i]
-						c.NewVec(vecs, buf)
-						c.Err = fork.EvalCandidateBounded(c.Node, buf,
-							math.Float64frombits(boundBits.Load()))
-						lowerBound(&boundBits, c.Err)
-					}
-				}
+				rank(fork)
 			}()
 		}
 		wg.Wait()
@@ -469,18 +449,4 @@ func rankCandidates(ctx context.Context, ev *errest.Evaluator, arena *sim.Arena,
 		}
 	}
 	return best
-}
-
-// lowerBound CAS-mins e into the pruning bound. Errors are finite and
-// non-negative, so the loop converges; +Inf results never lower the bound.
-func lowerBound(bound *atomic.Uint64, e float64) {
-	for {
-		old := bound.Load()
-		if e >= math.Float64frombits(old) {
-			return
-		}
-		if bound.CompareAndSwap(old, math.Float64bits(e)) {
-			return
-		}
-	}
 }

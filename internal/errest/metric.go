@@ -180,21 +180,35 @@ func (e *Evaluator) EvalGraph(g *aig.Graph, p *sim.Patterns) float64 {
 // EvalFlipBounded computes the metric of the candidate outputs
 // ŷ_o = (y_o &^ c) | (yf_o & c) with c = old ⊕ new — the batch-estimation
 // merge — without materializing them, pruned by bound exactly like
-// EvalPOWordsBounded. Fusing the merge into the metric loop means a pruned
-// candidate aborts the merge too, and the merged words stay in registers
-// instead of a scratch buffer. The accumulation order matches
-// EvalPOWordsBounded word for word, so the result is bit-identical to
-// merging first and evaluating after.
+// EvalPOWordsBounded. The accumulation order matches EvalPOWordsBounded
+// word for word, so the result is bit-identical to merging first and
+// evaluating after. It is the reference the batch's differential kernels
+// are tested against, and the batch scores MRED, and NMED beyond the
+// integer limit (see intSums), with its word-range form flipSum.
 //
 //alsrac:hotpath
 func (e *Evaluator) EvalFlipBounded(y, yf [][]uint64, old, new []uint64, bound float64) float64 {
 	if len(y) != e.nPOs || len(yf) != e.nPOs {
 		panic("errest: PO count mismatch")
 	}
-	nPatF := float64(e.nPat)
+	sum, ok := e.flipSum(y, yf, old, new, 0, e.words, 0, bound)
+	if !ok {
+		return math.Inf(1)
+	}
+	return e.value(sum)
+}
+
+// flipSum adds the per-pattern errors of the merged candidate outputs on
+// words [lo, hi) to the running sum — bad-pattern counts for ER, error
+// distances for NMED and MRED — in the order EvalPOWordsBounded adds them.
+// It reports false as soon as the partial error value(sum) strictly
+// exceeds bound. A sum carried from [0, lo) therefore resumes the scoring
+// bit-identically.
+//
+//alsrac:hotpath
+func (e *Evaluator) flipSum(y, yf [][]uint64, old, new []uint64, lo, hi int, sum, bound float64) (float64, bool) {
 	if e.metric == ER {
-		bad := 0
-		for w := 0; w < e.words; w++ {
+		for w := lo; w < hi; w++ {
 			c := old[w] ^ new[w]
 			var acc uint64
 			for o := 0; o < e.nPOs; o++ {
@@ -204,19 +218,18 @@ func (e *Evaluator) EvalFlipBounded(y, yf [][]uint64, old, new []uint64, bound f
 			if w == e.words-1 {
 				acc &= e.tail
 			}
-			bad += bits.OnesCount64(acc)
-			if float64(bad)/nPatF > bound {
-				return math.Inf(1)
+			sum += float64(bits.OnesCount64(acc))
+			if e.value(sum) > bound {
+				return sum, false
 			}
 		}
-		return float64(bad) / nPatF
+		return sum, true
 	}
 
 	relative := e.metric == MRED
 	var valsArr [64]uint64
 	vals := valsArr[:]
-	sum := 0.0
-	for w := 0; w < e.words; w++ {
+	for w := lo; w < hi; w++ {
 		c := old[w] ^ new[w]
 		for b := range vals {
 			vals[b] = 0
@@ -227,48 +240,81 @@ func (e *Evaluator) EvalFlipBounded(y, yf [][]uint64, old, new []uint64, bound f
 				vals[bits.TrailingZeros64(word)] |= 1 << uint(o)
 			}
 		}
-		base := w * 64
-		hi := 64
-		if w == e.words-1 {
-			hi = e.nPat - base
+		base, valid := w*64, e.validIn(w)
+		for b := 0; b < valid; b++ {
+			sum += e.distance(vals[b], e.goldenVal[base+b], relative)
 		}
-		for b := 0; b < hi; b++ {
-			y := e.goldenVal[base+b]
-			yhat := vals[b]
-			var ed float64
-			if yhat >= y {
-				ed = float64(yhat - y)
-			} else {
-				ed = float64(y - yhat)
-			}
-			if relative {
-				den := float64(y)
-				if den < 1 {
-					den = 1
-				}
-				ed /= den
-			}
-			sum += ed
-		}
-		partial := sum / nPatF
-		if !relative {
-			partial /= e.maxVal
-		}
-		if partial > bound {
-			return math.Inf(1)
+		if e.value(sum) > bound {
+			return sum, false
 		}
 	}
-	mean := sum / nPatF
+	return sum, true
+}
+
+// value turns a sum of per-pattern errors into the metric: the sum over
+// the valid pattern count, and for NMED over the maximum output value too.
+// Every bounded scorer checks its partial sums with this same expression,
+// so that pruning never fires on a result that would end up ≤ bound.
+func (e *Evaluator) value(sum float64) float64 {
+	v := sum / float64(e.nPat)
+	if e.metric == NMED {
+		v /= e.maxVal
+	}
+	return v
+}
+
+// validIn returns the number of valid patterns in word w.
+func (e *Evaluator) validIn(w int) int {
+	if w == e.words-1 {
+		return e.nPat - w*64
+	}
+	return 64
+}
+
+// maskOf returns the mask of word w's valid patterns.
+func (e *Evaluator) maskOf(w int) uint64 {
+	if w == e.words-1 {
+		return e.tail
+	}
+	return ^uint64(0)
+}
+
+// distance is the error distance of output value yhat against golden
+// value y, relative to max(y, 1) for MRED.
+func (e *Evaluator) distance(yhat, y uint64, relative bool) float64 {
+	ed := float64(absDiff(yhat, y))
 	if relative {
-		return mean
+		den := float64(y)
+		if den < 1 {
+			den = 1
+		}
+		ed /= den
 	}
-	return mean / e.maxVal
+	return ed
+}
+
+func absDiff(a, b uint64) uint64 {
+	if a >= b {
+		return a - b
+	}
+	return b - a
+}
+
+// intSums reports whether NMED sums may be kept as integers: every partial
+// sum is at most nPat·(2^nPOs−1), and below 2^53 each is an integer that a
+// float64 holds exactly, so the float running sum of EvalPOWordsBounded
+// equals the integer sum bit for bit.
+func (e *Evaluator) intSums() bool {
+	if e.metric != NMED || e.nPOs == 0 {
+		return false
+	}
+	maxED := uint64(1)<<uint(e.nPOs) - 1 // all ones at 64 outputs
+	return uint64(e.nPat) <= (1<<53-1)/maxED
 }
 
 //alsrac:hotpath
 func (e *Evaluator) errorRate(approx [][]uint64, bound float64) float64 {
 	bad := 0
-	nPatF := float64(e.nPat)
 	for w := 0; w < e.words; w++ {
 		var acc uint64
 		for o := 0; o < e.nPOs; o++ {
@@ -278,11 +324,11 @@ func (e *Evaluator) errorRate(approx [][]uint64, bound float64) float64 {
 			acc &= e.tail // patterns beyond Valid never count
 		}
 		bad += bits.OnesCount64(acc)
-		if float64(bad)/nPatF > bound {
+		if e.value(float64(bad)) > bound {
 			return math.Inf(1)
 		}
 	}
-	return float64(bad) / nPatF
+	return e.value(float64(bad))
 }
 
 //alsrac:hotpath
@@ -291,47 +337,17 @@ func (e *Evaluator) meanED(approx [][]uint64, relative bool, bound float64) floa
 	var valsArr [64]uint64
 	vals := valsArr[:]
 	sum := 0.0
-	nPatF := float64(e.nPat)
 	for w := 0; w < e.words; w++ {
 		transposeWord(approx, w, vals)
-		base := w * 64
-		hi := 64
-		if w == e.words-1 {
-			hi = e.nPat - base // patterns beyond Valid never count
+		base, valid := w*64, e.validIn(w) // patterns beyond Valid never count
+		for b := 0; b < valid; b++ {
+			sum += e.distance(vals[b], e.goldenVal[base+b], relative)
 		}
-		for b := 0; b < hi; b++ {
-			y := e.goldenVal[base+b]
-			yhat := vals[b]
-			var ed float64
-			if yhat >= y {
-				ed = float64(yhat - y)
-			} else {
-				ed = float64(y - yhat)
-			}
-			if relative {
-				den := float64(y)
-				if den < 1 {
-					den = 1
-				}
-				ed /= den
-			}
-			sum += ed
-		}
-		// Same expression as the final value below, so pruning can never
-		// fire on a result that would end up ≤ bound.
-		partial := sum / nPatF
-		if !relative {
-			partial /= e.maxVal
-		}
-		if partial > bound {
+		if e.value(sum) > bound {
 			return math.Inf(1)
 		}
 	}
-	mean := sum / nPatF
-	if relative {
-		return mean
-	}
-	return mean / e.maxVal
+	return e.value(sum)
 }
 
 // transposeValues converts PO word slices into per-pattern output values.

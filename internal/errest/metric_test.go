@@ -169,23 +169,22 @@ func TestBatchMatchesFullResimulation(t *testing.T) {
 			if !g.IsAnd(n) {
 				continue
 			}
-			b.Prepare(n)
-
-			// Candidate 1: complement of the node.
+			// Candidate 1: complement of the node; candidate 2: constant
+			// zero. Both are scored in one call, as the ranking does.
 			flip := make([]uint64, v.Words)
 			for i, w := range v.Node(n) {
 				flip[i] = ^w
 			}
-			got := b.EvalCandidate(n, flip)
+			zero := make([]uint64, v.Words)
+			errs := b.Score(n, [][]uint64{flip, zero}, nil)
+			got := errs[0]
 			ref := g.CopyWith(map[aig.Node]aig.Lit{n: aig.MakeLit(n, true)})
 			want := ev.EvalGraph(ref, p)
 			if math.Abs(got-want) > 1e-12 {
 				t.Fatalf("%v node %d complement: batch %v, full %v", metric, n, got, want)
 			}
 
-			// Candidate 2: constant zero.
-			zero := make([]uint64, v.Words)
-			got = b.EvalCandidate(n, zero)
+			got = errs[1]
 			ref = g.CopyWith(map[aig.Node]aig.Lit{n: aig.LitFalse})
 			want = ev.EvalGraph(ref, p)
 			if math.Abs(got-want) > 1e-12 {
@@ -220,8 +219,7 @@ func TestBatchCumulativeAgainstOriginal(t *testing.T) {
 	if !approx.IsAnd(n) {
 		t.Skip("PO0 not an AND in this construction")
 	}
-	b.Prepare(n)
-	same := b.EvalCandidate(n, b.Vectors().Node(n))
+	same := b.Score(n, [][]uint64{b.Vectors().Node(n)}, nil)[0]
 	if math.Abs(same-base) > 1e-12 {
 		t.Fatalf("identity candidate error %v != cumulative %v", same, base)
 	}

@@ -129,8 +129,8 @@ func (a *Arena) Update() int {
 			continue
 		}
 		f0, f1 := g.Fanin0(m), g.Fanin1(m)
-		changed := wordops.AndDiff(vecs.Node(m),
-			vecs.Node(f0.Node()), vecs.Node(f1.Node()),
+		out := vecs.Node(m)
+		changed := wordops.AndDiff(out, vecs.Node(f0.Node()), vecs.Node(f1.Node()), out,
 			f0.IsCompl(), f1.IsCompl())
 		evals++
 		if changed || a.epochs[m] != g.Epoch(m) {

@@ -97,7 +97,8 @@ func fullRescanResimulate(g *aig.Graph, base *Vectors, n aig.Node, newVec []uint
 			continue
 		}
 		buf := make([]uint64, base.Words)
-		evalAnd(g, m, get, buf)
+		f0, f1 := g.Fanin0(m), g.Fanin1(m)
+		wordops.And(buf, get(f0.Node()), get(f1.Node()), f0.IsCompl(), f1.IsCompl())
 		eq := true
 		for i := range buf {
 			if buf[i] != base.Node(m)[i] {
@@ -125,7 +126,9 @@ func fullRescanResimulate(g *aig.Graph, base *Vectors, n aig.Node, newVec []uint
 
 // TestResimulatorEventDrivenMatchesFullRescan: property test on random AIGs
 // — for random (node, replacement-vector) pairs the event-driven TFO walk
-// must produce the same PO words as the old full-rescan sweep.
+// must produce the same PO words as the old full-rescan sweep, whether it
+// walks every word at once or the words split at a random point into two
+// walks, as the ranking probe does.
 func TestResimulatorEventDrivenMatchesFullRescan(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 20; trial++ {
@@ -155,8 +158,15 @@ func TestResimulatorEventDrivenMatchesFullRescan(t *testing.T) {
 			for w := range newVec {
 				newVec[w] = rng.Uint64()
 			}
-			r.Resimulate(n, newVec)
-			r.POWordsInto(got)
+			if split := rng.Intn(base.Words + 1); rep%2 == 1 && split > 0 && split < base.Words {
+				r.Resimulate(n, newVec, 0, split)
+				r.POWordsInto(got)
+				r.Resimulate(n, newVec, split, base.Words)
+				r.POWordsInto(got)
+			} else {
+				r.Resimulate(n, newVec, 0, base.Words)
+				r.POWordsInto(got)
+			}
 			fullRescanResimulate(g, base, n, newVec, want)
 			for i := range want {
 				for w := range want[i] {
@@ -215,8 +225,8 @@ func TestResimulatorForkIndependence(t *testing.T) {
 	fullRescanResimulate(g, base, n2, v2, want2)
 
 	// Interleave: root resimulates n1, fork resimulates n2, then read both.
-	r.Resimulate(n1, v1)
-	f.Resimulate(n2, v2)
+	r.Resimulate(n1, v1, 0, base.Words)
+	f.Resimulate(n2, v2, 0, base.Words)
 	r.POWordsInto(got)
 	for i := range got {
 		for w := range got[i] {
@@ -327,11 +337,11 @@ func checkBorrowedResimulator(t *testing.T, rng *rand.Rand, label string, arena 
 		for w := range newVec {
 			newVec[w] = rng.Uint64()
 		}
-		borrowed.Resimulate(n, newVec)
+		borrowed.Resimulate(n, newVec, 0, words)
 		borrowed.POWordsInto(got)
-		fork.Resimulate(n, newVec)
+		fork.Resimulate(n, newVec, 0, words)
 		fork.POWordsInto(gotFork)
-		ref.Resimulate(n, newVec)
+		ref.Resimulate(n, newVec, 0, words)
 		ref.POWordsInto(want)
 		fullRescanResimulate(g, fresh.Vectors(), n, newVec, rescan)
 		for i := range want {

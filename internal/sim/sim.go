@@ -307,15 +307,6 @@ func simulateRange(g *aig.Graph, v *Vectors, lo, hi int) {
 	}
 }
 
-// evalAnd computes the AND node n into out, reading fanin vectors through
-// the get accessor (which lets callers overlay changed vectors).
-//
-//alsrac:hotpath
-func evalAnd(g *aig.Graph, n aig.Node, get func(aig.Node) []uint64, out []uint64) {
-	f0, f1 := g.Fanin0(n), g.Fanin1(n)
-	wordops.And(out, get(f0.Node()), get(f1.Node()), f0.IsCompl(), f1.IsCompl())
-}
-
 // POWords collects the primary-output value words of a simulated graph into
 // a freshly allocated [nPOs][Words] slice.
 func POWords(g *aig.Graph, v *Vectors) [][]uint64 {
@@ -342,10 +333,14 @@ type Resimulator struct {
 	base  *Vectors
 	queue aig.EventQueue // lent by the arena until Release
 
-	// overlay[n] is non-nil when node n has a recomputed vector.
-	overlay [][]uint64
+	// The overlay of the last walk, over words [lo, hi): touched[k] is the
+	// k-th node the walk gave new words (the replaced node first), slot[m]
+	// is k+1 for it and 0 for a node that kept its base words, and its
+	// words are the k-th run of hi−lo words in words.
+	lo, hi  int
+	slot    []int32
 	touched []int32
-	pool    [][]uint64
+	words   []uint64
 
 	// Forks run concurrently and are allocated back to back. The pad keeps
 	// every field above, which the walk rewrites on each push and pop, off
@@ -371,85 +366,95 @@ func newResimulator(a *Arena) *Resimulator {
 	n := a.g.NumNodes()
 	r := &Resimulator{
 		arena: a, g: a.g, base: a.vecs, queue: a.borrowQueue(),
-		overlay: wordops.GetVecsZero(n),
+		slot:    wordops.GetI32(n),
 		touched: wordops.GetI32(n)[:0],
-		pool:    wordops.GetVecsZero(n)[:0],
 	}
+	clear(r.slot)
 	r.queue.Reset(n)
 	return r
 }
 
-func (r *Resimulator) get(n aig.Node) []uint64 {
-	if o := r.overlay[n]; o != nil {
-		return o
+// Words returns node n's words [lo, hi) of the last Resimulate call under
+// its overlay; index 0 holds word lo. The view is valid until the next
+// Resimulate call.
+//
+//alsrac:hotpath
+func (r *Resimulator) Words(n aig.Node) []uint64 {
+	if k := int(r.slot[n]); k != 0 {
+		w := r.hi - r.lo
+		return r.words[(k-1)*w : k*w]
 	}
-	return r.base.Node(n)
+	return r.base.Node(n)[r.lo:r.hi]
 }
 
-func (r *Resimulator) alloc() []uint64 {
-	if len(r.pool) > 0 {
-		w := r.pool[len(r.pool)-1]
-		r.pool = r.pool[:len(r.pool)-1]
-		return w
+// Resimulate replaces words [lo, hi) of node n's value vector with those of
+// newVec and recomputes the same words of n's transitive fanout. Word
+// columns are independent, so the walk is exact on its range; it prunes a
+// node whose words in the range equal the base, as event-driven simulation
+// does. Words outside the range are not computed. Read the result through
+// Words and POWordsInto until the next Resimulate call.
+//
+//alsrac:hotpath
+func (r *Resimulator) Resimulate(n aig.Node, newVec []uint64, lo, hi int) {
+	for _, m := range r.touched {
+		r.slot[m] = 0
 	}
-	return wordops.Get(r.base.Words)
-}
-
-// Resimulate replaces node n's value vector with newVec, recomputes n's
-// transitive fanout, and returns an accessor for the updated node vectors.
-// The overlay stays valid until the next Resimulate call.
-func (r *Resimulator) Resimulate(n aig.Node, newVec []uint64) func(aig.Node) []uint64 {
-	r.reset()
-	ov := r.alloc()
-	copy(ov, newVec)
-	r.overlay[n] = ov
-	r.touched = append(r.touched, int32(n))
-	r.queue.PushFanouts(&r.arena.fo, n)
+	r.touched = r.touched[:0]
+	r.lo, r.hi = lo, hi
+	copy(r.next(), newVec[lo:hi])
+	r.keep(n)
+	fo := &r.arena.fo
+	r.queue.PushFanouts(fo, n)
 	for r.queue.Len() > 0 {
 		m := r.queue.Pop()
-		out := r.alloc()
-		evalAnd(r.g, m, r.get, out)
-		// Skip nodes whose value did not actually change: this prunes the
-		// fanout frontier the same way event-driven simulation does.
-		if wordops.Equal(out, r.base.Node(m)) {
-			r.pool = append(r.pool, out)
-			continue
+		f0, f1 := r.g.Fanin0(m), r.g.Fanin1(m)
+		out := r.next()
+		if wordops.AndDiff(out, r.Words(f0.Node()), r.Words(f1.Node()), r.base.Node(m)[lo:hi],
+			f0.IsCompl(), f1.IsCompl()) {
+			r.keep(m)
+			r.queue.PushFanouts(fo, m)
 		}
-		r.overlay[m] = out
-		r.touched = append(r.touched, int32(m))
-		r.queue.PushFanouts(&r.arena.fo, m)
 	}
-	return r.get
 }
 
-// POWordsInto evaluates the primary output words under the current overlay,
-// writing PO i into out[i].
+// next returns the words run of the next touched node, growing the overlay
+// storage through the word pool when it is full.
+//
+//alsrac:hotpath
+func (r *Resimulator) next() []uint64 {
+	w := r.hi - r.lo
+	k := len(r.touched)
+	if (k+1)*w > len(r.words) {
+		grown := wordops.Get(max(2*len(r.words), (k+1)*w, 1024))
+		copy(grown, r.words[:k*w])
+		wordops.Put(r.words)
+		r.words = grown
+	}
+	return r.words[k*w : (k+1)*w]
+}
+
+// keep records the words run next returned as node m's.
+func (r *Resimulator) keep(m aig.Node) {
+	r.touched = append(r.touched, int32(m))
+	r.slot[m] = int32(len(r.touched))
+}
+
+// POWordsInto writes words [lo, hi) of the primary outputs of the last
+// Resimulate call into out[i][lo:hi] for PO i.
 func (r *Resimulator) POWordsInto(out [][]uint64) {
 	for i := 0; i < r.g.NumPOs(); i++ {
 		po := r.g.PO(i)
-		wordops.CopyOrNot(out[i], r.get(po.Node()), po.IsCompl())
+		wordops.CopyOrNot(out[i][r.lo:r.hi], r.Words(po.Node()), po.IsCompl())
 	}
 }
 
-func (r *Resimulator) reset() {
-	for _, n := range r.touched {
-		r.pool = append(r.pool, r.overlay[n])
-		r.overlay[n] = nil
-	}
-	r.touched = r.touched[:0]
-}
-
-// Release returns the Resimulator's scratch vectors and overlay rows to the
-// shared pools and its event queue to the arena. The Resimulator must not
-// be used afterwards.
+// Release returns the Resimulator's overlay storage to the shared pools and
+// its event queue to the arena. The Resimulator must not be used
+// afterwards.
 func (r *Resimulator) Release() {
-	r.reset()
-	for _, w := range r.pool {
-		wordops.Put(w)
-	}
-	wordops.PutVecs(r.pool)
-	wordops.PutVecs(r.overlay) // all-nil after reset
+	wordops.PutI32(r.slot)
 	wordops.PutI32(r.touched)
+	wordops.Put(r.words)
 	r.arena.returnQueue(r.queue)
-	r.pool, r.overlay, r.touched, r.queue = nil, nil, nil, aig.EventQueue{}
+	r.slot, r.touched, r.words, r.queue = nil, nil, nil, aig.EventQueue{}
 }

@@ -161,7 +161,7 @@ func TestResimulatorMatchesFullSim(t *testing.T) {
 	for i, w := range base.Node(ab.Node()) {
 		flipped[i] = ^w
 	}
-	r.Resimulate(ab.Node(), flipped)
+	r.Resimulate(ab.Node(), flipped, 0, base.Words)
 	got := make([][]uint64, g.NumPOs())
 	for i := range got {
 		got[i] = make([]uint64, base.Words)
@@ -207,13 +207,13 @@ func TestResimulatorReuse(t *testing.T) {
 
 	// First: replace x with constant 1.
 	ones := []uint64{^uint64(0)}
-	r.Resimulate(x.Node(), ones)
+	r.Resimulate(x.Node(), ones, 0, 1)
 	r.POWordsInto(out)
 	first := out[0][0]
 
 	// Second: replace y with x's original vector; overlay from the first
 	// call must be fully cleared.
-	r.Resimulate(y.Node(), base.Node(x.Node()))
+	r.Resimulate(y.Node(), base.Node(x.Node()), 0, 1)
 	r.POWordsInto(out)
 	second := out[0][0]
 
@@ -241,8 +241,8 @@ func TestResimulateIdentityIsNoop(t *testing.T) {
 	defer arena.Release()
 	base := arena.Vectors()
 	r := NewResimulator(arena)
-	get := r.Resimulate(x.Node(), base.Node(x.Node()))
-	if get(x.Node())[0] != base.Node(x.Node())[0] {
+	r.Resimulate(x.Node(), base.Node(x.Node()), 0, 1)
+	if r.Words(x.Node())[0] != base.Node(x.Node())[0] {
 		t.Fatalf("identity resimulation changed values")
 	}
 }
@@ -326,7 +326,7 @@ func TestResimulatorRandomVectorsProperty(t *testing.T) {
 		for w := range newVec {
 			newVec[w] = rng.Uint64()
 		}
-		r.Resimulate(n, newVec)
+		r.Resimulate(n, newVec, 0, base.Words)
 		r.POWordsInto(out)
 		want := reference(n, newVec)
 		for i := range want {

@@ -14,19 +14,6 @@ import (
 	"sync"
 )
 
-// Equal reports whether a and b hold the same words. a and b must have the
-// same length.
-//
-//alsrac:hotpath
-func Equal(a, b []uint64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Not writes the elementwise complement of src into dst. The slices must
 // have the same length and may not overlap partially (dst == src is fine).
 //
@@ -78,12 +65,13 @@ func And(dst, a, b []uint64, c0, c1 bool) {
 
 // AndDiff is the incremental-resimulation kernel: it computes the same
 // four-polarity conjunction as And, writes it into dst, and reports whether
-// any word of dst actually changed. Fusing the write with the comparison
-// lets the dirty-TFO propagation decide in one pass over the words whether
-// a node's fanouts need re-evaluation. All slices must have the same length.
+// any word differs from ref. ref may be dst itself, which asks whether dst
+// changed. Fusing the write with the comparison lets event-driven
+// propagation decide in one pass over the words whether a node's fanouts
+// need re-evaluation. All slices must have the same length.
 //
 //alsrac:hotpath
-func AndDiff(dst, a, b []uint64, c0, c1 bool) bool {
+func AndDiff(dst, a, b, ref []uint64, c0, c1 bool) bool {
 	var m0, m1 uint64
 	if c0 {
 		m0 = ^uint64(0)
@@ -91,10 +79,11 @@ func AndDiff(dst, a, b []uint64, c0, c1 bool) bool {
 	if c1 {
 		m1 = ^uint64(0)
 	}
+	a, b, ref = a[:len(dst)], b[:len(dst)], ref[:len(dst)]
 	var diff uint64
 	for i := range dst {
 		w := (a[i] ^ m0) & (b[i] ^ m1)
-		diff |= w ^ dst[i]
+		diff |= w ^ ref[i]
 		dst[i] = w
 	}
 	return diff != 0

@@ -2,6 +2,7 @@ package wordops
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -19,13 +20,6 @@ func TestKernels(t *testing.T) {
 	b := randWords(rng, 9)
 	dst := make([]uint64, 9)
 
-	if !Equal(a, a) {
-		t.Fatal("Equal(a, a) = false")
-	}
-	if Equal(a, b) {
-		t.Fatal("Equal on random words = true")
-	}
-
 	Not(dst, a)
 	for i := range a {
 		if dst[i] != ^a[i] {
@@ -34,7 +28,7 @@ func TestKernels(t *testing.T) {
 	}
 
 	CopyOrNot(dst, a, false)
-	if !Equal(dst, a) {
+	if !slices.Equal(dst, a) {
 		t.Fatal("CopyOrNot plain")
 	}
 	CopyOrNot(dst, a, true)
@@ -66,18 +60,28 @@ func TestKernels(t *testing.T) {
 		for _, c1 := range []bool{false, true} {
 			And(dst, a, b, c0, c1)
 			cp := append([]uint64(nil), dst...)
-			if AndDiff(dst, a, b, c0, c1) {
+			if AndDiff(dst, a, b, dst, c0, c1) {
 				t.Fatalf("AndDiff(c0=%v, c1=%v) reported a change on identical input", c0, c1)
 			}
-			if !Equal(dst, cp) {
+			if !slices.Equal(dst, cp) {
 				t.Fatalf("AndDiff(c0=%v, c1=%v) result differs from And", c0, c1)
 			}
 			dst[3] ^= 1 << 17
-			if !AndDiff(dst, a, b, c0, c1) {
+			if !AndDiff(dst, a, b, dst, c0, c1) {
 				t.Fatalf("AndDiff(c0=%v, c1=%v) missed a changed word", c0, c1)
 			}
-			if !Equal(dst, cp) {
+			if !slices.Equal(dst, cp) {
 				t.Fatalf("AndDiff(c0=%v, c1=%v) did not rewrite the changed word", c0, c1)
+			}
+			// Against a separate reference: dst is written either way.
+			ref := append([]uint64(nil), cp...)
+			out := make([]uint64, len(dst))
+			if AndDiff(out, a, b, ref, c0, c1) || !slices.Equal(out, cp) {
+				t.Fatalf("AndDiff(c0=%v, c1=%v) against an equal reference", c0, c1)
+			}
+			ref[8] ^= 1
+			if !AndDiff(out, a, b, ref, c0, c1) || !slices.Equal(out, cp) {
+				t.Fatalf("AndDiff(c0=%v, c1=%v) against a differing reference", c0, c1)
 			}
 		}
 	}
