@@ -1,12 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 
+	"repro/internal/aig"
 	"repro/internal/bench"
 	"repro/internal/errest"
+	"repro/internal/exact"
+	"repro/internal/opt"
 	"repro/internal/resub"
 	"repro/internal/sim"
 )
@@ -111,4 +116,97 @@ func BenchmarkWindowedFlow(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(g.NumAnds()), "ANDs")
+}
+
+// certFlowMaxError is the bound of BenchmarkCertifyFlow, the certified
+// flow's NMED threshold and exact maximum-error bound at once.
+const certFlowMaxError = 0.002
+
+// certPair is one certification of a certified flow: the working graph a
+// step started from and the trial it certified.
+type certPair struct{ base, trial *aig.Graph }
+
+// certFlow is the fixture of BenchmarkCertifyFlow, built once per process:
+// the pre-optimized 16-bit carry-lookahead adder and the pairs its first 100
+// certified steps at seed 1 certify.
+var certFlow = sync.OnceValues(func() (certFixture, error) {
+	g := opt.Optimize(bench.CLA(16))
+	opts := DefaultOptions(errest.NMED, certFlowMaxError)
+	opts.MaxError = certFlowMaxError
+	opts.Workers = 1
+	pairs, err := certPairs(g, opts, 100)
+	return certFixture{g, pairs}, err
+})
+
+type certFixture struct {
+	orig  *aig.Graph
+	pairs []certPair
+}
+
+// certPairs steps a certified session and returns the pair of every step
+// that certified. A checkpoint copy of the session elects the winner the
+// live step elects (Restore is bitwise faithful), so the trial is read off
+// the copy without touching the live session; a separate checker confirms
+// that each pair gets the live step's verdict.
+func certPairs(g *aig.Graph, opts Options, steps int) ([]certPair, error) {
+	ctx := context.Background()
+	chk, err := exact.New(g, exact.Config{})
+	if err != nil {
+		return nil, err
+	}
+	s := NewSession(g, opts)
+	var pairs []certPair
+	for i := 0; i < steps && !s.Done(); i++ {
+		var ckpt bytes.Buffer
+		if err := s.Snapshot(&ckpt); err != nil {
+			return nil, err
+		}
+		peek, err := Restore(&ckpt, opts)
+		if err != nil {
+			return nil, err
+		}
+		ev, err := s.Step(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if ev.Kind == EventCertified || ev.Kind == EventCertRejected {
+			cands, _ := peek.generateIncremental(peek.patternSeed(peek.iterations + 1))
+			best := rankCandidates(ctx, peek.ev, peek.evalArena, cands, peek.workers)
+			p := certPair{peek.cur, best.Apply(peek.cur.Clone())}
+			cert, err := chk.Certify(p.base, p.trial, opts.MaxError)
+			if err != nil || cert.OK != (ev.Kind == EventCertified) {
+				return nil, fmt.Errorf("iter %d: the copy's trial gets %+v, %v; the step was %s", ev.Iteration, cert, err, ev.Kind)
+			}
+			pairs = append(pairs, p)
+		}
+		peek.releaseArenas()
+	}
+	return pairs, nil
+}
+
+// BenchmarkCertifyFlow measures the certifications of a real certified flow:
+// each op certifies, in order, every (working graph, trial) pair of the
+// first 100 steps of a cla16 flow at NMED = MaxError = 0.002 — all by SAT,
+// about a fifth of them rejections. Unlike BenchmarkCertifySAT's one-shot
+// fixture, these instances cost milliseconds each, and they are where the
+// certified workload spends its certification time.
+func BenchmarkCertifyFlow(b *testing.B) {
+	f, err := certFlow()
+	if err != nil {
+		b.Fatal(err)
+	}
+	chk, err := exact.New(f.orig, exact.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range f.pairs {
+			if _, err := chk.Certify(p.base, p.trial, certFlowMaxError); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(f.pairs)), "certs")
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/aig"
 	"repro/internal/errest"
 	"repro/internal/exact"
 )
@@ -159,17 +160,85 @@ func TestCertifiedZeroBoundKeepsFunction(t *testing.T) {
 	}
 }
 
+// satSessionOpts certifies a 16-bit adder session at NMED = MaxError = 0.02:
+// about 30 steps, nearly all certified by SAT, two of them rejected.
+func satSessionOpts() Options {
+	opts := sessionOpts(errest.NMED)
+	opts.Threshold = 0.02
+	opts.MaxError = 0.02
+	return opts
+}
+
+// TestCertifiedSessionSAT runs a certified session whose certifications go
+// to the SAT backend: a 16-bit adder has 33 inputs, past the exhaustive
+// capacity, so it is the only session test where the working-graph base
+// shapes the SAT instance. Every committed state is re-proven by a separate
+// SAT checker against the original as base, the instance without the
+// working-graph lemma.
+func TestCertifiedSessionSAT(t *testing.T) {
+	g := rippleAdder(16)
+	opts := satSessionOpts()
+	chk, err := exact.New(g, exact.Config{MaxExhaustivePIs: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := NewSession(g, opts)
+	satCertified, satRejected := 0, 0
+	for steps := 0; !s.Done(); steps++ {
+		if steps == 60 {
+			t.Fatal("certified session did not finish within 60 steps")
+		}
+		ev, err := s.Step(context.Background())
+		if err != nil {
+			t.Fatalf("step: %v", err)
+		}
+		switch ev.Kind {
+		case EventCertified:
+			if ev.CertBackend == exact.BackendSAT {
+				satCertified++
+			}
+			cert, err := chk.Certify(g, s.cur, opts.MaxError)
+			if err != nil || !cert.OK {
+				t.Fatalf("iter %d: committed state fails re-proof against the original: %+v, %v", ev.Iteration, cert, err)
+			}
+		case EventCertRejected:
+			if ev.CertBackend == exact.BackendSAT {
+				satRejected++
+			}
+			if ev.CertMaxErr <= opts.MaxError {
+				t.Fatalf("iter %d: rejection with witness error %v within the bound %v", ev.Iteration, ev.CertMaxErr, opts.MaxError)
+			}
+		}
+	}
+	if satCertified == 0 || satRejected == 0 {
+		t.Fatalf("%d SAT certifications and %d SAT rejections; the test needs both", satCertified, satRejected)
+	}
+}
+
 // TestCertifiedKillResume is the kill-and-resume contract for certified
 // mode: a certified session snapshotted mid-run (including right after a
 // rejection), discarded, and restored must finish with history — rejection
 // flags included — rejection counter, and final AIG bitwise identical to
-// the uninterrupted certified run.
+// the uninterrupted certified run. The 8-bit adder certifies exhaustively,
+// the 16-bit one by SAT against the restored working graph.
 func TestCertifiedKillResume(t *testing.T) {
-	g := rippleAdder(8)
-	opts := sessionOpts(errest.ER)
-	opts.Threshold = 0.10
-	opts.MaxError = 0.02
+	rca8 := sessionOpts(errest.ER)
+	rca8.Threshold = 0.10
+	rca8.MaxError = 0.02
+	for _, c := range []struct {
+		name string
+		g    *aig.Graph
+		opts Options
+	}{
+		{"rca8", rippleAdder(8), rca8},
+		{"rca16", rippleAdder(16), satSessionOpts()},
+	} {
+		t.Run(c.name, func(t *testing.T) { certifiedKillResume(t, c.g, c.opts) })
+	}
+}
 
+func certifiedKillResume(t *testing.T, g *aig.Graph, opts Options) {
 	want := NewSession(g, opts)
 	for !want.Done() {
 		if ev, err := want.Step(context.Background()); err != nil || ev.Done {

@@ -234,7 +234,7 @@ func (s *Session) Step(ctx context.Context) (Event, error) {
 	// The iteration number participates in the pattern seed; it is only
 	// committed to s.iterations once the step is past every abort point.
 	iter := s.iterations + 1
-	iterSeed := s.opts.Seed + int64(iter)*7919
+	iterSeed := s.patternSeed(iter)
 
 	cands, careFresh := s.generateIncremental(iterSeed)
 
@@ -303,10 +303,19 @@ func (s *Session) Step(ctx context.Context) (Event, error) {
 	// circuit before anything is committed. A certification error (e.g. an
 	// exhausted SAT conflict budget) rejects too: the flow never commits a
 	// change it could not prove.
+	//
+	// The working graph is the checker's base: its exact maximum error is
+	// within the bound in every state a step can start from, so the SAT
+	// backend only searches where the trial differs from it. NewSession
+	// starts from the swept original (error 0). Each later state is a
+	// certified trial: ApplyInPlace builds the same function as the
+	// certified Apply, and optimizer flushes preserve the function. Restore
+	// brings cur back id-exact under the checkpoint CRC and refuses a
+	// different MaxError.
 	var cert exact.Certificate
 	if s.cert != nil {
 		var err error
-		cert, err = s.cert.Certify(trial, s.opts.MaxError)
+		cert, err = s.cert.Certify(s.cur, trial, s.opts.MaxError)
 		if err != nil || !cert.OK {
 			s.certRejected++
 			s.stall++
@@ -394,6 +403,9 @@ func (s *Session) Step(ctx context.Context) (Event, error) {
 	}
 	return ev, nil
 }
+
+// patternSeed is the care-pattern seed of iteration iter.
+func (s *Session) patternSeed(iter int) int64 { return s.opts.Seed + int64(iter)*7919 }
 
 // generateIncremental is the produce phase of Step. The care arena persists
 // across pure-win commits — those keep it up to date by dirty-TFO

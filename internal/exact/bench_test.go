@@ -33,7 +33,7 @@ func BenchmarkCertifyExhaustive(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cert, err := chk.CertifyED(appr, bound)
+		cert, err := chk.CertifyED(orig, appr, bound)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func BenchmarkCertifySAT(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cert, err := chk.CertifyED(appr, bound)
+		cert, err := chk.CertifyED(orig, appr, bound)
 		if err != nil {
 			b.Fatal(err)
 		}

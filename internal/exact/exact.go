@@ -15,13 +15,15 @@
 //     exact maximum error distance — and, for free, the exact error rate,
 //     exact NMED and the worst-case output flip count over the whole space.
 //
-//   - A CNF backend for everything else: the miter grows a two's-complement
-//     |orig − approx| datapath and a greater-than-T comparator, the cone of
-//     the violation output is Tseitin-encoded, and the self-contained CDCL
-//     solver of package exact/sat decides it. UNSAT is the certificate;
-//     a SAT model is replayed through the simulator to a concrete violating
-//     input pattern before it is reported, so the solver never has the
-//     final word on a violation.
+//   - A CNF backend for everything else. The caller names a base circuit
+//     already known to be within the bound (the original always is), and
+//     the miter asks for an input where the candidate violates the bound,
+//     differs from the base, and the base does not violate it. The cone of
+//     that query is Tseitin-encoded and the self-contained CDCL solver of
+//     package exact/sat decides it. UNSAT is the certificate; a SAT model is
+//     replayed through the simulator to a concrete violating input pattern
+//     before it is reported, so the solver never has the final word on a
+//     violation.
 //
 // Both backends agree by construction, and the fuzz target FuzzMiterSAT
 // holds them to it. The checker is deterministic: no wall clock (timing
@@ -34,6 +36,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/aig"
@@ -138,7 +141,8 @@ type Checker struct {
 	orig   *aig.Graph
 	nPIs   int
 	nPOs   int
-	maxVal float64 // 2^nPOs − 1
+	top    uint64  // 2^nPOs − 1, the largest error distance
+	maxVal float64 // top as a float, the normalization scale (2^64 at 64 outputs)
 	stats  Stats
 }
 
@@ -163,6 +167,7 @@ func New(orig *aig.Graph, cfg Config) (*Checker, error) {
 		orig:   orig,
 		nPIs:   orig.NumPIs(),
 		nPOs:   orig.NumPOs(),
+		top:    ^uint64(0) >> uint(64-orig.NumPOs()),
 		maxVal: math.Pow(2, float64(orig.NumPOs())) - 1,
 	}, nil
 }
@@ -181,24 +186,36 @@ func (c *Checker) EDThreshold(bound float64) uint64 {
 	}
 	t := math.Floor(bound*c.maxVal + 1e-9)
 	if t >= c.maxVal {
-		return uint64(c.maxVal)
+		// The integer clamp: at 64 outputs maxVal is 2^64, which no uint64
+		// holds.
+		return c.top
 	}
 	return uint64(t)
 }
 
 // Certify certifies that the exact maximum error of approx against the
-// original is at most the normalized bound (see EDThreshold).
-func (c *Checker) Certify(approx *aig.Graph, bound float64) (Certificate, error) {
-	return c.CertifyED(approx, c.EDThreshold(bound))
+// original is at most the normalized bound (see EDThreshold). base is a
+// circuit whose exact maximum error is already within that bound, such as
+// the original or a previously certified circuit (see CertifyED).
+func (c *Checker) Certify(base, approx *aig.Graph, bound float64) (Certificate, error) {
+	return c.CertifyED(base, approx, c.EDThreshold(bound))
 }
 
 // CertifyED certifies that max_x |value_orig(x) − value_approx(x)| ≤ maxED,
 // over every input assignment x. The certificate is exact in both
 // directions: OK true is a proof of the bound, OK false comes with a
 // replayed witness input exceeding it.
-func (c *Checker) CertifyED(approx *aig.Graph, maxED uint64) (Certificate, error) {
+//
+// base must be a circuit with the same interface whose exact maximum error
+// is at most maxED; the original always qualifies. The SAT backend uses it
+// to search only the inputs where approx differs from base: wherever the
+// two agree, approx's error is base's and within the bound. The verdict
+// does not depend on base, but which witness a rejection reports does. A
+// base that breaks the precondition can make the SAT backend certify a
+// violation. The trivial and exhaustive backends ignore base.
+func (c *Checker) CertifyED(base, approx *aig.Graph, maxED uint64) (Certificate, error) {
 	c.stats.Calls++
-	cert, err := c.certify(approx, maxED)
+	cert, err := c.certify(base, approx, maxED)
 	if err == nil && !cert.OK {
 		c.stats.Rejections++
 	}
@@ -231,7 +248,11 @@ func (c *Checker) MaxError(approx *aig.Graph) (Certificate, error) {
 	return cert, nil
 }
 
-func (c *Checker) certify(approx *aig.Graph, maxED uint64) (Certificate, error) {
+func (c *Checker) certify(base, approx *aig.Graph, maxED uint64) (Certificate, error) {
+	if base.NumPIs() != c.nPIs || base.NumPOs() != c.nPOs {
+		return Certificate{}, fmt.Errorf("exact: interface mismatch: original %d PIs/%d POs, base %d PIs/%d POs",
+			c.nPIs, c.nPOs, base.NumPIs(), base.NumPOs())
+	}
 	m, err := c.buildMiter(approx)
 	if err != nil {
 		return Certificate{}, err
@@ -251,7 +272,7 @@ func (c *Checker) certify(approx *aig.Graph, maxED uint64) (Certificate, error) 
 		return cert, nil
 	}
 	start := c.now()
-	cert, err := c.satCertify(m, maxED)
+	cert, err := c.satCertify(m, base, maxED)
 	secs := c.since(start)
 	c.stats.SATCalls++
 	c.stats.SATSeconds += secs
@@ -284,6 +305,7 @@ func (c *Checker) observe(backend string, secs float64, conflicts int64) {
 // shared primary inputs.
 type miter struct {
 	g       *aig.Graph
+	pis     []aig.Lit // shared primary inputs
 	origPOs []aig.Lit // original output bits, LSB first
 	apprPOs []aig.Lit // approximate output bits
 	diff    []aig.Lit // per-output XOR; strash folds identical cones to const
@@ -313,6 +335,7 @@ func (c *Checker) buildMiter(approx *aig.Graph) (*miter, error) {
 	}
 	m := &miter{
 		g:       g,
+		pis:     pis,
 		origPOs: importGraph(g, c.orig, pis),
 		apprPOs: importGraph(g, approx, pis),
 	}
@@ -546,20 +569,41 @@ func transposeLits(v *sim.Vectors, pos []aig.Lit, w int, vals []uint64) {
 	}
 }
 
-// satCertify decides max ED > maxED with the CNF backend: the miter grows
-// an |orig − approx| datapath and a greater-than-maxED comparator, the
-// violation cone is Tseitin-encoded, and the CDCL solver of exact/sat
-// decides it. UNSAT certifies the bound. A model is replayed through the
-// simulator before it is believed.
-func (c *Checker) satCertify(m *miter, maxED uint64) (Certificate, error) {
+// satCertify decides max ED > maxED with the CNF backend. Over one miter of
+// the original O, the base B and the candidate A it asks for an input x with
+//
+//  1. |O(x) − A(x)| > maxED,
+//  2. A(x) ≠ B(x) on some output, and
+//  3. |O(x) − B(x)| ≤ maxED, a lemma the caller guarantees for every x.
+//
+// The query is exact both ways: wherever A(x) = B(x), |O − A| = |O − B| ≤
+// maxED, so every violation satisfies 2 and 3 too. When B's outputs strash
+// onto O's (the original as base), 2 follows from 1 and 3 folds to true,
+// so only 1 is built. The query cone is Tseitin-encoded and the CDCL solver
+// of exact/sat decides it. UNSAT certifies the bound. A model is replayed
+// through the simulator before it is believed.
+func (c *Checker) satCertify(m *miter, base *aig.Graph, maxED uint64) (Certificate, error) {
 	cert := Certificate{Backend: BackendSAT, Threshold: maxED, SupportSize: len(m.support)}
-	if maxED >= uint64(c.maxVal) {
+	if maxED >= c.top {
 		// No error distance can exceed 2^k − 1.
 		cert.OK = true
 		return cert, nil
 	}
-	viol := buildViolation(m, maxED)
-	switch viol {
+	g := m.g
+	query := exceeds(g, m.origPOs, m.apprPOs, maxED)
+	basePOs := m.origPOs
+	if base != c.orig {
+		basePOs = importGraph(g, base, m.pis)
+	}
+	if !slices.Equal(basePOs, m.origPOs) {
+		differs := make([]aig.Lit, c.nPOs)
+		for o := range differs {
+			differs[o] = g.Xor(m.apprPOs[o], basePOs[o])
+		}
+		query = g.And(query, g.OrN(differs...))
+		query = g.And(query, exceeds(g, m.origPOs, basePOs, maxED).Not())
+	}
+	switch query {
 	case aig.LitFalse:
 		cert.OK = true
 		return cert, nil
@@ -572,9 +616,11 @@ func (c *Checker) satCertify(m *miter, maxED uint64) (Certificate, error) {
 	if c.cfg.SATConflictBudget > 0 {
 		solver.SetConflictBudget(c.cfg.SATConflictBudget)
 	}
-	g := m.g
-	cone := g.TFICone(viol.Node())
-	varOf := make(map[aig.Node]sat.Var, len(cone))
+	cone := g.TFICone(query.Node())
+	varOf := make([]sat.Var, g.NumNodes()) // -1 outside the cone
+	for i := range varOf {
+		varOf[i] = -1
+	}
 	for _, n := range cone { // ascending id order: deterministic numbering
 		varOf[n] = solver.NewVar()
 	}
@@ -589,7 +635,7 @@ func (c *Checker) satCertify(m *miter, maxED uint64) (Certificate, error) {
 		solver.AddClause(vn.Not(), b)
 		solver.AddClause(vn, a.Not(), b.Not())
 	}
-	solver.AddClause(toSAT(viol))
+	solver.AddClause(toSAT(query))
 
 	status := solver.Solve()
 	cert.Conflicts = solver.Conflicts()
@@ -601,8 +647,8 @@ func (c *Checker) satCertify(m *miter, maxED uint64) (Certificate, error) {
 		return cert, fmt.Errorf("%w (after %d conflicts)", ErrBudget, cert.Conflicts)
 	}
 	witness := make([]bool, c.nPIs)
-	for i := 0; i < c.nPIs; i++ {
-		if v, ok := varOf[m.g.PI(i)]; ok {
+	for i, pi := range m.pis {
+		if v := varOf[pi.Node()]; v >= 0 {
 			witness[i] = solver.Value(v)
 		}
 	}
@@ -648,45 +694,37 @@ func (c *Checker) replay(m *miter, cert Certificate, witness []bool, maxED uint6
 	return cert, nil
 }
 
-// buildViolation grows |A − B| > T inside the miter graph and returns the
-// violation literal. A and B are the original and approximate output
-// vectors read as unsigned integers; the datapath is a (k+1)-bit
-// two's-complement subtraction in both directions, a sign-selected
-// absolute value, and an MSB-first greater-than-constant comparator.
-func buildViolation(m *miter, t uint64) aig.Lit {
-	g := m.g
-	k := len(m.origPOs)
-	width := k + 1
-	sub := func(a, b []aig.Lit) []aig.Lit {
-		// a − b = a + ^b + 1 over width bits, zero-extended operands.
-		d := make([]aig.Lit, width)
-		carry := aig.LitTrue
-		for i := 0; i < width; i++ {
-			ai, bi := aig.LitFalse, aig.LitTrue // zero-extension: ^0 = 1
-			if i < k {
-				ai, bi = a[i], b[i].Not()
-			}
-			axb := g.Xor(ai, bi)
-			d[i] = g.Xor(axb, carry)
-			carry = g.Or(g.And(ai, bi), g.And(carry, axb))
-		}
-		return d
+// exceeds grows |X − Y| > t inside g and returns its literal. X and Y are
+// k-bit output vectors read as unsigned integers (LSB first), and t <
+// 2^k − 1. One (k+1)-bit two's-complement subtraction d = X + ¬Y + 1 over
+// zero-extended operands has the sign bit ¬c, where c is the carry out of
+// the low k bits. With c set, |X − Y| = d, which exceeds t when d > t.
+// Otherwise |X − Y| = ¬d + 1, which exceeds t when ¬d ≥ t, that is when
+// d ≤ ¬t over k bits. Both are comparisons of d against a k-bit constant,
+// so no constant wider than the outputs appears.
+func exceeds(g *aig.Graph, x, y []aig.Lit, t uint64) aig.Lit {
+	d := make([]aig.Lit, len(x))
+	carry := aig.LitTrue
+	for i := range d {
+		a, b := x[i], y[i].Not()
+		axb := g.Xor(a, b)
+		d[i] = g.Xor(axb, carry)
+		carry = g.Or(g.And(a, b), g.And(carry, axb))
 	}
-	ab := sub(m.origPOs, m.apprPOs)
-	ba := sub(m.apprPOs, m.origPOs)
-	sign := ab[width-1] // 1 iff A < B, then |A−B| = B−A
-	abs := make([]aig.Lit, width)
-	for i := range abs {
-		abs[i] = g.Mux(sign, ba[i], ab[i])
-	}
+	notT := ^t & (^uint64(0) >> uint(64-len(x)))
+	return g.Mux(carry, greater(g, d, t), greater(g, d, notT).Not())
+}
+
+// greater grows the MSB-first comparison v > t of the unsigned vector v
+// (LSB first) against the constant t.
+func greater(g *aig.Graph, v []aig.Lit, t uint64) aig.Lit {
 	gt, eq := aig.LitFalse, aig.LitTrue
-	for i := width - 1; i >= 0; i-- {
-		bit := abs[i]
+	for i := len(v) - 1; i >= 0; i-- {
 		if t>>uint(i)&1 == 1 {
-			eq = g.And(eq, bit)
+			eq = g.And(eq, v[i])
 		} else {
-			gt = g.Or(gt, g.And(eq, bit))
-			eq = g.And(eq, bit.Not())
+			gt = g.Or(gt, g.And(eq, v[i]))
+			eq = g.And(eq, v[i].Not())
 		}
 	}
 	return gt

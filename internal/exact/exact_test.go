@@ -197,11 +197,11 @@ func TestBackendsAgree(t *testing.T) {
 			thresholds = append(thresholds, maxED-1)
 		}
 		for _, T := range thresholds {
-			ce, err := exh.CertifyED(appr, T)
+			ce, err := exh.CertifyED(orig, appr, T)
 			if err != nil {
 				t.Fatalf("seed %d T=%d: exhaustive: %v", seed, T, err)
 			}
-			cs, err := forced.CertifyED(appr, T)
+			cs, err := forced.CertifyED(orig, appr, T)
 			if err != nil {
 				t.Fatalf("seed %d T=%d: sat: %v", seed, T, err)
 			}
@@ -280,7 +280,7 @@ func TestTrivialOnIdenticalGraphs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cert, err := chk.CertifyED(g.Clone(), 0)
+	cert, err := chk.CertifyED(g, g.Clone(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,6 +319,56 @@ func TestEDThreshold(t *testing.T) {
 	}
 }
 
+// TestSixtyFourOutputs pins the integer arithmetic at the 64-bit edge of the
+// value encoding, where 2^64 − 1 has no float64. The top two outputs both
+// carry x = i0∧i1 and the candidate complements x, so the exact maximum
+// error distance is 3·2^62. A threshold of 0.6 must reject it on both
+// backends, and the clamp of a bound ≥ 1 must be the largest value.
+func TestSixtyFourOutputs(t *testing.T) {
+	orig := aig.New()
+	pis := orig.AddPIs(30, "i")
+	x := orig.And(pis[0], pis[1])
+	for o := 0; o < 64; o++ {
+		l := pis[o%30]
+		if o >= 62 {
+			l = x
+		}
+		orig.AddPO(l, fmt.Sprintf("o%d", o))
+	}
+	appr := orig.CopyWith(map[aig.Node]aig.Lit{x.Node(): x.Not()})
+	const worst = 3 << 62
+
+	exh, err := New(orig, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forced, err := New(orig, Config{MaxExhaustivePIs: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		bound float64
+		want  uint64
+	}{{0.6, 11068046444225730560}, {1, math.MaxUint64}, {2, math.MaxUint64}} {
+		if got := forced.EDThreshold(c.bound); got != c.want {
+			t.Fatalf("EDThreshold(%v) = %d, want %d", c.bound, got, c.want)
+		}
+	}
+	T := forced.EDThreshold(0.6)
+	for _, chk := range []*Checker{exh, forced} {
+		cert, err := chk.CertifyED(orig, appr, T)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cert.OK || cert.MaxED != worst || edAt(orig, appr, cert.Witness) != worst {
+			t.Fatalf("%s at T=%d: OK=%v MaxED=%d, want a rejection with ED %d", cert.Backend, T, cert.OK, cert.MaxED, uint64(worst))
+		}
+		if cert, err = chk.CertifyED(orig, appr, worst); err != nil || !cert.OK {
+			t.Fatalf("%s at T=%d: %+v, %v; want certified", cert.Backend, uint64(worst), cert, err)
+		}
+	}
+}
+
 // TestSATAdderBound runs the CNF backend on a real arithmetic circuit
 // large enough that exhaustive enumeration is off the table: a 16-bit
 // ripple-carry adder (33 PIs) with one sum bit forced to a wrong function
@@ -333,14 +383,14 @@ func TestSATAdderBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flipping bit 12 always produces ED 2^12 exactly.
-	cert, err := chk.CertifyED(appr, 1<<12)
+	cert, err := chk.CertifyED(orig, appr, 1<<12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !cert.OK {
 		t.Fatalf("ED ≤ 4096 should certify, got %+v", cert)
 	}
-	cert, err = chk.CertifyED(appr, 1<<12-1)
+	cert, err = chk.CertifyED(orig, appr, 1<<12-1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +427,7 @@ func TestConflictBudgetSurfaces(t *testing.T) {
 	// enough to decide anything real. If the instance happens to be decided
 	// by pure propagation the call legitimately succeeds — accept both, but
 	// a wrong verdict is fatal.
-	cert, err := chk.CertifyED(appr, maxED-1)
+	cert, err := chk.CertifyED(orig, appr, maxED-1)
 	if err == nil {
 		if cert.OK {
 			t.Fatal("certified a violated bound")

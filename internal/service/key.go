@@ -11,7 +11,7 @@ import (
 // keyVersion tags the derivation so any change to the fingerprint, the
 // field list, or the session semantics (a new optimization that changes
 // results) can invalidate every cached blob at once by bumping it.
-const keyVersion = "alsrac-cluster-key-v2"
+const keyVersion = "alsrac-cluster-key-v3"
 
 // JobKey derives the content address of a job: a hex SHA-256 over the
 // circuit's structural fingerprint and every spec field that influences the

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # bench.sh — run the core benchmarks (simulation, candidate generation,
-# optimizer script, candidate ranking, end-to-end flow, service job
-# throughput, cluster dispatch) and record ns/op, B/op and allocs/op as JSON.
+# optimizer script, candidate ranking, end-to-end flow, exact
+# certification, service job throughput, cluster dispatch) and record
+# ns/op, B/op and allocs/op as JSON.
 # Usage: scripts/bench.sh OUT.json; BENCHTIME overrides the per-benchmark
 # time (default 1s). The output path is required: benchcheck.sh gates on the
 # committed BENCH_*.json records, so a run must never overwrite one by
@@ -21,7 +22,7 @@ trap 'rm -f "$tmp"' EXIT
 
 go test -run '^$' -bench 'BenchmarkSimulate$|BenchmarkGenerate$|BenchmarkOptimize$|BenchmarkALSRACFlowRCA32$' \
     -benchmem -benchtime="$benchtime" . | tee -a "$tmp"
-go test -run '^$' -bench 'BenchmarkRankCandidates$|BenchmarkSessionStep$|BenchmarkWindowedFlow$' \
+go test -run '^$' -bench 'BenchmarkRankCandidates$|BenchmarkSessionStep$|BenchmarkWindowedFlow$|BenchmarkCertifyFlow$' \
     -benchmem -benchtime="$benchtime" ./internal/core | tee -a "$tmp"
 go test -run '^$' -bench 'BenchmarkServiceThroughput$' \
     -benchmem -benchtime="$benchtime" ./internal/service | tee -a "$tmp"
