@@ -112,18 +112,26 @@ func (q *EventQueue) PushFanouts(x *FanoutIndex, n Node) {
 	}
 }
 
+// Peek returns the smallest queued id without removing it. The queue must
+// not be empty.
+//
+//alsrac:hotpath
+func (q *EventQueue) Peek() Node {
+	for q.bits[q.cur] == 0 {
+		q.cur++
+	}
+	return Node(q.cur<<6 | bits.TrailingZeros64(q.bits[q.cur]))
+}
+
 // Pop removes and returns the smallest queued id. The queue must not be
 // empty.
 //
 //alsrac:hotpath
 func (q *EventQueue) Pop() Node {
-	for q.bits[q.cur] == 0 {
-		q.cur++
-	}
-	w := q.bits[q.cur]
-	q.bits[q.cur] = w & (w - 1)
+	m := q.Peek()
+	q.bits[q.cur] &= q.bits[q.cur] - 1
 	q.n--
-	return Node(q.cur<<6 | bits.TrailingZeros64(w))
+	return m
 }
 
 // grow returns s resized to length n, reusing its storage when it is large

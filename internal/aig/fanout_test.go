@@ -10,8 +10,8 @@ import (
 // sorted, de-duplicated reference set under random push/pop interleavings:
 // duplicate pushes, pushes below the last popped id (Arena.Update seeds an
 // arbitrary dirty set), and walks abandoned part-way before a Reset to a
-// smaller and then a larger size. Every Pop must return the reference's
-// minimum and Len must equal its size.
+// smaller and then a larger size. Every Peek and Pop must return the
+// reference's minimum and Len must equal its size.
 func TestEventQueueMatchesSortedSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var q EventQueue
@@ -26,6 +26,9 @@ func TestEventQueueMatchesSortedSet(t *testing.T) {
 			}
 		}
 		pop := func(step int) {
+			if got := q.Peek(); got != ref[0] {
+				t.Fatalf("trial %d step %d (n=%d): Peek = %d, want %d", trial, step, n, got, ref[0])
+			}
 			got := q.Pop()
 			if got != ref[0] {
 				t.Fatalf("trial %d step %d (n=%d): Pop = %d, want %d", trial, step, n, got, ref[0])

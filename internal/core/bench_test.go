@@ -24,7 +24,10 @@ import (
 // (the candidate grouping, goroutine bookkeeping and each fork's event
 // queue remain). The workers=N cases rank by ER, as the windowed flows do;
 // the NMED/workers=N cases rank the same candidates by NMED, as the
-// arithmetic and certified flows do.
+// arithmetic and certified flows do. The mac/workers=N cases rank the
+// first windowed round of a 13k-AND MAC tree by ER, as the mac-windowed
+// workload does: thousands of candidates whose probe walks cross long
+// fanout cones, almost all of them pruned.
 func BenchmarkRankCandidates(b *testing.B) {
 	g := rippleAdder(32)
 	evalPats := sim.Uniform(g.NumPIs(), 64, 1) // 4096 patterns
@@ -60,7 +63,32 @@ func BenchmarkRankCandidates(b *testing.B) {
 			})
 		}
 	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("mac/workers=%d", workers), func(b *testing.B) {
+			s, cands := macRound()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = rankCandidates(context.Background(), s.ev, s.evalArena, cands, workers)
+			}
+			b.ReportMetric(float64(len(cands)), "candidates")
+		})
+	}
 }
+
+// macRound is the fixture of BenchmarkRankCandidates' mac cases, built once
+// per process: a windowed ER session with the mac-windowed workload's
+// options (1,024 evaluation patterns, 16 initial care rounds) on the
+// pre-optimized MACTree(24, 8, 1), and the candidates of its first step.
+var macRound = sync.OnceValues(func() (*Session, []Candidate) {
+	opts := DefaultOptions(errest.ER, 0.05)
+	opts.EvalPatterns = 1024
+	opts.InitialRounds = 16
+	opts.Windowed = true
+	s := NewSession(opt.Optimize(bench.MACTree(24, 8, 1)), opts)
+	cands, _ := s.generateIncremental(s.patternSeed(s.iterations + 1))
+	return s, cands
+})
 
 // BenchmarkSessionStep measures one full flow iteration — generation with the persistent arenas and candidate cache, ranking
 // against the borrowed eval vectors, and an in-place commit with dirty-TFO

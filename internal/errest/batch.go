@@ -3,6 +3,7 @@ package errest
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/aig"
@@ -45,6 +46,14 @@ const probeWords = 1
 //     candidates are pruned there; the remaining words are resimulated in
 //     one more walk only if one survives, and its sum resumes where the
 //     probe stopped.
+//   - An early exit for ER. A walk visits ids in ascending order, so a PO
+//     whose driver id is below the next id to visit is final. Under a
+//     finite bound each final PO's error bits join the flipped error mask
+//     as soon as the walk passes its driver; the mask so far is a subset
+//     of the final one, so scoring a candidate with it gives a lower bound
+//     on its sum. Once that bound prunes every live candidate, the walk is
+//     abandoned and they all get +Inf, which is what the full walk would
+//     give them.
 //
 // Every candidate gets exactly the error EvalFlipBounded gives it, or +Inf
 // when that error strictly exceeds the bound: partial sums are monotone and
@@ -69,21 +78,22 @@ type Batch struct {
 	cur     [][]uint64 // current circuit PO words Y
 	curFlat []uint64   // backing of cur, one pooled block
 	errCur  []uint64   // ER: per word, the patterns on which some PO is wrong
+	pos     []uint64   // ER: uint64(PO literal)<<32 | PO index, in ascending order
 	edCur   []uint64   // NMED: per pattern, the current error distance
 	edWord  []uint64   // NMED: per word, the sum of edCur over its valid patterns
 
 	// The node being scored, owned by each view.
-	flipped  [][]uint64 // PO words Y' with the node complemented, on the walked words
+	flipped  [][]uint64 // NMED, MRED: PO words Y' with the node complemented, on the walked words
 	flipFlat []uint64   // backing of flipped
 	flipBuf  []uint64   // the node's vector, complemented where a candidate differs
-	errFlip  []uint64   // ER: the error mask of Y', computed up to word flipHi
-	flipHi   int
+	errFlip  []uint64   // ER: the error mask of Y' on the walked words, over the POs final so far
 	edDelta  []uint64   // NMED: per pattern, flipped minus current distance (mod 2^64)
 	known    []uint64   // NMED: per word, the patterns whose edDelta is computed
 	vals     []uint64   // NMED: learnFlipped's flipped output values, by pattern
 	errs     []float64  // Score's result
 	rows     [][]uint64 // Rows' scratch
 	rowsFlat []uint64   // backing of rows
+	exits    int        // ER walks the early exit abandoned
 
 	isFork bool
 }
@@ -110,6 +120,13 @@ func NewBatch(ev *Evaluator, arena *sim.Arena) *Batch {
 		vecs.LitInto(g.PO(i), b.cur[i])
 	}
 	b.initRound()
+	if b.kind == scoreER {
+		b.pos = wordops.Get(g.NumPOs())
+		for o := range b.pos {
+			b.pos[o] = uint64(g.PO(o))<<32 | uint64(o)
+		}
+		slices.Sort(b.pos)
+	}
 	b.allocNode()
 	return b
 }
@@ -161,6 +178,7 @@ func (b *Batch) Fork() *Batch {
 		kind:   b.kind,
 		cur:    b.cur,
 		errCur: b.errCur,
+		pos:    b.pos,
 		edCur:  b.edCur,
 		edWord: b.edWord,
 		isFork: true,
@@ -172,12 +190,13 @@ func (b *Batch) Fork() *Batch {
 // allocNode takes the per-node scratch of one view from the pools.
 func (b *Batch) allocNode() {
 	words := b.Eval.words
-	b.flipped, b.flipFlat = allocPO(len(b.cur), words)
 	b.flipBuf = wordops.Get(words)
-	switch b.kind {
-	case scoreER:
+	if b.kind == scoreER {
 		b.errFlip = wordops.Get(words)
-	case scoreNMED:
+		return
+	}
+	b.flipped, b.flipFlat = allocPO(len(b.cur), words)
+	if b.kind == scoreNMED {
 		b.edDelta = wordops.Get(64 * words)
 		b.known = wordops.Get(words)
 		b.vals = wordops.Get(64)
@@ -198,7 +217,7 @@ func (b *Batch) Release() {
 	}
 	if !b.isFork {
 		releasePO(b.cur, b.curFlat)
-		for _, s := range [][]uint64{b.errCur, b.edCur, b.edWord} {
+		for _, s := range [][]uint64{b.errCur, b.pos, b.edCur, b.edWord} {
 			wordops.Put(s)
 		}
 	}
@@ -251,7 +270,8 @@ func (b *Batch) Rows(k int) [][]uint64 {
 // lowers the bound. A nil bound is +Inf and is never lowered.
 //
 // Under a finite bound the node's cone is probed on its first probeWords
-// words before the rest are walked (see Batch); under +Inf nothing can be
+// words before the rest are walked, and an ER walk stops once the final
+// POs prune every live candidate (see Batch); under +Inf nothing can be
 // pruned, and the cone is walked at full width once.
 //
 //alsrac:hotpath
@@ -270,7 +290,12 @@ func (b *Batch) Score(n aig.Node, news [][]uint64, bound *Bound) []float64 {
 		hi = probeWords
 	}
 	for lo, live := 0, len(news); lo < words && live > 0; lo, hi = hi, words {
-		b.walk(n, lo, hi)
+		if !b.walk(n, old, news, lo, hi, bound) {
+			for i := range errs {
+				errs[i] = math.Inf(1)
+			}
+			break
+		}
 		for i, nv := range news {
 			if math.IsInf(errs[i], 1) {
 				continue
@@ -305,24 +330,92 @@ func (b *Batch) flipChanged(old []uint64, news [][]uint64) {
 }
 
 // walk resimulates words [lo, hi) of the cone of n with n's vector set to
-// flipBuf, into the flipped PO words.
+// flipBuf, into the ER error mask errFlip or, for the other metrics, the
+// flipped PO words. Under ER and a finite bound it stops at each PO
+// driver, folds the POs the walk has passed into errFlip, and reports
+// false, leaving the walk unfinished, once the partial mask prunes every
+// candidate of news still live on the walked words.
 //
 //alsrac:hotpath
-func (b *Batch) walk(n aig.Node, lo, hi int) {
-	b.resim.Resimulate(n, b.flipBuf, lo, hi)
-	b.resim.POWordsInto(b.flipped)
+func (b *Batch) walk(n aig.Node, old []uint64, news [][]uint64, lo, hi int, bound *Bound) bool {
+	r := b.resim
+	r.Start(n, b.flipBuf, lo, hi)
 	b.forget(lo, hi)
+	if b.kind != scoreER {
+		r.RunTo(sim.WalkEnd)
+		r.POWordsInto(b.flipped)
+		return true
+	}
+	exit := !math.IsInf(bound.Load(), 1)
+	for j := 0; j < len(b.pos); {
+		stop := sim.WalkEnd
+		if exit {
+			stop = aig.Lit(b.pos[j]>>32).Node() + 1
+		}
+		next := r.RunTo(stop)
+		grew := false
+		for ; j < len(b.pos); j++ {
+			po := aig.Lit(b.pos[j] >> 32)
+			if po.Node() >= next {
+				break
+			}
+			grew = b.fold(int(uint32(b.pos[j])), r.Words(po.Node()), po.IsCompl(), lo, hi) || grew
+		}
+		if grew && j < len(b.pos) && b.allPruned(old, news, lo, hi, bound.Load()) {
+			b.exits++
+			return false
+		}
+	}
+	return true
 }
 
-// forget drops the flipped error data derived from words [lo, hi) of the
-// flipped PO words, which a walk has just rewritten.
+// forget drops the flipped error data of words [lo, hi), which a walk is
+// about to rewrite.
 func (b *Batch) forget(lo, hi int) {
 	switch b.kind {
 	case scoreER:
-		b.flipHi = lo
+		clear(b.errFlip[lo:hi])
 	case scoreNMED:
 		clear(b.known[lo:hi])
 	}
+}
+
+// fold adds PO o's flipped error bits on words [lo, hi) to errFlip, given
+// the words of its driver on them (index 0 holds word lo) and whether the
+// PO complements the driver, and reports whether any bit was new.
+//
+//alsrac:hotpath
+func (b *Batch) fold(o int, driver []uint64, compl bool, lo, hi int) bool {
+	e := b.Eval
+	var inv, grew uint64
+	if compl {
+		inv = ^uint64(0)
+	}
+	golden := e.golden[o]
+	for w := lo; w < hi; w++ {
+		x := (driver[w-lo] ^ inv ^ golden[w]) & e.maskOf(w)
+		grew |= x &^ b.errFlip[w]
+		b.errFlip[w] |= x
+	}
+	return grew != 0
+}
+
+// allPruned reports whether the ER kernel prunes every live candidate on
+// words [lo, hi) with errFlip as it stands. Before the walk ends errFlip
+// holds only the final POs' bits, a subset of its final value, so each
+// candidate's sum is then a lower bound on its exact one.
+//
+//alsrac:hotpath
+func (b *Batch) allPruned(old []uint64, news [][]uint64, lo, hi int, bound float64) bool {
+	for i, nv := range news {
+		if math.IsInf(b.errs[i], 1) {
+			continue
+		}
+		if _, ok := b.score(old, nv, lo, hi, b.errs[i], bound); ok {
+			return false
+		}
+	}
+	return true
 }
 
 // score adds the errors of one candidate on words [lo, hi) to its partial
@@ -338,7 +431,7 @@ func (b *Batch) score(old, new []uint64, lo, hi int, sum, bound float64) (float6
 		s := uint64(sum)
 		for w := lo; w < hi; w++ {
 			c := old[w] ^ new[w]
-			s += uint64(bits.OnesCount64(b.errCur[w]&^c | b.flipErr(w)&c))
+			s += uint64(bits.OnesCount64(b.errCur[w]&^c | b.errFlip[w]&c))
 			if e.value(float64(s)) > bound {
 				return 0, false
 			}
@@ -362,22 +455,6 @@ func (b *Batch) score(old, new []uint64, lo, hi int, sum, bound float64) (float6
 		return float64(s), true
 	}
 	return e.flipSum(b.cur, b.flipped, old, new, lo, hi, sum, bound)
-}
-
-// flipErr returns the ER error mask of the flipped outputs on word w,
-// computing the walked words up to w on first use.
-//
-//alsrac:hotpath
-func (b *Batch) flipErr(w int) uint64 {
-	e := b.Eval
-	for ; b.flipHi <= w; b.flipHi++ {
-		var acc uint64
-		for o, row := range b.flipped {
-			acc |= row[b.flipHi] ^ e.golden[o][b.flipHi]
-		}
-		b.errFlip[b.flipHi] = acc & e.maskOf(b.flipHi)
-	}
-	return b.errFlip[w]
 }
 
 // learnFlipped computes the NMED edDelta of the patterns in need, a subset

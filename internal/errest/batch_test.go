@@ -105,11 +105,21 @@ func TestEvaluatorWorkersIdentical(t *testing.T) {
 // error). It covers ER, NMED and MRED, pattern counts that are not
 // multiples of 64, and entry bounds at +Inf (one full-width walk), at each
 // exact error, just below it, and at 0, where the probe prunes every
-// candidate that errs on the first word.
+// candidate that errs on the first word. The trials after the first 12
+// have 8–24 POs, driven also by PIs, the constant and low AND nodes, so
+// that PO drivers interleave with the walk and the ER early exit fires;
+// the test fails if it never does.
 func TestScoreMatchesResimulation(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 12; trial++ {
-		g := randomAIG(rng, 6+rng.Intn(5), 40+rng.Intn(100), 1+rng.Intn(8))
+	exits := 0
+	for trial := 0; trial < 24; trial++ {
+		var g *aig.Graph
+		if trial < 12 {
+			g = randomAIG(rng, 6+rng.Intn(5), 40+rng.Intn(100), 1+rng.Intn(8))
+		} else {
+			g = randomAIG(rng, 6+rng.Intn(5), 40+rng.Intn(100), 0)
+			addSpreadPOs(rng, g, 8+rng.Intn(17))
+		}
 		pats := sim.UniformN(g.NumPIs(), 64*rng.Intn(4)+1+rng.Intn(63), int64(trial))
 		cur := g
 		ands := andNodes(g)
@@ -164,10 +174,35 @@ func TestScoreMatchesResimulation(t *testing.T) {
 					}
 				}
 			}
+			exits += b.exits
 			ref.Release()
 			b.Release()
 			arena.Release()
 		}
+	}
+	if exits == 0 {
+		t.Fatal("the ER early exit never abandoned a walk")
+	}
+}
+
+// addSpreadPOs adds nPOs outputs to g, driven, at random and complemented
+// at random, by the constant, a PI, one of the lowest AND nodes, or one of
+// the topmost nodes.
+func addSpreadPOs(rng *rand.Rand, g *aig.Graph, nPOs int) {
+	ands := andNodes(g)
+	for i := 0; i < nPOs; i++ {
+		var l aig.Lit
+		switch k := rng.Intn(4); {
+		case k == 0:
+			l = aig.LitFalse
+		case k == 1 || len(ands) == 0:
+			l = aig.MakeLit(g.PI(rng.Intn(g.NumPIs())), false)
+		case k == 2:
+			l = aig.MakeLit(ands[rng.Intn(min(8, len(ands)))], false)
+		default:
+			l = aig.MakeLit(ands[len(ands)-1-rng.Intn(min(4, len(ands)))], false)
+		}
+		g.AddPO(l.NotCond(rng.Intn(2) == 0), "f")
 	}
 }
 

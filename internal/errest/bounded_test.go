@@ -167,7 +167,7 @@ func checkRankKernels(t *testing.T, rng *rand.Rand, nPOs, words, valid int) {
 			b = &Batch{Eval: e, cur: cur}
 			b.initRound()
 			b.allocNode()
-			for o := range flipped {
+			for o := range b.flipped {
 				copy(b.flipped[o], flipped[o])
 			}
 		}
@@ -185,7 +185,7 @@ func checkRankKernels(t *testing.T, rng *rand.Rand, nPOs, words, valid int) {
 			if b == nil {
 				continue
 			}
-			for i, got := range scorePhases(b, old, news, split, bound) {
+			for i, got := range scorePhases(b, old, news, flipped, split, bound) {
 				exp := want[i]
 				if exp > bound {
 					exp = math.Inf(1)
@@ -200,9 +200,11 @@ func checkRankKernels(t *testing.T, rng *rand.Rand, nPOs, words, valid int) {
 }
 
 // scorePhases scores the candidates the way Batch.Score does after each
-// walk — words [0, split), then the rest — with the flipped words already
-// in place, and returns their errors (+Inf when pruned).
-func scorePhases(b *Batch, old []uint64, news [][]uint64, split int, bound float64) []float64 {
+// walk — words [0, split), then the rest — and returns their errors (+Inf
+// when pruned). The flipped PO words are in place for NMED and MRED; for
+// ER each phase folds every PO of flipped into the error mask, as a walk
+// run to its end does.
+func scorePhases(b *Batch, old []uint64, news, flipped [][]uint64, split int, bound float64) []float64 {
 	b.flipChanged(old, news)
 	errs := make([]float64, len(news)) // partial sums, then errors
 	for _, r := range [][2]int{{0, split}, {split, b.Eval.words}} {
@@ -210,6 +212,11 @@ func scorePhases(b *Batch, old []uint64, news [][]uint64, split int, bound float
 			continue
 		}
 		b.forget(r[0], r[1])
+		if b.kind == scoreER {
+			for o, row := range flipped {
+				b.fold(o, row[r[0]:r[1]], false, r[0], r[1])
+			}
+		}
 		for i, nv := range news {
 			if math.IsInf(errs[i], 1) {
 				continue

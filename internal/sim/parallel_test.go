@@ -128,9 +128,14 @@ func fullRescanResimulate(g *aig.Graph, base *Vectors, n aig.Node, newVec []uint
 // — for random (node, replacement-vector) pairs the event-driven TFO walk
 // must produce the same PO words as the old full-rescan sweep, whether it
 // walks every word at once or the words split at a random point into two
-// walks, as the ranking probe does.
+// walks, as the ranking probe does. The walks alternate between a root and
+// a fork, and half of them follow a walk stopped at a random id and
+// abandoned there, on word 0 alone or on several words: every node below
+// the id RunTo returned must hold its final words, and the next walk must
+// start from an empty queue and clean overlay.
 func TestResimulatorEventDrivenMatchesFullRescan(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
+	stopped := 0
 	for trial := 0; trial < 20; trial++ {
 		g := randomAIG(rng, 6+rng.Intn(6), 30+rng.Intn(120), 1+rng.Intn(5))
 		if g.NumAnds() == 0 {
@@ -139,7 +144,8 @@ func TestResimulatorEventDrivenMatchesFullRescan(t *testing.T) {
 		p := Uniform(g.NumPIs(), 1+rng.Intn(4), int64(trial))
 		arena := NewArena(g, p, 1)
 		base := arena.Vectors()
-		r := NewResimulator(arena)
+		root := NewResimulator(arena)
+		fork := root.Fork()
 		got := make([][]uint64, g.NumPOs())
 		want := make([][]uint64, g.NumPOs())
 		for i := range got {
@@ -147,6 +153,13 @@ func TestResimulatorEventDrivenMatchesFullRescan(t *testing.T) {
 			want[i] = make([]uint64, base.Words)
 		}
 		for rep := 0; rep < 10; rep++ {
+			r := root
+			if rep%4 >= 2 {
+				r = fork
+			}
+			if rng.Intn(2) == 0 {
+				stopped += stopWalk(t, rng, g, base, r)
+			}
 			var n aig.Node
 			for {
 				n = aig.Node(rng.Intn(g.NumNodes()-1) + 1)
@@ -157,6 +170,10 @@ func TestResimulatorEventDrivenMatchesFullRescan(t *testing.T) {
 			newVec := make([]uint64, base.Words)
 			for w := range newVec {
 				newVec[w] = rng.Uint64()
+			}
+			r.Start(n, newVec, 0, base.Words)
+			if first, want := r.RunTo(0), firstFanout(arena, n); first != want {
+				t.Fatalf("trial %d rep %d node %d: the walk's first node is %d, want %d", trial, rep, n, first, want)
 			}
 			if split := rng.Intn(base.Words + 1); rep%2 == 1 && split > 0 && split < base.Words {
 				r.Resimulate(n, newVec, 0, split)
@@ -177,9 +194,73 @@ func TestResimulatorEventDrivenMatchesFullRescan(t *testing.T) {
 				}
 			}
 		}
-		r.Release()
+		fork.Release()
+		root.Release()
 		arena.Release()
 	}
+	if stopped == 0 {
+		t.Fatal("no walk stopped with nodes left to evaluate")
+	}
+}
+
+// stopWalk starts a walk from a random AND node over word 0 alone or a
+// random multi-word range, runs it up to a random id, and checks that every
+// node below the id RunTo returns holds its final words. It reports 1 when
+// the walk stopped with nodes left, 0 when it ran to its end.
+func stopWalk(t *testing.T, rng *rand.Rand, g *aig.Graph, base *Vectors, r *Resimulator) int {
+	t.Helper()
+	ands := liveAndNodes(g)
+	n := ands[rng.Intn(len(ands))]
+	lo, hi := 0, 1
+	if base.Words > 1 && rng.Intn(2) == 0 {
+		lo = rng.Intn(base.Words - 1)
+		hi = lo + 2 + rng.Intn(base.Words-lo-1)
+	}
+	newVec := make([]uint64, base.Words)
+	for w := range newVec {
+		newVec[w] = rng.Uint64()
+	}
+	ref := nodeWords(g, base, n, newVec)
+	r.Start(n, newVec, lo, hi)
+	next := r.RunTo(n + 1 + aig.Node(rng.Intn(g.NumNodes()-int(n))))
+	for m := aig.Node(0); m < next && int(m) < g.NumNodes(); m++ {
+		for w, x := range r.Words(m) {
+			if x != ref[m][lo+w] {
+				t.Fatalf("walk from node %d on words [%d, %d) stopped before %d: node %d word %d is %x, want %x",
+					n, lo, hi, next, m, lo+w, x, ref[m][lo+w])
+			}
+		}
+	}
+	if next == WalkEnd {
+		return 0
+	}
+	return 1
+}
+
+// nodeWords returns every node's words with node n's replaced by newVec,
+// recomputed from scratch in id order.
+func nodeWords(g *aig.Graph, base *Vectors, n aig.Node, newVec []uint64) [][]uint64 {
+	vals := make([][]uint64, g.NumNodes())
+	for m := range vals {
+		vals[m] = append([]uint64(nil), base.Node(aig.Node(m))...)
+	}
+	copy(vals[n], newVec)
+	for m := n + 1; int(m) < g.NumNodes(); m++ {
+		if g.IsAnd(m) {
+			f0, f1 := g.Fanin0(m), g.Fanin1(m)
+			wordops.And(vals[m], vals[f0.Node()], vals[f1.Node()], f0.IsCompl(), f1.IsCompl())
+		}
+	}
+	return vals
+}
+
+// firstFanout returns the smallest AND fanout of n, the first node a walk
+// from n evaluates, or WalkEnd when n has none.
+func firstFanout(a *Arena, n aig.Node) aig.Node {
+	if fo := a.fo.Of(n); len(fo) > 0 {
+		return aig.Node(fo[0])
+	}
+	return WalkEnd
 }
 
 // TestResimulatorForkIndependence: a Fork must share base values but keep

@@ -14,6 +14,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -327,6 +328,10 @@ func POWords(g *aig.Graph, v *Vectors) [][]uint64 {
 // fanout index and one of its event queues, so Resimulate walks the actual
 // transitive fanout of the changed node instead of scanning every node
 // above it, and a Resimulator keeps no adjacency of its own.
+//
+// A walk evaluates nodes in ascending id order, so it can stop at any id
+// and still leave every node below that id final (see Start and RunTo); a
+// walk that is not run to its end is abandoned by the next Start.
 type Resimulator struct {
 	arena *Arena
 	g     *aig.Graph
@@ -347,6 +352,10 @@ type Resimulator struct {
 	// the cache lines of the next Resimulator's fields.
 	_ [64]byte
 }
+
+// WalkEnd is what RunTo returns once a walk has no node left to evaluate:
+// an id above every node's.
+const WalkEnd = aig.Node(math.MaxInt32)
 
 // NewResimulator prepares incremental re-simulation over the arena's
 // current simulation of its graph. The arena must be up to date (Update
@@ -374,9 +383,9 @@ func newResimulator(a *Arena) *Resimulator {
 	return r
 }
 
-// Words returns node n's words [lo, hi) of the last Resimulate call under
-// its overlay; index 0 holds word lo. The view is valid until the next
-// Resimulate call.
+// Words returns node n's words [lo, hi) of the last walk under its
+// overlay; index 0 holds word lo. The view is valid until the next walk,
+// and holds n's final words once n is below the id RunTo last returned.
 //
 //alsrac:hotpath
 func (r *Resimulator) Words(n aig.Node) []uint64 {
@@ -392,29 +401,56 @@ func (r *Resimulator) Words(n aig.Node) []uint64 {
 // columns are independent, so the walk is exact on its range; it prunes a
 // node whose words in the range equal the base, as event-driven simulation
 // does. Words outside the range are not computed. Read the result through
-// Words and POWordsInto until the next Resimulate call.
+// Words and POWordsInto until the next walk.
 //
 //alsrac:hotpath
 func (r *Resimulator) Resimulate(n aig.Node, newVec []uint64, lo, hi int) {
+	r.Start(n, newVec, lo, hi)
+	r.RunTo(WalkEnd)
+}
+
+// Start begins the walk of Resimulate(n, newVec, lo, hi) and evaluates
+// nothing yet; RunTo advances it. It abandons whatever is left of the
+// previous walk.
+//
+//alsrac:hotpath
+func (r *Resimulator) Start(n aig.Node, newVec []uint64, lo, hi int) {
 	for _, m := range r.touched {
 		r.slot[m] = 0
 	}
 	r.touched = r.touched[:0]
+	if r.queue.Len() > 0 {
+		r.queue.Reset(r.g.NumNodes())
+	}
 	r.lo, r.hi = lo, hi
 	copy(r.next(), newVec[lo:hi])
 	r.keep(n)
+	r.queue.PushFanouts(&r.arena.fo, n)
+}
+
+// RunTo evaluates the walk's queued nodes in ascending id order while the
+// next one's id is below stop, and returns that next id, or WalkEnd once
+// none is left. A walk only queues ids above the one it evaluates, so
+// every node below the returned id then holds its final words.
+//
+//alsrac:hotpath
+func (r *Resimulator) RunTo(stop aig.Node) aig.Node {
 	fo := &r.arena.fo
-	r.queue.PushFanouts(fo, n)
 	for r.queue.Len() > 0 {
-		m := r.queue.Pop()
+		m := r.queue.Peek()
+		if m >= stop {
+			return m
+		}
+		r.queue.Pop()
 		f0, f1 := r.g.Fanin0(m), r.g.Fanin1(m)
 		out := r.next()
-		if wordops.AndDiff(out, r.Words(f0.Node()), r.Words(f1.Node()), r.base.Node(m)[lo:hi],
+		if wordops.AndDiff(out, r.Words(f0.Node()), r.Words(f1.Node()), r.base.Node(m)[r.lo:r.hi],
 			f0.IsCompl(), f1.IsCompl()) {
 			r.keep(m)
 			r.queue.PushFanouts(fo, m)
 		}
 	}
+	return WalkEnd
 }
 
 // next returns the words run of the next touched node, growing the overlay
@@ -440,7 +476,7 @@ func (r *Resimulator) keep(m aig.Node) {
 }
 
 // POWordsInto writes words [lo, hi) of the primary outputs of the last
-// Resimulate call into out[i][lo:hi] for PO i.
+// walk, run to its end, into out[i][lo:hi] for PO i.
 func (r *Resimulator) POWordsInto(out [][]uint64) {
 	for i := 0; i < r.g.NumPOs(); i++ {
 		po := r.g.PO(i)
