@@ -190,13 +190,7 @@ func MapASIC(g *Circuit) ASICMapping { return mapper.MapCells(g, cell.MCNC()) }
 // ref using `patterns` uniform Monte-Carlo rounds (both circuits must share
 // the PI/PO interface).
 func MeasureError(ref, approx *Circuit, metric Metric, patterns int, seed int64) float64 {
-	words := (patterns + 63) / 64
-	if words < 1 {
-		words = 1
-	}
-	p := sim.Uniform(ref.NumPIs(), words, seed)
-	ev := errest.NewEvaluator(ref, p, metric)
-	return ev.EvalGraph(approx, p)
+	return MeasureErrorOnPatterns(ref, approx, metric, sim.UniformN(ref.NumPIs(), patterns, seed))
 }
 
 // MeasureErrorOnPatterns estimates the error of approx against ref on a
@@ -276,26 +270,28 @@ func ReadCircuitFile(path string) (*Circuit, error) {
 }
 
 // WriteCircuitFile saves a circuit to disk, selecting the writer by file
-// extension: .blif, .aag or .aig.
+// extension: .blif, .aag, .aig or .v. An unknown extension fails before the
+// file is created, so it leaves an existing file untouched.
 func WriteCircuitFile(path string, g *Circuit) error {
+	ext := filepath.Ext(path)
+	var write func(io.Writer, *Circuit) error
+	switch ext {
+	case ".blif":
+		write = WriteBLIF
+	case ".aag", ".aig":
+		write = func(w io.Writer, g *Circuit) error { return aiger.Write(w, g, ext[1:]) }
+	case ".v":
+		write = verilog.Write
+	default:
+		return fmt.Errorf("alsrac: unknown circuit format %q", ext)
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	var werr error
-	switch filepath.Ext(path) {
-	case ".blif":
-		werr = WriteBLIF(f, g)
-	case ".aag", ".aig":
-		werr = aiger.Write(f, g, filepath.Ext(path)[1:])
-	case ".v":
-		werr = verilog.Write(f, g)
-	default:
-		werr = fmt.Errorf("alsrac: unknown circuit format %q", filepath.Ext(path))
-	}
-	if werr != nil {
+	if err := write(f, g); err != nil {
 		f.Close()
-		return werr
+		return err
 	}
 	return f.Close()
 }

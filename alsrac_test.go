@@ -2,7 +2,12 @@ package alsrac
 
 import (
 	"bytes"
+	"errors"
+	"io/fs"
+	"os"
 	"testing"
+
+	"repro/internal/aig"
 )
 
 func TestPublicAPIQuickstart(t *testing.T) {
@@ -141,8 +146,23 @@ func TestCircuitFileFormats(t *testing.T) {
 			t.Fatalf("%s: round trip changed function (ER %.4g)", name, e)
 		}
 	}
+	// A failed write leaves the file system as it was: an existing file
+	// keeps its bytes and a new path is not created.
+	notes := dir + "/notes.txt"
+	if err := os.WriteFile(notes, []byte("precious"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteCircuitFile(notes, g); err == nil {
+		t.Fatalf("expected error for unknown extension")
+	}
+	if b, err := os.ReadFile(notes); err != nil || string(b) != "precious" {
+		t.Fatalf("failed write changed %s: %q, %v", notes, b, err)
+	}
 	if err := WriteCircuitFile(dir+"/a.xyz", g); err == nil {
 		t.Fatalf("expected error for unknown extension")
+	}
+	if _, err := os.Stat(dir + "/a.xyz"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("failed write left a.xyz behind: %v", err)
 	}
 	if _, err := ReadCircuitFile(dir + "/a.xyz"); err == nil {
 		t.Fatalf("expected error for unknown extension")
@@ -190,11 +210,20 @@ func TestPatternHelpers(t *testing.T) {
 	if b.Valid != 200 || len(b.In) != 2 {
 		t.Fatalf("BiasedPatterns shape wrong")
 	}
-	// MeasureErrorOnPatterns consistency with MeasureError at same seed.
 	g := Benchmark("cmp16")
 	approx := Optimize(g)
 	if MeasureErrorOnPatterns(g, approx, ER, UniformPatterns(g.NumPIs(), 1024, 7)) != 0 {
 		t.Fatalf("exact optimization should have zero error")
+	}
+
+	// MeasureError scores exactly the requested patterns, the ones
+	// UniformPatterns draws at the same seed: 100 of them, not 128.
+	ref := Benchmark("rca32")
+	tied := ref.Clone()
+	tied.SetPO(3, aig.LitFalse)
+	want := MeasureErrorOnPatterns(ref, tied, ER, UniformPatterns(ref.NumPIs(), 100, 3))
+	if got := MeasureError(ref, tied, ER, 100, 3); got != want {
+		t.Fatalf("MeasureError over 100 patterns = %v, want %v", got, want)
 	}
 }
 

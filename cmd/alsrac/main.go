@@ -11,6 +11,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -52,6 +53,9 @@ func main() {
 			fmt.Println(n)
 		}
 		return
+	}
+	if err := checkFlowFlags(*flow, *metric, *maxError, *maxDepth); err != nil {
+		fail("%v", err)
 	}
 
 	g, err := load(*inFile, *benchName)
@@ -165,6 +169,24 @@ func measure(g *alsrac.Circuit, target string) (float64, float64) {
 	}
 	r := alsrac.MapASIC(g)
 	return r.Area, r.Delay
+}
+
+// checkFlowFlags rejects the flags a flow would ignore. The MCMC baseline
+// has no certified mode and no depth cap, so running it with them would
+// report a guarantee it never enforced.
+func checkFlowFlags(flow, metric string, maxError, maxDepth float64) error {
+	if !strings.EqualFold(flow, "mcmc") {
+		return nil
+	}
+	switch {
+	case maxError != 0:
+		return errors.New("-maxerror is not supported by -flow mcmc")
+	case strings.EqualFold(strings.TrimSpace(metric), "maxerr"):
+		return errors.New("-metric maxerr is not supported by -flow mcmc")
+	case maxDepth != 0:
+		return errors.New("-maxdepth is not supported by -flow mcmc")
+	}
+	return nil
 }
 
 func fail(format string, args ...any) {

@@ -98,59 +98,6 @@ func (g *Graph) TFICone(n Node) []Node {
 	return cone
 }
 
-// TFIMask marks the transitive-fanin cone of n (including n, excluding the
-// constant node) in a caller-provided mask of length NumNodes. The mask is
-// reset before use so it can be reused across calls.
-func (g *Graph) TFIMask(n Node, mask []bool) {
-	for i := range mask {
-		mask[i] = false
-	}
-	mask[n] = true
-	for i := n; i >= 1; i-- {
-		if !mask[i] || g.kind[i] != KindAnd {
-			continue
-		}
-		mask[g.fanin0[i].Node()] = true
-		mask[g.fanin1[i].Node()] = true
-	}
-	mask[0] = false
-}
-
-// TFOCone returns the transitive-fanout cone of node n, including n itself,
-// as node ids in increasing (topological) order.
-func (g *Graph) TFOCone(n Node) []Node {
-	mark := make([]bool, g.NumNodes())
-	mark[n] = true
-	cone := []Node{n}
-	for i := n + 1; int(i) < g.NumNodes(); i++ {
-		if g.kind[i] != KindAnd {
-			continue
-		}
-		if mark[g.fanin0[i].Node()] || mark[g.fanin1[i].Node()] {
-			mark[i] = true
-			cone = append(cone, i)
-		}
-	}
-	return cone
-}
-
-// Support returns the indices of the primary inputs in the transitive fanin
-// of the literal's node, in increasing input order.
-func (g *Graph) Support(l Lit) []int {
-	cone := g.TFICone(l.Node())
-	inCone := make(map[Node]bool, len(cone))
-	for _, n := range cone {
-		inCone[n] = true
-	}
-	var sup []int
-	for i, pi := range g.pis {
-		if inCone[pi] {
-			sup = append(sup, i)
-		}
-	}
-	return sup
-}
-
 // MFFCSize returns the number of AND nodes in the maximum fanout-free cone
 // of node n: the nodes that would become dangling if n were removed. refs
 // must be the current reference counts (see RefCounts); it is restored

@@ -42,64 +42,6 @@ func TestTFICone(t *testing.T) {
 	}
 }
 
-func TestTFIMaskMatchesCone(t *testing.T) {
-	g, _, _, _, _, ac, f := buildDiamond(t)
-	mask := make([]bool, g.NumNodes())
-	g.TFIMask(f.Node(), mask)
-	cone := g.TFICone(f.Node())
-	n := 0
-	for id, in := range mask {
-		if in {
-			n++
-			found := false
-			for _, c := range cone {
-				if c == Node(id) {
-					found = true
-				}
-			}
-			if !found {
-				t.Errorf("mask marks %d but cone misses it", id)
-			}
-		}
-	}
-	if n != len(cone) {
-		t.Fatalf("mask count %d != cone size %d", n, len(cone))
-	}
-	// Reuse the mask for a smaller cone; stale marks must be cleared.
-	g.TFIMask(ac.Node(), mask)
-	if mask[f.Node()] {
-		t.Fatalf("mask not reset between calls")
-	}
-}
-
-func TestTFOCone(t *testing.T) {
-	g, a, _, _, ab, ac, f := buildDiamond(t)
-	tfo := g.TFOCone(a.Node())
-	want := map[Node]bool{a.Node(): true, ab.Node(): true, ac.Node(): true, f.Node(): true}
-	if len(tfo) != len(want) {
-		t.Fatalf("TFO size = %d want %d", len(tfo), len(want))
-	}
-	for _, n := range tfo {
-		if !want[n] {
-			t.Errorf("unexpected node %d in TFO", n)
-		}
-	}
-	tfoAB := g.TFOCone(ab.Node())
-	if len(tfoAB) != 2 { // ab and f
-		t.Fatalf("TFO(ab) = %v", tfoAB)
-	}
-}
-
-func TestSupport(t *testing.T) {
-	g, _, _, _, ab, _, f := buildDiamond(t)
-	if s := g.Support(f); len(s) != 3 {
-		t.Fatalf("Support(f) = %v, want all 3 PIs", s)
-	}
-	if s := g.Support(ab); len(s) != 2 || s[0] != 0 || s[1] != 1 {
-		t.Fatalf("Support(ab) = %v, want [0 1]", s)
-	}
-}
-
 func TestMFFCSize(t *testing.T) {
 	g, _, _, _, ab, ac, f := buildDiamond(t)
 	refs := g.RefCounts()

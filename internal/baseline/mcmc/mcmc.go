@@ -23,30 +23,28 @@ import (
 	"repro/internal/sim"
 )
 
+// The cooling schedule: the Metropolis temperature starts at initTemp, in
+// AND-node units, and decays by coolingRate per proposal.
+const (
+	initTemp    = 4
+	coolingRate = 0.999
+)
+
 // Options configures a stochastic ALS run.
 type Options struct {
 	Metric    errest.Metric
 	Threshold float64
 
-	Proposals    int     // number of MCMC proposals
-	EvalPatterns int     // Monte-Carlo pattern budget
-	Seed         int64   //
-	InitTemp     float64 // initial Metropolis temperature, in AND-node units
-	CoolingRate  float64 // temperature decay per proposal (e.g. 0.999)
+	Proposals    int   // number of MCMC proposals
+	EvalPatterns int   // Monte-Carlo pattern budget
+	Seed         int64 //
 	// OptimizeEvery runs exact re-optimization after this many accepted
 	// moves (0 disables periodic optimization; a final pass always runs).
 	OptimizeEvery int
-	// CertifyDelta, when positive, requires every accepted move's error to
-	// be below the threshold with confidence 1−δ (a Hoeffding bound over
-	// the evaluation samples) — the "statistically certified" acceptance
-	// rule of Liu's method. It needs an evaluation budget large enough
-	// that the confidence margin is small relative to the threshold.
-	CertifyDelta float64
 }
 
 // DefaultOptions returns a setup comparable to the ALSRAC runs: the same
-// evaluation budget, a proposal count that scales with circuit size, and a
-// gentle cooling schedule.
+// evaluation budget and a proposal count that scales with circuit size.
 func DefaultOptions(metric errest.Metric, threshold float64) Options {
 	return Options{
 		Metric:        metric,
@@ -54,8 +52,6 @@ func DefaultOptions(metric errest.Metric, threshold float64) Options {
 		Proposals:     4000,
 		EvalPatterns:  8192,
 		Seed:          1,
-		InitTemp:      4,
-		CoolingRate:   0.999,
 		OptimizeEvery: 25,
 	}
 }
@@ -82,7 +78,7 @@ func Run(g *aig.Graph, o Options) Result {
 	cur := opt.Optimize(g)
 	best := cur
 	bestArea := cur.NumAnds()
-	temp := o.InitTemp
+	temp := float64(initTemp)
 
 	res := Result{}
 	// One arena holds the simulation of the current circuit that every
@@ -98,7 +94,7 @@ func Run(g *aig.Graph, o Options) Result {
 
 	for res.Proposed < o.Proposals {
 		res.Proposed++
-		temp *= o.CoolingRate
+		temp *= coolingRate
 
 		ands := andNodes(cur)
 		if len(ands) == 0 {
@@ -132,11 +128,7 @@ func Run(g *aig.Graph, o Options) Result {
 		// Estimate the error cheaply with the batch estimator, unbounded.
 		batch.Vectors().LitInto(sub, newVec)
 		err := batch.Score(v, news, nil)[0]
-		if o.CertifyDelta > 0 {
-			if !ev.Certify(err, o.Threshold, o.CertifyDelta) {
-				continue
-			}
-		} else if err > o.Threshold {
+		if err > o.Threshold {
 			continue
 		}
 

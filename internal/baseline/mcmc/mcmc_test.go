@@ -93,24 +93,6 @@ func TestMCMCProposalAccounting(t *testing.T) {
 	}
 }
 
-func TestMCMCCertifiedAcceptance(t *testing.T) {
-	// With certification on and a threshold close to the confidence margin,
-	// the flow must accept strictly fewer (or equal) moves than without.
-	g := rippleAdder(4)
-	o := DefaultOptions(errest.ER, 0.05)
-	o.Proposals = 400
-	o.EvalPatterns = 8192
-	plain := Run(g, o)
-	o.CertifyDelta = 0.05
-	cert := Run(g, o)
-	if cert.Accepted > plain.Accepted {
-		t.Fatalf("certified run accepted more moves: %d > %d", cert.Accepted, plain.Accepted)
-	}
-	if cert.FinalError > o.Threshold {
-		t.Fatalf("certified run exceeded threshold")
-	}
-}
-
 // TestMCMCGolden pins two complete chains, one per metric of Tables VI and
 // VII, to their result graph, error and acceptance count. Every proposal
 // is scored by the batch estimator over the run's one simulation arena,

@@ -21,19 +21,18 @@ import (
 // it scans all live signals s with smaller id (ids are topological, also
 // after in-place commits recycle freed slots, so s can never be in v's
 // fanout cone and substitution cannot create a cycle), ranks them by
-// simulated similarity to v, and emits the closest matches in either
-// polarity plus the two constants.
-type Generator struct {
-	// PerNode caps emitted candidates per node (most-similar first).
-	PerNode int
-	// MaxDiff drops signal pairs that disagree on more than this fraction
-	// of the simulated patterns (both polarities considered).
-	MaxDiff float64
-}
+// simulated similarity to v, and emits the perNode closest matches in
+// either polarity plus the two constants.
+type Generator struct{}
 
-// DefaultGenerator mirrors SASIMI's setup: a handful of most-similar
-// substitute signals per target.
-func DefaultGenerator() Generator { return Generator{PerNode: 3, MaxDiff: 0.30} }
+// SASIMI's setup: a handful of most-similar substitute signals per target.
+const (
+	// perNode caps emitted candidates per node (most-similar first).
+	perNode = 3
+	// maxDiff drops signal pairs that disagree on more than this fraction
+	// of the simulated patterns (both polarities considered).
+	maxDiff = 0.30
+)
 
 type cand struct {
 	s    aig.Lit // substitute signal (possibly complemented, or a constant)
@@ -120,7 +119,7 @@ func (sg Generator) scan(g *aig.Graph, care *sim.Vectors, valid int) []substitut
 	}
 
 	refs := g.RefCounts()
-	maxDiff := int(sg.MaxDiff * float64(valid))
+	maxBad := int(maxDiff * float64(valid))
 	var out []substitution
 	for v := aig.Node(1); int(v) < g.NumNodes(); v++ {
 		if !g.IsAnd(v) {
@@ -139,15 +138,15 @@ func (sg Generator) scan(g *aig.Graph, care *sim.Vectors, valid int) []substitut
 				continue
 			}
 			d := diffCount(v, aig.MakeLit(s, false))
-			if d <= maxDiff {
+			if d <= maxBad {
 				cs = append(cs, cand{s: aig.MakeLit(s, false), diff: d})
 			}
-			if valid-d <= maxDiff {
+			if valid-d <= maxBad {
 				cs = append(cs, cand{s: aig.MakeLit(s, true), diff: valid - d})
 			}
 		}
 		sort.SliceStable(cs, func(i, j int) bool { return cs[i].diff < cs[j].diff })
-		n := sg.PerNode
+		n := perNode
 		if n > len(cs) {
 			n = len(cs)
 		}
@@ -163,7 +162,7 @@ func (sg Generator) scan(g *aig.Graph, care *sim.Vectors, valid int) []substitut
 // generator with a fixed 512-pattern similarity budget for substitute
 // detection (no adaptive N — that mechanism is ALSRAC's contribution).
 func Configure(opts core.Options) core.Options {
-	opts.Generator = DefaultGenerator()
+	opts.Generator = Generator{}
 	opts.InitialRounds = 512
 	opts.Scale = 1.0 // N stays fixed; adaptive care sets are ALSRAC's trick
 	return opts

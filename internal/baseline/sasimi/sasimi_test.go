@@ -28,7 +28,7 @@ func TestGeneratorProposesCandidates(t *testing.T) {
 	g := rippleAdder(4)
 	p := sim.Uniform(g.NumPIs(), 8, 3)
 	vecs := sim.Simulate(g, p)
-	cands := DefaultGenerator().Generate(g, vecs, p.Valid)
+	cands := Generator{}.Generate(g, vecs, p.Valid)
 	if len(cands) == 0 {
 		t.Fatalf("no candidates")
 	}
@@ -53,7 +53,7 @@ func TestCandidateVectorsMatchApply(t *testing.T) {
 	g := rippleAdder(3)
 	p := sim.Exhaustive(g.NumPIs())
 	vecs := sim.Simulate(g, p)
-	cands := DefaultGenerator().Generate(g, vecs, p.Valid)
+	cands := Generator{}.Generate(g, vecs, p.Valid)
 	buf := make([]uint64, vecs.Words)
 	for _, c := range cands {
 		c.NewVec(vecs, buf)
@@ -88,7 +88,7 @@ func TestSasimiSubstitutesOnlyAcyclic(t *testing.T) {
 	g := rippleAdder(5)
 	p := sim.Uniform(g.NumPIs(), 8, 9)
 	vecs := sim.Simulate(g, p)
-	for _, c := range DefaultGenerator().Generate(g, vecs, p.Valid) {
+	for _, c := range (Generator{}).Generate(g, vecs, p.Valid) {
 		ng := c.Apply(g)
 		if err := ng.Check(); err != nil {
 			t.Fatalf("node %d: %v", c.Node, err)
@@ -132,7 +132,7 @@ func TestApplyInPlaceOnFreedSlots(t *testing.T) {
 	}
 	p := sim.Exhaustive(g.NumPIs())
 	vecs := sim.Simulate(g, p)
-	gen := DefaultGenerator()
+	gen := Generator{}
 	for _, sb := range gen.scan(g, vecs, p.Valid) {
 		if g.Kind(sb.sub.Node()) == aig.KindDead {
 			t.Fatalf("node %d: substitute %v is a freed slot", sb.node, sb.sub)

@@ -112,9 +112,6 @@ func TestCertifiedRunRespectsMaxError(t *testing.T) {
 		t.Fatalf("rejections disagree: %d records, %d events, session says %d",
 			rejectedRecords, rejectedEvents, s.CertRejections())
 	}
-	if stats := s.CertStats(); int(stats.Rejections) != s.CertRejections() {
-		t.Fatalf("checker stats count %d rejections, session %d", stats.Rejections, s.CertRejections())
-	}
 
 	// The final best graph obeys the bound too (Result may return an earlier
 	// snapshot than s.cur, so certify it separately).

@@ -379,11 +379,11 @@ func RunCtx(ctx context.Context, g *aig.Graph, opts Options) Result {
 // but the winner does not: a pruned candidate's error strictly exceeds
 // some exact error and therefore the global minimum, and a candidate at
 // least as good as the bound always gets its exact value (see
-// errest.Evaluator.EvalPOWordsBounded), so every minimum-error candidate is
-// evaluated exactly. The reduction is a sequential scan with a fixed
-// tie-break (smallest error, then largest gain, then first in node order);
-// pruned candidates never tie-break against survivors, so the winner is
-// independent of worker count and scheduling.
+// errest.Batch), so every minimum-error candidate is evaluated exactly.
+// The reduction is a sequential scan with a fixed tie-break (smallest
+// error, then largest gain, then first in node order); pruned candidates
+// never tie-break against survivors, so the winner is independent of
+// worker count and scheduling.
 //
 // Cancelling ctx stops the scan at the next group boundary; the caller
 // (Session.Step) detects ctx.Err and discards the partial ranking, so a

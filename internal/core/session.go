@@ -587,15 +587,6 @@ func (s *Session) History() []IterRecord { return s.history }
 // checker rejected (0 unless Options.MaxError is set).
 func (s *Session) CertRejections() int { return s.certRejected }
 
-// CertStats returns the exact checker's counters (the zero Stats when the
-// session is not in certified mode).
-func (s *Session) CertStats() exact.Stats {
-	if s.cert == nil {
-		return exact.Stats{}
-	}
-	return s.cert.Stats()
-}
-
 // Result finalizes the session outcome: the smallest circuit observed and
 // its measured error on the evaluation pattern set. It may be called on a
 // live session (e.g. after a deadline) for the best-so-far result; the

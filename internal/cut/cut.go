@@ -95,16 +95,12 @@ func DefaultConfig() Config { return Config{K: 4, PerNode: 8} }
 
 // Sets holds the enumerated cuts of every node.
 type Sets struct {
-	cfg  Config
 	cuts [][]Cut
 }
 
 // Cuts returns the stored cuts of node n, including the trivial cut (always
 // first) for AND nodes and PIs.
 func (s *Sets) Cuts(n aig.Node) []Cut { return s.cuts[n] }
-
-// K returns the cut size limit used during enumeration.
-func (s *Sets) K() int { return s.cfg.K }
 
 // maxTruthVars is the largest cut whose function fits one Truth word.
 const maxTruthVars = 6
@@ -115,7 +111,7 @@ const maxTruthVars = 6
 // cut also carries its function in Cut.Truth, derived from the truth tables
 // of the two fanin cuts it was merged from.
 func Enumerate(g *aig.Graph, cfg Config) *Sets {
-	s := &Sets{cfg: cfg, cuts: make([][]Cut, g.NumNodes())}
+	s := &Sets{cuts: make([][]Cut, g.NumNodes())}
 	e := newEnumerator(g.NumNodes(), cfg)
 	for i := 0; i < g.NumPIs(); i++ {
 		pi := g.PI(i)
@@ -375,25 +371,4 @@ func Table(g *aig.Graph, root aig.Node, leaves []aig.Node) tt.Table {
 		return t
 	}
 	return eval(root)
-}
-
-// Volume returns the number of AND nodes strictly inside the cut cone
-// (between the leaves and the root, root included).
-func Volume(g *aig.Graph, root aig.Node, leaves []aig.Node) int {
-	inLeaves := make(map[aig.Node]bool, len(leaves))
-	for _, l := range leaves {
-		inLeaves[l] = true
-	}
-	seen := map[aig.Node]bool{}
-	var walk func(aig.Node)
-	walk = func(nd aig.Node) {
-		if seen[nd] || inLeaves[nd] || !g.IsAnd(nd) {
-			return
-		}
-		seen[nd] = true
-		walk(g.Fanin0(nd).Node())
-		walk(g.Fanin1(nd).Node())
-	}
-	walk(root)
-	return len(seen)
 }

@@ -175,20 +175,6 @@ func TestCutTableTrivial(t *testing.T) {
 	}
 }
 
-func TestVolume(t *testing.T) {
-	g, xs, f := buildTestCircuit()
-	leaves := []aig.Node{xs[0].Node(), xs[1].Node(), xs[2].Node(), xs[3].Node()}
-	if v := Volume(g, f.Node(), leaves); v != 3 {
-		t.Fatalf("volume = %d, want 3", v)
-	}
-	// Volume with an internal leaf.
-	and01 := g.And(xs[0], xs[1])
-	leaves2 := []aig.Node{and01.Node(), xs[2].Node(), xs[3].Node()}
-	if v := Volume(g, f.Node(), leaves2); v != 2 {
-		t.Fatalf("volume = %d, want 2", v)
-	}
-}
-
 // circuit builds a circuit of nGates AND/OR/XOR gates over nPIs inputs and
 // the earlier gates, drawing every choice from pick(n) ∈ [0, n). Its last
 // four signals are the outputs.

@@ -57,7 +57,7 @@ const probeWords = 1
 //
 // Every candidate gets exactly the error EvalFlipBounded gives it, or +Inf
 // when that error strictly exceeds the bound: partial sums are monotone and
-// checked with the final expression (see Evaluator.EvalPOWordsBounded).
+// checked with the final expression (see Evaluator.flipSum).
 //
 // A Batch ranks against a sim.Arena's simulation of the current circuit on
 // the evaluation patterns, and borrows the arena's vectors, fanout index

@@ -19,51 +19,6 @@ func randPOWords(rng *rand.Rand, nPOs, words int) [][]uint64 {
 	return out
 }
 
-// TestEvalPOWordsBoundedMatchesUnbounded property-tests the pruned
-// evaluation against the unbounded one for all three metrics: any bound at
-// or above the true error must return the exact value (bit-identical), and
-// any bound strictly below it must return +Inf.
-func TestEvalPOWordsBoundedMatchesUnbounded(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 60; trial++ {
-		nPOs := 1 + rng.Intn(12)
-		words := 1 + rng.Intn(6)
-		valid := 1 + rng.Intn(64*words)
-		golden := randPOWords(rng, nPOs, words)
-		approx := randPOWords(rng, nPOs, words)
-		// Occasionally evaluate an exact copy so the err==0 edge is hit.
-		if trial%7 == 0 {
-			for o := range approx {
-				copy(approx[o], golden[o])
-			}
-		}
-		for _, metric := range []Metric{ER, NMED, MRED} {
-			e := NewEvaluatorFromWords(golden, words, valid, metric)
-			err := e.EvalPOWords(approx)
-
-			// Exactly at the bound: pruning must not fire (determinism of
-			// the candidate ranking depends on this).
-			if got := e.EvalPOWordsBounded(approx, err); got != err {
-				t.Fatalf("%v trial %d: bound==err returned %v, want %v", metric, trial, got, err)
-			}
-			if got := e.EvalPOWordsBounded(approx, math.Inf(1)); got != err {
-				t.Fatalf("%v trial %d: bound=+Inf returned %v, want %v", metric, trial, got, err)
-			}
-			if err > 0 {
-				lower := math.Nextafter(err, 0)
-				if got := e.EvalPOWordsBounded(approx, lower); !math.IsInf(got, 1) {
-					t.Fatalf("%v trial %d: bound just below err=%v returned %v, want +Inf",
-						metric, trial, err, got)
-				}
-				if got := e.EvalPOWordsBounded(approx, 0); !math.IsInf(got, 1) {
-					t.Fatalf("%v trial %d: bound 0 with err=%v returned %v, want +Inf",
-						metric, trial, err, got)
-				}
-			}
-		}
-	}
-}
-
 // TestEvalFlipBoundedMatchesMerge property-tests the candidate scorers
 // against explicitly merging with wordops.SelectFlip and then evaluating:
 // EvalFlipBounded, and the batch's ranking kernels with the words split at

@@ -114,9 +114,6 @@ func NewEvaluatorFromWords(golden [][]uint64, words, valid int, metric Metric) *
 	return e
 }
 
-// Metric returns the metric this evaluator computes.
-func (e *Evaluator) Metric() Metric { return e.metric }
-
 // Words returns the pattern word count.
 func (e *Evaluator) Words() int { return e.words }
 
@@ -124,37 +121,20 @@ func (e *Evaluator) Words() int { return e.words }
 func (e *Evaluator) NumPatterns() int { return e.nPat }
 
 // EvalPOWords computes the metric for the given approximate PO words. It
-// only reads evaluator state, so it is safe to call concurrently (the batch
-// ranking workers do).
-func (e *Evaluator) EvalPOWords(approx [][]uint64) float64 {
-	return e.EvalPOWordsBounded(approx, math.Inf(1))
-}
-
-// EvalPOWordsBounded is EvalPOWords with branch-and-bound pruning: when the
-// metric strictly exceeds bound, evaluation stops at the first simulation
-// word where the partial value passes it and +Inf is returned.
-//
-// The pruning is exact, not heuristic. All three metrics accumulate
-// non-negative per-word contributions, so the partial value is
-// non-decreasing in the word index; the partial is checked with the same
-// floating-point expression that produces the final value, and IEEE
-// division is monotone, so a result ≤ bound can never be pruned — callers
-// always get the exact value for any candidate at least as good as the
-// bound, and +Inf strictly above it. This is what lets the candidate
-// ranking thread a best-so-far bound through without changing the winner.
+// only reads evaluator state, so it is safe to call concurrently.
 //
 //alsrac:hotpath
-func (e *Evaluator) EvalPOWordsBounded(approx [][]uint64, bound float64) float64 {
+func (e *Evaluator) EvalPOWords(approx [][]uint64) float64 {
 	if len(approx) != e.nPOs {
 		panic("errest: PO count mismatch")
 	}
 	switch e.metric {
 	case ER:
-		return e.errorRate(approx, bound)
+		return e.errorRate(approx)
 	case NMED:
-		return e.meanED(approx, false, bound)
+		return e.meanED(approx, false)
 	case MRED:
-		return e.meanED(approx, true, bound)
+		return e.meanED(approx, true)
 	}
 	panic("errest: unknown metric")
 }
@@ -179,12 +159,12 @@ func (e *Evaluator) EvalGraph(g *aig.Graph, p *sim.Patterns) float64 {
 
 // EvalFlipBounded computes the metric of the candidate outputs
 // ŷ_o = (y_o &^ c) | (yf_o & c) with c = old ⊕ new — the batch-estimation
-// merge — without materializing them, pruned by bound exactly like
-// EvalPOWordsBounded. The accumulation order matches EvalPOWordsBounded
-// word for word, so the result is bit-identical to merging first and
-// evaluating after. It is the reference the batch's differential kernels
-// are tested against, and the batch scores MRED, and NMED beyond the
-// integer limit (see intSums), with its word-range form flipSum.
+// merge — without materializing them, pruned by bound as flipSum describes.
+// The accumulation order matches EvalPOWords word for word, so the result
+// is bit-identical to merging first and evaluating after. It is the
+// reference the batch's differential kernels are tested against, and the
+// batch scores MRED, and NMED beyond the integer limit (see intSums), with
+// its word-range form flipSum.
 //
 //alsrac:hotpath
 func (e *Evaluator) EvalFlipBounded(y, yf [][]uint64, old, new []uint64, bound float64) float64 {
@@ -200,10 +180,19 @@ func (e *Evaluator) EvalFlipBounded(y, yf [][]uint64, old, new []uint64, bound f
 
 // flipSum adds the per-pattern errors of the merged candidate outputs on
 // words [lo, hi) to the running sum — bad-pattern counts for ER, error
-// distances for NMED and MRED — in the order EvalPOWordsBounded adds them.
-// It reports false as soon as the partial error value(sum) strictly
-// exceeds bound. A sum carried from [0, lo) therefore resumes the scoring
+// distances for NMED and MRED — in the order EvalPOWords adds them. It
+// reports false as soon as the partial error value(sum) strictly exceeds
+// bound. A sum carried from [0, lo) therefore resumes the scoring
 // bit-identically.
+//
+// The pruning is exact, not heuristic. All three metrics accumulate
+// non-negative per-word contributions, so the partial value is
+// non-decreasing in the word index; the partial is checked with the same
+// floating-point expression that produces the final value, and IEEE
+// division is monotone, so a result ≤ bound can never be pruned — callers
+// always get the exact value for any candidate at least as good as the
+// bound, and false strictly above it. This is what lets the candidate
+// ranking thread a best-so-far bound through without changing the winner.
 //
 //alsrac:hotpath
 func (e *Evaluator) flipSum(y, yf [][]uint64, old, new []uint64, lo, hi int, sum, bound float64) (float64, bool) {
@@ -302,8 +291,8 @@ func absDiff(a, b uint64) uint64 {
 
 // intSums reports whether NMED sums may be kept as integers: every partial
 // sum is at most nPat·(2^nPOs−1), and below 2^53 each is an integer that a
-// float64 holds exactly, so the float running sum of EvalPOWordsBounded
-// equals the integer sum bit for bit.
+// float64 holds exactly, so the float running sum of EvalPOWords equals
+// the integer sum bit for bit.
 func (e *Evaluator) intSums() bool {
 	if e.metric != NMED || e.nPOs == 0 {
 		return false
@@ -313,7 +302,7 @@ func (e *Evaluator) intSums() bool {
 }
 
 //alsrac:hotpath
-func (e *Evaluator) errorRate(approx [][]uint64, bound float64) float64 {
+func (e *Evaluator) errorRate(approx [][]uint64) float64 {
 	bad := 0
 	for w := 0; w < e.words; w++ {
 		var acc uint64
@@ -324,15 +313,12 @@ func (e *Evaluator) errorRate(approx [][]uint64, bound float64) float64 {
 			acc &= e.tail // patterns beyond Valid never count
 		}
 		bad += bits.OnesCount64(acc)
-		if e.value(float64(bad)) > bound {
-			return math.Inf(1)
-		}
 	}
 	return e.value(float64(bad))
 }
 
 //alsrac:hotpath
-func (e *Evaluator) meanED(approx [][]uint64, relative bool, bound float64) float64 {
+func (e *Evaluator) meanED(approx [][]uint64, relative bool) float64 {
 	// Stack-allocated scratch keeps concurrent calls allocation-free.
 	var valsArr [64]uint64
 	vals := valsArr[:]
@@ -342,9 +328,6 @@ func (e *Evaluator) meanED(approx [][]uint64, relative bool, bound float64) floa
 		base, valid := w*64, e.validIn(w) // patterns beyond Valid never count
 		for b := 0; b < valid; b++ {
 			sum += e.distance(vals[b], e.goldenVal[base+b], relative)
-		}
-		if e.value(sum) > bound {
-			return math.Inf(1)
 		}
 	}
 	return e.value(sum)

@@ -78,27 +78,14 @@ type Config struct {
 	// SATConflictBudget caps the conflicts of one SAT call; 0 = unbounded.
 	// An exhausted budget surfaces as ErrBudget.
 	SATConflictBudget int64
-	// Now, when set, timestamps backend calls for Stats and Observe. nil
-	// reports zero latencies (the checker itself never reads a wall clock).
+	// Now, when set, timestamps backend calls for Observe. nil reports zero
+	// latencies (the checker itself never reads a wall clock).
 	Now func() time.Time
 	// Observe, when set, receives one call per certification with the
 	// backend that decided it, the latency in seconds (0 when Now is nil)
 	// and the SAT conflicts spent (0 for non-SAT backends). The service
 	// layer hangs its metrics here.
 	Observe func(backend string, seconds float64, conflicts int64)
-}
-
-// Stats counts what a Checker has done. Latency fields are zero unless
-// Config.Now was set.
-type Stats struct {
-	Calls             int64
-	TrivialCalls      int64
-	ExhaustiveCalls   int64
-	SATCalls          int64
-	Rejections        int64 // certificates with OK == false
-	SATConflicts      int64
-	ExhaustiveSeconds float64
-	SATSeconds        float64
 }
 
 // Certificate is the outcome of one certification call.
@@ -143,7 +130,6 @@ type Checker struct {
 	nPOs   int
 	top    uint64  // 2^nPOs − 1, the largest error distance
 	maxVal float64 // top as a float, the normalization scale (2^64 at 64 outputs)
-	stats  Stats
 }
 
 // New builds a Checker for the original circuit. The arithmetic error
@@ -171,9 +157,6 @@ func New(orig *aig.Graph, cfg Config) (*Checker, error) {
 		maxVal: math.Pow(2, float64(orig.NumPOs())) - 1,
 	}, nil
 }
-
-// Stats returns a snapshot of the checker's counters.
-func (c *Checker) Stats() Stats { return c.stats }
 
 // EDThreshold converts a normalized maximum-error bound (the NMED scale:
 // max |ŷ−y| / (2^nPOs−1) ≤ bound) into the equivalent integer
@@ -214,11 +197,27 @@ func (c *Checker) Certify(base, approx *aig.Graph, bound float64) (Certificate, 
 // base that breaks the precondition can make the SAT backend certify a
 // violation. The trivial and exhaustive backends ignore base.
 func (c *Checker) CertifyED(base, approx *aig.Graph, maxED uint64) (Certificate, error) {
-	c.stats.Calls++
-	cert, err := c.certify(base, approx, maxED)
-	if err == nil && !cert.OK {
-		c.stats.Rejections++
+	if base.NumPIs() != c.nPIs || base.NumPOs() != c.nPOs {
+		return Certificate{}, fmt.Errorf("exact: interface mismatch: original %d PIs/%d POs, base %d PIs/%d POs",
+			c.nPIs, c.nPOs, base.NumPIs(), base.NumPOs())
 	}
+	m, err := c.buildMiter(approx)
+	if err != nil {
+		return Certificate{}, err
+	}
+	if m.trivial() {
+		c.observe(BackendTrivial, 0, 0)
+		return Certificate{OK: true, Backend: BackendTrivial, Threshold: maxED}, nil
+	}
+	if c.cfg.MaxExhaustivePIs >= 0 && len(m.support) <= c.cfg.MaxExhaustivePIs {
+		start := c.now()
+		cert := c.exhaustive(m, maxED, true)
+		c.observe(BackendExhaustive, c.since(start), 0)
+		return cert, nil
+	}
+	start := c.now()
+	cert, err := c.satCertify(m, base, maxED)
+	c.observe(BackendSAT, c.since(start), cert.Conflicts)
 	return cert, err
 }
 
@@ -246,39 +245,6 @@ func (c *Checker) MaxError(approx *aig.Graph) (Certificate, error) {
 	cert.OK = true // measurement, not a bound check
 	cert.Threshold = 0
 	return cert, nil
-}
-
-func (c *Checker) certify(base, approx *aig.Graph, maxED uint64) (Certificate, error) {
-	if base.NumPIs() != c.nPIs || base.NumPOs() != c.nPOs {
-		return Certificate{}, fmt.Errorf("exact: interface mismatch: original %d PIs/%d POs, base %d PIs/%d POs",
-			c.nPIs, c.nPOs, base.NumPIs(), base.NumPOs())
-	}
-	m, err := c.buildMiter(approx)
-	if err != nil {
-		return Certificate{}, err
-	}
-	if m.trivial() {
-		c.stats.TrivialCalls++
-		c.observe(BackendTrivial, 0, 0)
-		return Certificate{OK: true, Backend: BackendTrivial, Threshold: maxED}, nil
-	}
-	if c.cfg.MaxExhaustivePIs >= 0 && len(m.support) <= c.cfg.MaxExhaustivePIs {
-		start := c.now()
-		cert := c.exhaustive(m, maxED, true)
-		secs := c.since(start)
-		c.stats.ExhaustiveCalls++
-		c.stats.ExhaustiveSeconds += secs
-		c.observe(BackendExhaustive, secs, 0)
-		return cert, nil
-	}
-	start := c.now()
-	cert, err := c.satCertify(m, base, maxED)
-	secs := c.since(start)
-	c.stats.SATCalls++
-	c.stats.SATSeconds += secs
-	c.stats.SATConflicts += cert.Conflicts
-	c.observe(BackendSAT, secs, cert.Conflicts)
-	return cert, err
 }
 
 func (c *Checker) now() time.Time {

@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/aig"
 	"repro/internal/cell"
+	"repro/internal/cut"
+	"repro/internal/sim"
 	"repro/internal/tt"
 )
 
@@ -85,6 +87,109 @@ func TestMapLUTSmallerKMoreLUTs(t *testing.T) {
 	// K=2 LUTs are essentially AIG nodes.
 	if r2.LUTs > g.NumAnds() {
 		t.Fatalf("K2 mapping larger than AIG: %d > %d", r2.LUTs, g.NumAnds())
+	}
+}
+
+// coverOutputs evaluates MapLUT's cover of g as a LUT network, each chosen
+// root's cut function over its leaves in id order, on pattern pat of p and
+// returns the value of every PO.
+func coverOutputs(g *aig.Graph, r LUTResult, p *sim.Patterns, pat int) []bool {
+	val := make([]bool, g.NumNodes()) // val[0] is the constant false
+	for i := 0; i < g.NumPIs(); i++ {
+		val[g.PI(i)] = p.In[i][pat/64]>>uint(pat%64)&1 == 1
+	}
+	// Leaves precede their root in id order (TestLUTNetworkTopologicalOrder).
+	for n := aig.Node(1); int(n) < g.NumNodes(); n++ {
+		if leaves, ok := r.Roots[n]; ok {
+			m := 0
+			for i, l := range leaves {
+				if val[l] {
+					m |= 1 << uint(i)
+				}
+			}
+			val[n] = cut.Table(g, n, leaves).Get(m)
+		}
+	}
+	out := make([]bool, g.NumPOs())
+	for o := range out {
+		po := g.PO(o)
+		out[o] = val[po.Node()] != po.IsCompl()
+	}
+	return out
+}
+
+// TestLUTNetworkEvalMatchesAIG checks that MapLUT's cover computes the
+// circuit: every PO of the LUT network against the AIG's simulation,
+// pattern by pattern.
+func TestLUTNetworkEvalMatchesAIG(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		g    *aig.Graph
+		k    int
+	}{
+		{"adder/K6", adder(8), 6},
+		{"adder/K4", adder(8), 4},
+		{"random/K6", randomGraph(8, 80, 3), 6},
+	} {
+		g := c.g
+		r := MapLUT(g, c.k)
+		if r.LUTs == 0 {
+			t.Fatalf("%s: empty mapping", c.name)
+		}
+		p := sim.Uniform(g.NumPIs(), 8, 42)
+		ref := sim.Simulate(g, p)
+		for pat := 0; pat < p.Valid; pat++ {
+			for o, v := range coverOutputs(g, r, p, pat) {
+				if v != ref.LitBit(g.PO(o), pat) {
+					t.Fatalf("%s: PO %d differs from the AIG on pattern %d", c.name, o, pat)
+				}
+			}
+		}
+	}
+}
+
+func TestLUTNetworkRespectsK(t *testing.T) {
+	g := adder(12)
+	r := MapLUT(g, 4)
+	for root, leaves := range r.Roots {
+		if len(leaves) > 4 {
+			t.Fatalf("LUT at %d has %d inputs", root, len(leaves))
+		}
+		if cut.Table(g, root, leaves).NumVars() != len(leaves) {
+			t.Fatalf("LUT table arity mismatch at %d", root)
+		}
+	}
+	if len(r.Roots) != r.LUTs {
+		t.Fatalf("cover has %d roots, MapLUT counts %d LUTs", len(r.Roots), r.LUTs)
+	}
+}
+
+// TestLUTNetworkTopologicalOrder checks that every LUT reads only PIs and
+// mapped roots of smaller id, so evaluating roots in id order is sound.
+func TestLUTNetworkTopologicalOrder(t *testing.T) {
+	g := randomGraph(6, 60, 9)
+	r := MapLUT(g, 6)
+	for root, leaves := range r.Roots {
+		for _, l := range leaves {
+			if _, mapped := r.Roots[l]; g.Kind(l) != aig.KindPI && !mapped {
+				t.Fatalf("LUT %d reads node %d, neither a PI nor a mapped root", root, l)
+			}
+			if l >= root {
+				t.Fatalf("LUT %d reads leaf %d defined after it", root, l)
+			}
+		}
+	}
+}
+
+func TestLUTNetworkConstantPO(t *testing.T) {
+	g := adder(4)
+	g.AddPO(aig.LitTrue, "one")
+	r := MapLUT(g, 6)
+	p := sim.Uniform(g.NumPIs(), 2, 7)
+	for pat := 0; pat < p.Valid; pat++ {
+		if out := coverOutputs(g, r, p, pat); !out[len(out)-1] {
+			t.Fatalf("constant PO evaluated false on pattern %d", pat)
+		}
 	}
 }
 

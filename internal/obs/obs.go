@@ -44,9 +44,6 @@ type Gauge struct {
 // Set replaces the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add adds n (which may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Inc adds 1.
 func (g *Gauge) Inc() { g.v.Add(1) }
 
@@ -82,13 +79,6 @@ func (h *Histogram) Count() uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.samples
-}
-
-// Sum returns the sum of all observed samples.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
 }
 
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) of the observed samples by

@@ -127,18 +127,6 @@ func Exhaustive(nPIs int) *Patterns {
 	return p
 }
 
-// FromFunc builds patterns by calling fill(i, w) for every input, allowing
-// arbitrary (e.g. correlated) stimulus distributions.
-func FromFunc(nPIs, words int, fill func(pi int, w []uint64)) *Patterns {
-	p := &Patterns{Words: words, Valid: 64 * words, In: make([][]uint64, nPIs)}
-	for i := range p.In {
-		w := make([]uint64, words)
-		fill(i, w)
-		p.In[i] = w
-	}
-	return p
-}
-
 // Workers resolves a worker-count knob against the number of shardable work
 // units: n ≤ 0 means GOMAXPROCS, and the result never exceeds units (nor
 // drops below 1).

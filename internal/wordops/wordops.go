@@ -272,15 +272,6 @@ var (
 // must fully overwrite the slice before reading it.
 func Get(n int) []uint64 { return words.get(n) }
 
-// GetZero returns a zeroed word slice of length n from the pool.
-func GetZero(n int) []uint64 {
-	s := Get(n)
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
 // Put returns a slice obtained from Get to the pool. Slices whose capacity
 // is not a power of two (i.e. not pool-allocated) are silently dropped, so
 // Put is always safe to call. The caller must not use the slice afterwards.

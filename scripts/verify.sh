@@ -2,11 +2,11 @@
 # Tier-1 verification: build, vet, gofmt, the project's own analyzer suite (all
 # seven rules — determinism, concurrency, tailmask, plus the
 # interprocedural allocflow, leaks, ctxflow and errwrap on the shared
-# dataflow engine), the full test suite, the race detector over the
-# concurrency-bearing packages, and a short fuzz smoke over the
-# property-tested kernels. Any failure is fatal (set -e): a vet finding, an
-# unformatted file, an alsraclint diagnostic, a race, or a fuzz
-# counterexample all fail the gate.
+# dataflow engine), the full test suite, vet and tests of the benchmark
+# module, the race detector over the concurrency-bearing packages, and a
+# short fuzz smoke over the property-tested kernels. Any failure is fatal
+# (set -e): a vet finding, an unformatted file, an alsraclint diagnostic, a
+# race, or a fuzz counterexample all fail the gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,6 +20,8 @@ if [ -n "$unformatted" ]; then
 fi
 go run ./cmd/alsraclint ./...
 go test ./...
+# benchmark/ is a module of its own, which the ./... patterns above skip.
+(cd benchmark && go vet ./... && go test ./...)
 go test -race ./internal/wordops ./internal/sim ./internal/resub ./internal/window ./internal/errest ./internal/core ./internal/exact ./internal/exact/sat ./internal/obs ./internal/service ./internal/faultfs ./internal/cluster
 
 # Chaos gate: the seeded fault-injection matrix (torn writes, injected
