@@ -156,10 +156,16 @@ type Session = core.Session
 // SessionEvent describes what one Session.Step did; see core.Event.
 type SessionEvent = core.Event
 
+// MCMCEvalPatterns is the number of Monte-Carlo patterns ApproximateMCMC
+// scores every proposal and its final error on.
+const MCMCEvalPatterns = 8192
+
 // ApproximateMCMC runs the Liu-style stochastic baseline (the comparison
-// method of the paper's Tables VI/VII). proposals ≤ 0 selects the default.
+// method of the paper's Tables VI/VII) on MCMCEvalPatterns patterns.
+// proposals ≤ 0 selects the default.
 func ApproximateMCMC(g *Circuit, metric Metric, threshold float64, proposals int, seed int64) Result {
 	o := mcmc.DefaultOptions(metric, threshold)
+	o.EvalPatterns = MCMCEvalPatterns
 	if proposals > 0 {
 		o.Proposals = proposals
 	}
@@ -269,22 +275,33 @@ func ReadCircuitFile(path string) (*Circuit, error) {
 	return nil, fmt.Errorf("alsrac: unknown circuit format %q", filepath.Ext(path))
 }
 
+// circuitWriters holds the writer of every file extension WriteCircuitFile
+// accepts.
+var circuitWriters = map[string]func(io.Writer, *Circuit) error{
+	".blif": WriteBLIF,
+	".aag":  func(w io.Writer, g *Circuit) error { return aiger.Write(w, g, "aag") },
+	".aig":  func(w io.Writer, g *Circuit) error { return aiger.Write(w, g, "aig") },
+	".v":    verilog.Write,
+}
+
+// CheckCircuitPath reports whether WriteCircuitFile accepts path's
+// extension, so a caller can refuse an output path before a long run
+// rather than after it.
+func CheckCircuitPath(path string) error {
+	if _, ok := circuitWriters[filepath.Ext(path)]; !ok {
+		return fmt.Errorf("alsrac: unknown circuit format %q", filepath.Ext(path))
+	}
+	return nil
+}
+
 // WriteCircuitFile saves a circuit to disk, selecting the writer by file
 // extension: .blif, .aag, .aig or .v. An unknown extension fails before the
 // file is created, so it leaves an existing file untouched.
 func WriteCircuitFile(path string, g *Circuit) error {
-	ext := filepath.Ext(path)
-	var write func(io.Writer, *Circuit) error
-	switch ext {
-	case ".blif":
-		write = WriteBLIF
-	case ".aag", ".aig":
-		write = func(w io.Writer, g *Circuit) error { return aiger.Write(w, g, ext[1:]) }
-	case ".v":
-		write = verilog.Write
-	default:
-		return fmt.Errorf("alsrac: unknown circuit format %q", ext)
+	if err := CheckCircuitPath(path); err != nil {
+		return err
 	}
+	write := circuitWriters[filepath.Ext(path)]
 	f, err := os.Create(path)
 	if err != nil {
 		return err

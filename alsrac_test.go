@@ -49,6 +49,23 @@ func TestPublicAPIBaselines(t *testing.T) {
 	}
 }
 
+// TestApproximateMCMCEvalPatterns pins the pattern count alsrac -flow mcmc
+// reports: the baseline's final error is its result's error on the first
+// MCMCEvalPatterns uniform patterns of its seed, and not on another count.
+func TestApproximateMCMCEvalPatterns(t *testing.T) {
+	g := Benchmark("mtp8")
+	res := ApproximateMCMC(g, ER, 0.05, 200, 3)
+	if res.Applied == 0 {
+		t.Fatal("MCMC accepted no move; its error pins no pattern count")
+	}
+	if got := MeasureError(g, res.Graph, ER, MCMCEvalPatterns, 3); got != res.FinalError {
+		t.Fatalf("error on %d patterns %v, MCMC reported %v", MCMCEvalPatterns, got, res.FinalError)
+	}
+	if other := MeasureError(g, res.Graph, ER, 1024, 3); other == res.FinalError {
+		t.Fatalf("error on 1024 patterns equals the reported %v too", other)
+	}
+}
+
 func TestPublicAPIMapping(t *testing.T) {
 	g := Benchmark("cla32")
 	lut := MapLUT(g, 6)

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -21,51 +22,73 @@ import (
 	"repro"
 )
 
-func main() {
-	var (
-		inFile     = flag.String("in", "", "input circuit file: .blif, .aag or .aig (alternative to -bench)")
-		benchName  = flag.String("bench", "", "built-in benchmark name (see -list)")
-		list       = flag.Bool("list", false, "list built-in benchmarks and exit")
-		metric     = flag.String("metric", "er", "error metric: er, nmed, mred or maxerr (certified, NMED-guided)")
-		threshold  = flag.Float64("threshold", 0.01, "error threshold Et")
-		maxError   = flag.Float64("maxerror", 0, "certified mode: exact worst-case normalized error bound enforced on every committed change (0 = off; -metric maxerr defaults it to -threshold)")
-		certBudget = flag.Int64("certbudget", 0, "CDCL conflict cap per SAT certification (0 = unbounded)")
-		outFile    = flag.String("out", "", "write the approximate circuit (.blif, .aag, .aig or .v)")
-		seed       = flag.Int64("seed", 1, "random seed")
-		evalPats   = flag.Int("eval", 8192, "Monte-Carlo error evaluation patterns")
-		rounds     = flag.Int("n", 32, "initial care-set simulation rounds N")
-		lacLimit   = flag.Int("l", 1, "LAC limit per node L")
-		patience   = flag.Int("t", 5, "empty iterations before shrinking N (t)")
-		scale      = flag.Float64("r", 0.9, "shrink factor for N (r)")
-		flow       = flag.String("flow", "alsrac", "flow: alsrac, sasimi or mcmc")
-		target     = flag.String("target", "asic", "mapping target: asic or lut6")
-		maxDepth   = flag.Float64("maxdepth", 0, "reject changes exceeding this ratio of the original depth (0 = off)")
-		workers    = flag.Int("workers", 0, "worker goroutines for simulation, LAC generation and ranking (0 = all CPUs; results are identical for any value)")
-		timeout    = flag.Duration("timeout", 0, "stop after this long and keep the best result so far (0 = no limit)")
-		verbose    = flag.Bool("v", false, "log flow progress")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-		windowed = flag.Bool("window", false, "windowed resubstitution: score LACs on bounded reconvergence-driven windows instead of full TFI cones (scales to very large AIGs)")
+// run is the command: it parses args, runs the flow and reports, and
+// returns the exit status — 2 for a flag error, 1 for any other failure.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("alsrac", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		inFile     = fs.String("in", "", "input circuit file: .blif, .aag or .aig (alternative to -bench)")
+		benchName  = fs.String("bench", "", "built-in benchmark name (see -list)")
+		list       = fs.Bool("list", false, "list built-in benchmarks and exit")
+		metric     = fs.String("metric", "er", "error metric: er, nmed, mred or maxerr (certified, NMED-guided)")
+		threshold  = fs.Float64("threshold", 0.01, "error threshold Et")
+		maxError   = fs.Float64("maxerror", 0, "certified mode: exact worst-case normalized error bound enforced on every committed change (0 = off; -metric maxerr defaults it to -threshold)")
+		certBudget = fs.Int64("certbudget", 0, "CDCL conflict cap per SAT certification (0 = unbounded)")
+		outFile    = fs.String("out", "", "write the approximate circuit (.blif, .aag, .aig or .v)")
+		seed       = fs.Int64("seed", 1, "random seed")
+		evalPats   = fs.Int("eval", 8192, "Monte-Carlo error evaluation patterns")
+		rounds     = fs.Int("n", 32, "initial care-set simulation rounds N")
+		lacLimit   = fs.Int("l", 1, "LAC limit per node L")
+		patience   = fs.Int("t", 5, "empty iterations before shrinking N (t)")
+		scale      = fs.Float64("r", 0.9, "shrink factor for N (r)")
+		flow       = fs.String("flow", "alsrac", "flow: alsrac, sasimi or mcmc")
+		target     = fs.String("target", "asic", "mapping target: asic or lut6")
+		maxDepth   = fs.Float64("maxdepth", 0, "reject changes exceeding this ratio of the original depth (0 = off)")
+		workers    = fs.Int("workers", 0, "worker goroutines for simulation, LAC generation and ranking (0 = all CPUs; results are identical for any value)")
+		timeout    = fs.Duration("timeout", 0, "stop after this long and keep the best result so far (0 = no limit)")
+		verbose    = fs.Bool("v", false, "log flow progress")
+
+		windowed = fs.Bool("window", false, "windowed resubstitution: score LACs on bounded reconvergence-driven windows instead of full TFI cones (scales to very large AIGs)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "alsrac: "+format+"\n", a...)
+		return 1
+	}
 
 	if *list {
 		for _, n := range alsrac.Benchmarks() {
-			fmt.Println(n)
+			fmt.Fprintln(stdout, n)
 		}
-		return
+		return 0
 	}
-	if err := checkFlowFlags(*flow, *metric, *maxError, *maxDepth); err != nil {
-		fail("%v", err)
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkFlowFlags(*flow, *metric, *maxError, *maxDepth, set); err != nil {
+		return fail("%v", err)
+	}
+	if *outFile != "" {
+		if err := alsrac.CheckCircuitPath(*outFile); err != nil {
+			return fail("-out %s: %v", *outFile, err)
+		}
 	}
 
 	g, err := load(*inFile, *benchName)
 	if err != nil {
-		fail("%v", err)
+		return fail("%v", err)
 	}
 
 	m, err := alsrac.ParseMetric(*metric)
 	if err != nil {
-		fail("%v", err)
+		return fail("%v", err)
 	}
 	if strings.EqualFold(strings.TrimSpace(*metric), "maxerr") && *maxError == 0 {
 		*maxError = *threshold
@@ -88,7 +111,7 @@ func main() {
 	opts.Windowed = *windowed
 	if *verbose {
 		opts.Verbose = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
+			fmt.Fprintf(stderr, format+"\n", args...)
 		}
 	}
 
@@ -104,6 +127,7 @@ func main() {
 
 	start := time.Now()
 	var res alsrac.Result
+	patterns := *evalPats
 	switch strings.ToLower(*flow) {
 	case "alsrac":
 		res = alsrac.ApproximateCtx(ctx, g, opts)
@@ -111,22 +135,23 @@ func main() {
 		res = alsrac.ApproximateSASIMICtx(ctx, g, opts)
 	case "mcmc":
 		res = alsrac.ApproximateMCMC(g, m, *threshold, 0, *seed)
+		patterns = alsrac.MCMCEvalPatterns
 	default:
-		fail("unknown flow %q", *flow)
+		return fail("unknown flow %q", *flow)
 	}
 	elapsed := time.Since(start)
 	if *timeout > 0 && ctx.Err() != nil {
-		fmt.Fprintf(os.Stderr, "alsrac: timeout after %v, reporting best result so far\n", *timeout)
+		fmt.Fprintf(stderr, "alsrac: timeout after %v, reporting best result so far\n", *timeout)
 	}
 
 	area, delay := measure(res.Graph, *target)
-	fmt.Printf("circuit    : %s (%d PIs, %d POs)\n", g.Name, g.NumPIs(), g.NumPOs())
-	fmt.Printf("flow       : %s under %s <= %g\n", *flow, m, *threshold)
-	fmt.Printf("AND nodes  : %d -> %d\n", g.NumAnds(), res.Graph.NumAnds())
-	fmt.Printf("area       : %.1f -> %.1f (ratio %.2f%%)\n", baseArea, area, 100*area/baseArea)
-	fmt.Printf("delay      : %.1f -> %.1f (ratio %.2f%%)\n", baseDelay, delay, 100*delay/baseDelay)
-	fmt.Printf("final error: %.6g (%s, %d patterns)\n", res.FinalError, m, *evalPats)
-	fmt.Printf("changes    : %d applied in %d iterations, %v\n", res.Applied, res.Iterations, elapsed.Round(time.Millisecond))
+	fmt.Fprintf(stdout, "circuit    : %s (%d PIs, %d POs)\n", g.Name, g.NumPIs(), g.NumPOs())
+	fmt.Fprintf(stdout, "flow       : %s under %s <= %g\n", *flow, m, *threshold)
+	fmt.Fprintf(stdout, "AND nodes  : %d -> %d\n", g.NumAnds(), res.Graph.NumAnds())
+	fmt.Fprintf(stdout, "area       : %.1f -> %.1f (ratio %.2f%%)\n", baseArea, area, 100*area/baseArea)
+	fmt.Fprintf(stdout, "delay      : %.1f -> %.1f (ratio %.2f%%)\n", baseDelay, delay, 100*delay/baseDelay)
+	fmt.Fprintf(stdout, "final error: %.6g (%s, %d patterns)\n", res.FinalError, m, patterns)
+	fmt.Fprintf(stdout, "changes    : %d applied in %d iterations, %v\n", res.Applied, res.Iterations, elapsed.Round(time.Millisecond))
 	if *maxError > 0 {
 		rejected := 0
 		for _, rec := range res.History {
@@ -134,16 +159,17 @@ func main() {
 				rejected++
 			}
 		}
-		fmt.Printf("certified  : worst-case error <= %g proven for every commit, %d candidate(s) rejected\n",
+		fmt.Fprintf(stdout, "certified  : worst-case error <= %g proven for every commit, %d candidate(s) rejected\n",
 			*maxError, rejected)
 	}
 
 	if *outFile != "" {
 		if err := alsrac.WriteCircuitFile(*outFile, res.Graph); err != nil {
-			fail("writing %s: %v", *outFile, err)
+			return fail("writing %s: %v", *outFile, err)
 		}
-		fmt.Printf("wrote      : %s\n", *outFile)
+		fmt.Fprintf(stdout, "wrote      : %s\n", *outFile)
 	}
+	return 0
 }
 
 func load(inFile, benchName string) (*alsrac.Circuit, error) {
@@ -171,10 +197,17 @@ func measure(g *alsrac.Circuit, target string) (float64, float64) {
 	return r.Area, r.Delay
 }
 
+// mcmcIgnored lists the flags the MCMC baseline has no use for: it runs a
+// fixed pattern count (alsrac.MCMCEvalPatterns) to its last proposal, with
+// no care set, windows, worker setting, log or SAT budget.
+var mcmcIgnored = []string{"eval", "timeout", "workers", "window", "n", "l", "t", "r", "v", "certbudget"}
+
 // checkFlowFlags rejects the flags a flow would ignore. The MCMC baseline
 // has no certified mode and no depth cap, so running it with them would
-// report a guarantee it never enforced.
-func checkFlowFlags(flow, metric string, maxError, maxDepth float64) error {
+// report a guarantee it never enforced; of the flags in set (those given on
+// the command line) it refuses each of mcmcIgnored, whose value it would
+// silently drop.
+func checkFlowFlags(flow, metric string, maxError, maxDepth float64, set map[string]bool) error {
 	if !strings.EqualFold(flow, "mcmc") {
 		return nil
 	}
@@ -186,10 +219,10 @@ func checkFlowFlags(flow, metric string, maxError, maxDepth float64) error {
 	case maxDepth != 0:
 		return errors.New("-maxdepth is not supported by -flow mcmc")
 	}
+	for _, name := range mcmcIgnored {
+		if set[name] {
+			return fmt.Errorf("-%s is not supported by -flow mcmc", name)
+		}
+	}
 	return nil
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "alsrac: "+format+"\n", args...)
-	os.Exit(1)
 }

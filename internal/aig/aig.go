@@ -125,13 +125,18 @@ type Graph struct {
 }
 
 // New returns an empty graph containing only the constant node.
-func New() *Graph {
+func New() *Graph { return NewSized(64) }
+
+// NewSized is New with room for n nodes: the node arrays and the structural
+// hash hold n nodes before they grow. A rebuild of an n-node graph passes n.
+func NewSized(n int) *Graph {
+	n = max(n, 1)
 	g := &Graph{
-		kind:   make([]Kind, 1, 64),
-		fanin0: make([]Lit, 1, 64),
-		fanin1: make([]Lit, 1, 64),
-		epoch:  make([]uint32, 1, 64),
-		strash: make(map[uint64]Node),
+		kind:   make([]Kind, 1, n),
+		fanin0: make([]Lit, 1, n),
+		fanin1: make([]Lit, 1, n),
+		epoch:  make([]uint32, 1, n),
+		strash: make(map[uint64]Node, n),
 	}
 	g.kind[0] = KindConst
 	return g

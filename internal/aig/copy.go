@@ -12,7 +12,7 @@ package aig
 // Nodes that become unreachable from the primary outputs are dropped, so
 // CopyWith doubles as a cleanup ("sweep") pass.
 func (g *Graph) CopyWith(sub map[Node]Lit) *Graph {
-	ng := New()
+	ng := NewSized(g.NumNodes())
 	ng.Name = g.Name
 
 	const unset = ^Lit(0)

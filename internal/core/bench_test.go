@@ -90,6 +90,46 @@ var macRound = sync.OnceValues(func() (*Session, []Candidate) {
 	return s, cands
 })
 
+// BenchmarkOptimizeFlush times the optimizer flush on the inputs the
+// arith-global workload flushes: a pre-optimized arithmetic circuit with
+// one candidate committed in place. One op optimizes, for each of rca32,
+// cla16, ksa16, mtp6 and wal6, every candidate of the first generation
+// round of an NMED ≤ 0.001 session, each committed to its own clone. Unlike
+// BenchmarkOptimize's unoptimized inputs, these start next to a fixpoint of
+// the script.
+func BenchmarkOptimizeFlush(b *testing.B) {
+	graphs := flushInputs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, g := range graphs {
+			_ = opt.Optimize(g)
+		}
+	}
+	b.ReportMetric(float64(len(graphs)), "graphs")
+}
+
+// flushInputs is the fixture of BenchmarkOptimizeFlush, built once per
+// process.
+var flushInputs = sync.OnceValue(func() []*aig.Graph {
+	var graphs []*aig.Graph
+	for _, g := range []*aig.Graph{
+		bench.RCA(32), bench.CLA(16), bench.KSA(16), bench.ArrayMult(6), bench.WallaceMult(6),
+	} {
+		opts := DefaultOptions(errest.NMED, 0.001)
+		opts.Workers = 1
+		s := NewSession(opt.Optimize(g), opts)
+		cands, _ := s.generateIncremental(s.patternSeed(s.iterations + 1))
+		for _, c := range cands {
+			h := s.cur.Clone()
+			c.ApplyInPlace(h, nil)
+			graphs = append(graphs, h)
+		}
+		s.releaseArenas()
+	}
+	return graphs
+})
+
 // BenchmarkSessionStep measures one full flow iteration — generation with the persistent arenas and candidate cache, ranking
 // against the borrowed eval vectors, and an in-place commit with dirty-TFO
 // resimulation. Sessions that finish mid-loop are replaced outside the timer.

@@ -74,7 +74,7 @@ func identical(a, b *aig.Graph) bool {
 // Trees are broken at complemented edges and at shared (multi-fanout)
 // nodes. When balancing does not help, the input graph is returned.
 func Balance(g *aig.Graph) *aig.Graph {
-	ng := aig.New()
+	ng := aig.NewSized(g.NumNodes())
 	ng.Name = g.Name
 	refs := g.RefCounts()
 
@@ -255,12 +255,16 @@ func cheaperCover(n int, bits uint64) (tt.Cover, bool) {
 		return cheaperCoverUncached(tt.FromBits(n, bits))
 	}
 	key := uint32(n)<<16 | uint32(bits)
-	if e, ok := coverMemo.Load(key); ok {
-		ent := e.(coverMemoEntry)
+	coverMemo.RLock()
+	ent, ok := coverMemo.m[key]
+	coverMemo.RUnlock()
+	if ok {
 		return ent.cov, ent.compl
 	}
 	cov, compl := cheaperCoverUncached(tt.FromBits(n, bits))
-	coverMemo.Store(key, coverMemoEntry{cov: cov, compl: compl})
+	coverMemo.Lock()
+	coverMemo.m[key] = coverMemoEntry{cov: cov, compl: compl}
+	coverMemo.Unlock()
 	return cov, compl
 }
 
@@ -278,8 +282,14 @@ type coverMemoEntry struct {
 
 // coverMemo caches cheaperCover results by (vars, truth bits). Covers are
 // treated as immutable by every consumer (buildCover only reads), so
-// sharing one Cover value across goroutines and calls is safe.
-var coverMemo sync.Map
+// sharing one Cover value across goroutines and calls is safe. Every flush
+// of every session reads it, so a hit takes only the read lock and
+// allocates nothing. Two goroutines that miss on one key store equal
+// entries.
+var coverMemo = struct {
+	sync.RWMutex
+	m map[uint32]coverMemoEntry
+}{m: make(map[uint32]coverMemoEntry)}
 
 func cheaperCoverUncached(tab tt.Table) (tt.Cover, bool) {
 	n := tab.NumVars()

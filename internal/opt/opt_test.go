@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/aig"
@@ -345,6 +346,39 @@ func TestPassesLeaveInputUntouched(t *testing.T) {
 			if aig.Fingerprint(g) != fp || g.NumNodes() != nodes {
 				t.Errorf("%s(%s) modified its input: %d -> %d nodes", pass, name, nodes, g.NumNodes())
 			}
+		}
+	}
+}
+
+// TestOptimizeConcurrent runs Optimize on 4 goroutines over distinct
+// circuits, starting from an empty cover memo, and requires each result to
+// equal the sequential one. The memo is global: every flush of every
+// session reads and fills it, on many goroutines in the daemon and the
+// cluster workers. Run under -race, this checks its locking.
+func TestOptimizeConcurrent(t *testing.T) {
+	gs := []*aig.Graph{bench.WallaceMult(6), bench.CLA(16), bench.KSA(16), randomCircuit(10, 300, 5)}
+	want := make([]*aig.Graph, len(gs))
+	for i, g := range gs {
+		want[i] = Optimize(g)
+	}
+	coverMemo.Lock()
+	clear(coverMemo.m)
+	coverMemo.Unlock()
+
+	got := make([]*aig.Graph, len(gs))
+	var wg sync.WaitGroup
+	for i, g := range gs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = Optimize(g)
+		}()
+	}
+	wg.Wait()
+	for i := range gs {
+		if !identical(got[i], want[i]) {
+			t.Errorf("circuit %d: concurrent Optimize %016x, sequential %016x",
+				i, aig.Fingerprint(got[i]), aig.Fingerprint(want[i]))
 		}
 	}
 }

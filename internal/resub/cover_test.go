@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/aig"
+	"repro/internal/espresso"
 	"repro/internal/sim"
 	"repro/internal/tt"
 )
@@ -70,7 +71,7 @@ func TestBuildCoverWordMatchesPerPattern(t *testing.T) {
 			target := randomLit()
 			valid := 1 + rng.Intn(p.Valid)
 
-			got, gotOK := BuildCoverWith(vecs, divs, target, valid, tt.ISOP)
+			got, gotOK := BuildCoverWith(vecs, divs, target, valid, ISOP)
 			want, wantOK := buildCoverPerPattern(vecs, divs, target, valid, tt.ISOP)
 			if gotOK != wantOK {
 				t.Fatalf("trial %d set %d (k=%d valid=%d): feasibility %v, reference %v",
@@ -103,7 +104,7 @@ func TestBuildCoverTailBitsIgnored(t *testing.T) {
 		divs := []aig.Lit{g.Fanin0(n), g.Fanin1(n)}
 		target := aig.MakeLit(n, false)
 		for _, valid := range []int{1, 63, 64, 65, 99, 100} {
-			got, gotOK := BuildCoverWith(vecs, divs, target, valid, tt.ISOP)
+			got, gotOK := BuildCoverWith(vecs, divs, target, valid, ISOP)
 			want, wantOK := buildCoverPerPattern(vecs, divs, target, valid, tt.ISOP)
 			if gotOK != wantOK || (gotOK && !coversEqual(got, want)) {
 				t.Fatalf("node %d valid=%d: (%v,%v) vs reference (%v,%v)",
@@ -113,6 +114,70 @@ func TestBuildCoverTailBitsIgnored(t *testing.T) {
 			// for it: the node is a function of them on every pattern.
 			if !gotOK {
 				t.Fatalf("node %d valid=%d: fanin divisors reported infeasible", n, valid)
+			}
+		}
+	}
+}
+
+// TestWordTestMatchesBuildCover holds the scan's word test to
+// BuildCoverWith: on random graphs with care sets of one to three words,
+// some cut short in their last word, the test must reject a candidate u
+// exactly when the kept set plus u is infeasible, for every root, every
+// kept set the scan forms (the other fanin, or none) in both polarities
+// and every node as u in both polarities.
+func TestWordTestMatchesBuildCover(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 12; trial++ {
+		g := randomGraph(rng, 4+rng.Intn(6), 20+rng.Intn(40))
+		words := 1 + trial%3
+		valid := (words-1)*64 + 1 + rng.Intn(64)
+		p := sim.UniformN(g.NumPIs(), valid, int64(300+trial))
+		vecs := sim.Simulate(g, p)
+		wt := newWordTest(valid)
+		for v := aig.Node(1); int(v) < g.NumNodes(); v++ {
+			if !g.IsAnd(v) {
+				continue
+			}
+			target := aig.MakeLit(v, false)
+			for _, a := range [][]aig.Lit{nil,
+				{aig.MakeLit(g.Fanin0(v).Node(), false)}, {g.Fanin1(v)}, {g.Fanin0(v).Not()}} {
+				wt.prepare(vecs, a, target)
+				for u := aig.Node(1); int(u) < g.NumNodes(); u++ {
+					for _, ul := range []aig.Lit{aig.MakeLit(u, false), aig.MakeLit(u, true)} {
+						_, ok := BuildCoverWith(vecs, append(a[:len(a):len(a)], ul), target, valid, ISOP)
+						if got := wt.rejects(vecs, ul); got == ok {
+							t.Fatalf("trial %d (valid %d) root %d kept %v u %v: word test rejects=%v, BuildCoverWith feasible=%v",
+								trial, valid, v, a, ul, got, ok)
+						}
+					}
+				}
+			}
+		}
+		vecs.Release()
+	}
+}
+
+// TestCoverTableMatchesMinimizers checks every table entry against its
+// minimizer: each (onset ⊆ care) function of at most two divisors must read
+// the cover tt.ISOP and espresso.Minimize return for the same tables.
+func TestCoverTableMatchesMinimizers(t *testing.T) {
+	for _, c := range []struct {
+		m  Minimizer
+		fn func(on, dc tt.Table) tt.Cover
+	}{{ISOP, tt.ISOP}, {Espresso, espresso.Minimize}} {
+		for k := 0; k <= tableMaxVars; k++ {
+			bits := 1 << k
+			for care := uint64(0); care < 1<<bits; care++ {
+				for on := uint64(0); on < 1<<bits; on++ {
+					if on&^care != 0 {
+						continue
+					}
+					got := c.m.Cover(k, on, care)
+					if want := c.fn(tt.FromOnCare(k, on, care)); !coversEqual(got, want) {
+						t.Fatalf("minimizer %d k=%d on=%b care=%b: table %v, minimizer %v",
+							c.m, k, on, care, got, want)
+					}
+				}
 			}
 		}
 	}

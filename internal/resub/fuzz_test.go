@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/aig"
+	"repro/internal/espresso"
 	"repro/internal/sim"
 	"repro/internal/tt"
 )
@@ -15,11 +16,16 @@ import (
 // TestBuildCoverWordMatchesPerPattern samples randomly. On feasible sets it
 // additionally checks the semantic property both implementations promise:
 // the minimized cover reproduces the target bit on every valid pattern.
+// For k ≤ 2 it also holds the scan's word test (kept set divs[:k-1], empty
+// at k = 1, plus u = divs[k-1]) to the kernel's feasibility, and each
+// minimizer's table cover to that minimizer's cover of the same tables.
 func FuzzCoverScan(f *testing.F) {
 	f.Add([]byte{0x00}, uint8(2), uint8(2), uint16(64))
 	f.Add([]byte{0xFF, 0x0F, 0xF0, 0xAA, 0x55}, uint8(3), uint8(9), uint16(100))
 	f.Add([]byte{0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x23, 0x45, 0x67}, uint8(6), uint8(4), uint16(1))
 	f.Add([]byte{0x80, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01}, uint8(0), uint8(7), uint16(65))
+	f.Add([]byte{0x3C, 0x5A, 0x96, 0x0F, 0xC3, 0x69, 0xA5, 0xF0, 0x11}, uint8(1), uint8(3), uint16(99))
+	f.Add([]byte{0x6B, 0x1D, 0xE2, 0x47, 0x90, 0xFE, 0x35, 0x8C, 0x2A}, uint8(2), uint8(5), uint16(127))
 
 	f.Fuzz(func(t *testing.T, data []byte, kRaw, targetRaw uint8, validRaw uint16) {
 		const (
@@ -51,16 +57,31 @@ func FuzzCoverScan(f *testing.F) {
 		}
 		target := litAt(0)
 
-		got, gotOK := BuildCoverWith(vecs, divs, target, valid, tt.ISOP)
+		got, gotOK := BuildCoverWith(vecs, divs, target, valid, ISOP)
 		want, wantOK := buildCoverPerPattern(vecs, divs, target, valid, tt.ISOP)
 		if gotOK != wantOK {
 			t.Fatalf("k=%d valid=%d: kernel feasibility %v, reference %v", k, valid, gotOK, wantOK)
+		}
+		if k >= 1 && k <= tableMaxVars {
+			wt := newWordTest(valid)
+			wt.prepare(vecs, divs[:k-1], target)
+			if rej := wt.rejects(vecs, divs[k-1]); rej == gotOK {
+				t.Fatalf("k=%d valid=%d divs %v target %v: word test rejects=%v, kernel feasible=%v",
+					k, valid, divs, target, rej, gotOK)
+			}
 		}
 		if !gotOK {
 			return
 		}
 		if !coversEqual(got, want) {
 			t.Fatalf("k=%d valid=%d: kernel cover %v, reference %v", k, valid, got, want)
+		}
+		if k <= tableMaxVars {
+			gotE, _ := BuildCoverWith(vecs, divs, target, valid, Espresso)
+			wantE, _ := buildCoverPerPattern(vecs, divs, target, valid, espresso.Minimize)
+			if !coversEqual(gotE, wantE) {
+				t.Fatalf("k=%d valid=%d: Espresso table cover %v, minimizer %v", k, valid, gotE, wantE)
+			}
 		}
 		tbl := got.Table(k)
 		for p := 0; p < valid; p++ {

@@ -66,7 +66,11 @@ func DefaultConfig() Config {
 type LAC struct {
 	Node     aig.Node
 	Divisors []aig.Lit
-	Cover    tt.Cover
+	// Cover may be shared with other LACs and with the minimizer's
+	// two-divisor table (Minimizer.Cover): every reader — BuildLit,
+	// EvalVec's EvalWords, CoverCost and String — only reads it, and nothing
+	// may write to it.
+	Cover tt.Cover
 
 	// Gain is the structural gain estimate in AND nodes: the node's MFFC
 	// size minus the cost of materializing the cover.
@@ -88,33 +92,32 @@ func (l *LAC) String() string {
 // patterns agree on every divisor but disagree on the target (Theorem 1
 // violated on the sample).
 func BuildCover(vecs *sim.Vectors, divs []aig.Lit, target aig.Lit, valid int) (tt.Cover, bool) {
-	return BuildCoverWith(vecs, divs, target, valid, tt.ISOP)
+	return BuildCoverWith(vecs, divs, target, valid, ISOP)
 }
 
 // wordCoverMaxVars is the widest divisor set handled by the word-parallel
 // cover kernel: wordops.CoverScan packs the 2^k minterm masks into uint64s.
 const wordCoverMaxVars = 6
 
-// BuildCoverWith is BuildCover with an explicit two-level minimizer
-// (tt.ISOP or espresso.Minimize).
+// BuildCoverWith is BuildCover with an explicit two-level minimizer.
 //
 // For up to wordCoverMaxVars divisors — every set the generator produces —
 // the sampled truth table is extracted straight from the 64-way simulation
 // words: wordops.CoverScan ANDs the (possibly complemented) divisor words
 // into the 2^k divisor-minterm masks, detects infeasibility as a mask
 // intersecting both the target and its complement, and reads the onset and
-// care bits off the surviving masks. Infeasible sets — the vast majority of
-// the tries during generation — are rejected without allocating. Wider sets
-// fall back to the per-pattern reference loop.
+// care bits off the surviving masks; Minimizer.Cover turns them into the
+// cover. Infeasible sets are rejected without allocating. Wider sets fall
+// back to the per-pattern reference loop.
 func BuildCoverWith(vecs *sim.Vectors, divs []aig.Lit, target aig.Lit, valid int,
-	minimize func(on, dc tt.Table) tt.Cover) (tt.Cover, bool) {
+	m Minimizer) (tt.Cover, bool) {
 
 	k := len(divs)
 	if k > tt.MaxVars {
 		return nil, false
 	}
 	if k > wordCoverMaxVars {
-		return buildCoverPerPattern(vecs, divs, target, valid, minimize)
+		return buildCoverPerPattern(vecs, divs, target, valid, minimizers[m])
 	}
 	var dw [wordCoverMaxVars][]uint64
 	var dinv [wordCoverMaxVars]uint64
@@ -126,8 +129,66 @@ func BuildCoverWith(vecs *sim.Vectors, divs []aig.Lit, target aig.Lit, valid int
 	if !ok {
 		return nil, false
 	}
-	onset, dc := tt.FromOnCare(k, on, care)
-	return minimize(onset, dc), true
+	return m.Cover(k, on, care), true
+}
+
+// Minimizer names the two-level minimizer that turns the sampled function
+// of a feasible divisor set into a cover.
+type Minimizer uint8
+
+const (
+	// ISOP is Minato–Morreale ISOP (tt.ISOP), the default.
+	ISOP Minimizer = iota
+	// Espresso is the Espresso-style minimizer (espresso.Minimize),
+	// selected by Config.UseEspresso.
+	Espresso
+)
+
+// minimizers holds each Minimizer's function.
+var minimizers = [...]func(on, dc tt.Table) tt.Cover{ISOP: tt.ISOP, Espresso: espresso.Minimize}
+
+// tableMaxVars is the widest divisor set whose cover comes from a table: a
+// set of k ≤ 2 divisors has a 2^k-bit onset inside a 2^k-bit care mask, so
+// 4 + 16 + 256 (onset, care) pairs cover every such function.
+const tableMaxVars = 2
+
+// coverTable holds one minimizer's cover of every function of at most
+// tableMaxVars divisors: entry [k][care<<2^k | on] for on ⊆ care.
+type coverTable [tableMaxVars + 1][]tt.Cover
+
+// coverTables holds each Minimizer's table, filled on first use with that
+// minimizer, so a table entry is exactly the cover the minimizer returns.
+var coverTables = [...]func() *coverTable{
+	ISOP:     sync.OnceValue(func() *coverTable { return newCoverTable(ISOP) }),
+	Espresso: sync.OnceValue(func() *coverTable { return newCoverTable(Espresso) }),
+}
+
+func newCoverTable(m Minimizer) *coverTable {
+	t := new(coverTable)
+	for k := range t {
+		bits := uint(1) << k
+		t[k] = make([]tt.Cover, 1<<(2*bits))
+		for i := range t[k] {
+			on, care := uint64(i)&(1<<bits-1), uint64(i)>>bits
+			if on&^care == 0 {
+				// Clipped, so an append by any holder reallocates.
+				t[k][i] = slices.Clip(minimizers[m](tt.FromOnCare(k, on, care)))
+			}
+		}
+	}
+	return t
+}
+
+// Cover returns the minimized cover of the k-variable function whose
+// observed minterms are care and whose onset is on ⊆ care (the masks
+// wordops.CoverScan returns); every other minterm is a don't-care. For
+// k ≤ 2 the cover comes from the minimizer's table and is shared: the
+// caller must not modify it.
+func (m Minimizer) Cover(k int, on, care uint64) tt.Cover {
+	if k <= tableMaxVars {
+		return coverTables[m]()[k][care<<(1<<k)|on]
+	}
+	return minimizers[m](tt.FromOnCare(k, on, care))
 }
 
 // buildCoverPerPattern is the per-pattern reference implementation of
@@ -379,32 +440,33 @@ func scanRoots(g *aig.Graph, vecs *sim.Vectors, valid int, cfg Config, workers i
 }
 
 // genState is the per-worker scratch of the candidate scan. The graph and
-// the value vectors are shared read-only; the source, the reference counts
-// and the divisor buffers are private, so the per-root loop allocates only
-// when a feasible candidate is emitted.
+// the value vectors are shared read-only; the source, the reference counts,
+// the divisor buffers and the word test's masks are private, so the
+// per-root loop allocates only when a feasible candidate is emitted.
 type genState struct {
-	g        *aig.Graph
-	vecs     *sim.Vectors
-	valid    int
-	cfg      Config
-	minimize func(on, dc tt.Table) tt.Cover
+	g     *aig.Graph
+	vecs  *sim.Vectors
+	valid int
+	cfg   Config
+	m     Minimizer
 
 	src    Source
 	refs   []int32
 	tried  []aig.Node // scanned replacement candidates, reused for triples
 	divBuf [3]aig.Lit
+	wt     wordTest
 }
 
 func newGenState(g *aig.Graph, vecs *sim.Vectors, valid int, cfg Config,
 	src Source, refs []int32) *genState {
 
-	minimize := tt.ISOP
+	m := ISOP
 	if cfg.UseEspresso {
-		minimize = espresso.Minimize
+		m = Espresso
 	}
 	return &genState{
-		g: g, vecs: vecs, valid: valid, cfg: cfg, minimize: minimize,
-		src: src, refs: refs,
+		g: g, vecs: vecs, valid: valid, cfg: cfg, m: m,
+		src: src, refs: refs, wt: newWordTest(valid),
 	}
 }
 
@@ -485,7 +547,7 @@ func (s *genState) scanPool(lacs []LAC, v aig.Node, pool []aig.Node, mffc int) [
 		if count >= cfg.MaxLACsPerNode {
 			return false
 		}
-		cover, ok := BuildCoverWith(s.vecs, divs, target, s.valid, s.minimize)
+		cover, ok := BuildCoverWith(s.vecs, divs, target, s.valid, s.m)
 		if !ok {
 			return true // infeasible; keep scanning
 		}
@@ -519,7 +581,11 @@ func (s *genState) scanPool(lacs []LAC, v aig.Node, pool []aig.Node, mffc int) [
 		if !try(a) {
 			break
 		}
-		// Divisor sets B: replace the removed fanin by a pool node.
+		// Divisor sets B: replace the removed fanin by a pool node. The word
+		// test rejects exactly the nodes try would find infeasible, so only
+		// the survivors build a cover; tries, s.tried and the accepted
+		// sequence are those of trying every node.
+		s.wt.prepare(s.vecs, a, target)
 		tries := 0
 		s.tried = s.tried[:0]
 		for _, u := range pool {
@@ -534,8 +600,11 @@ func (s *genState) scanPool(lacs []LAC, v aig.Node, pool []aig.Node, mffc int) [
 			}
 			tries++
 			s.tried = append(s.tried, u)
-			b := append(a, aig.MakeLit(u, false))
-			if !try(b) {
+			ul := aig.MakeLit(u, false)
+			if s.wt.rejects(s.vecs, ul) {
+				continue
+			}
+			if !try(append(a, ul)) {
 				break
 			}
 		}
@@ -557,4 +626,78 @@ func (s *genState) scanPool(lacs []LAC, v aig.Node, pool []aig.Node, mffc int) [
 		}
 	}
 	return lacs
+}
+
+// wordTest decides, word-parallel and without building a cover, whether a
+// divisor set A ∪ {u} is infeasible, for one root's target, one kept set A
+// of at most one divisor and any number of candidates u. prepare splits
+// every valid care pattern by A's value c and the target's value: pq[w][c]
+// holds word w of P_c, the patterns with A = c and target 1, and pq[w][2+c]
+// word w of Q_c, those with A = c and target 0. With A empty every pattern
+// is in class 0 and class 1 is empty. A candidate u splits each class by
+// its own value b, and A ∪ {u} is infeasible exactly when some minterm
+// (c, b) holds a pattern of P_c and one of Q_c — wordops.CoverScan's
+// onset ∩ offset verdict on the same set, word for word.
+type wordTest struct {
+	tail uint64      // valid bits of the last care word
+	pq   [][4]uint64 // one entry per care word
+}
+
+// newWordTest sizes a word test for valid care patterns.
+func newWordTest(valid int) wordTest {
+	return wordTest{tail: wordops.TailMask(valid), pq: make([][4]uint64, (valid+63)>>6)}
+}
+
+// prepare fills the class masks for kept set a (at most one divisor) and
+// target.
+//
+//alsrac:hotpath
+func (t *wordTest) prepare(vecs *sim.Vectors, a []aig.Lit, target aig.Lit) {
+	tw, tinv := vecs.LitWords(target)
+	var aw []uint64
+	var ainv uint64
+	if len(a) > 0 {
+		aw, ainv = vecs.LitWords(a[0])
+	}
+	for w := range t.pq {
+		vmask := ^uint64(0)
+		if w == len(t.pq)-1 {
+			vmask = t.tail
+		}
+		tv := tw[w] ^ tinv
+		c1 := uint64(0) // patterns with A = 1
+		if aw != nil {
+			c1 = (aw[w] ^ ainv) & vmask
+		}
+		c0 := vmask &^ c1
+		t.pq[w] = [4]uint64{c0 & tv, c1 & tv, c0 &^ tv, c1 &^ tv}
+	}
+}
+
+// rejects reports whether the prepared set plus u is infeasible. Bit 2c+b
+// of has1 (has0) records that minterm (c, b) holds a target-1 (target-0)
+// pattern on some word so far; a bit set in both is a conflict.
+//
+//alsrac:hotpath
+func (t *wordTest) rejects(vecs *sim.Vectors, u aig.Lit) bool {
+	uw, uinv := vecs.LitWords(u)
+	var has1, has0 uint8
+	for w := range t.pq {
+		x, m := uw[w]^uinv, &t.pq[w]
+		has1 |= nonzero(m[0]&^x) | nonzero(m[0]&x)<<1 | nonzero(m[1]&^x)<<2 | nonzero(m[1]&x)<<3
+		has0 |= nonzero(m[2]&^x) | nonzero(m[2]&x)<<1 | nonzero(m[3]&^x)<<2 | nonzero(m[3]&x)<<3
+		if has1&has0 != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// nonzero is 1 when x has a set bit and 0 otherwise. The compiler emits a
+// flag set, not a branch, so rejects runs branch-free up to its exit test.
+func nonzero(x uint64) uint8 {
+	if x != 0 {
+		return 1
+	}
+	return 0
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # bench.sh — run the core benchmarks (simulation, candidate generation,
-# optimizer script, candidate ranking, end-to-end flow, exact
+# optimizer script and flush, candidate ranking, end-to-end flow, exact
 # certification, service job throughput, cluster dispatch) and record
 # ns/op, B/op and allocs/op as JSON.
 # Usage: scripts/bench.sh OUT.json; BENCHTIME overrides the per-benchmark
@@ -22,7 +22,7 @@ trap 'rm -f "$tmp"' EXIT
 
 go test -run '^$' -bench 'BenchmarkSimulate$|BenchmarkGenerate$|BenchmarkOptimize$|BenchmarkALSRACFlowRCA32$' \
     -benchmem -benchtime="$benchtime" . | tee -a "$tmp"
-go test -run '^$' -bench 'BenchmarkRankCandidates$|BenchmarkSessionStep$|BenchmarkWindowedFlow$|BenchmarkCertifyFlow$' \
+go test -run '^$' -bench 'BenchmarkRankCandidates$|BenchmarkSessionStep$|BenchmarkWindowedFlow$|BenchmarkCertifyFlow$|BenchmarkOptimizeFlush$' \
     -benchmem -benchtime="$benchtime" ./internal/core | tee -a "$tmp"
 go test -run '^$' -bench 'BenchmarkServiceThroughput$' \
     -benchmem -benchtime="$benchtime" ./internal/service | tee -a "$tmp"

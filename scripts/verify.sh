@@ -22,7 +22,7 @@ go run ./cmd/alsraclint ./...
 go test ./...
 # benchmark/ is a module of its own, which the ./... patterns above skip.
 (cd benchmark && go vet ./... && go test ./...)
-go test -race ./internal/wordops ./internal/sim ./internal/resub ./internal/window ./internal/errest ./internal/core ./internal/exact ./internal/exact/sat ./internal/obs ./internal/service ./internal/faultfs ./internal/cluster
+go test -race ./internal/wordops ./internal/sim ./internal/resub ./internal/window ./internal/errest ./internal/opt ./internal/core ./internal/exact ./internal/exact/sat ./internal/obs ./internal/service ./internal/faultfs ./internal/cluster
 
 # Chaos gate: the seeded fault-injection matrix (torn writes, injected
 # errnos, crash points, worker panics, crash-loop quarantine, network
