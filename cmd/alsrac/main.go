@@ -202,26 +202,37 @@ func measure(g *alsrac.Circuit, target string) (float64, float64) {
 // no care set, windows, worker setting, log or SAT budget.
 var mcmcIgnored = []string{"eval", "timeout", "workers", "window", "n", "l", "t", "r", "v", "certbudget"}
 
-// checkFlowFlags rejects the flags a flow would ignore. The MCMC baseline
-// has no certified mode and no depth cap, so running it with them would
-// report a guarantee it never enforced; of the flags in set (those given on
-// the command line) it refuses each of mcmcIgnored, whose value it would
-// silently drop.
+// sasimiIgnored lists the flags Su's baseline overrides: it pins N at 512
+// patterns and r at 1, so -n and -r are dropped and the shrink -t times
+// changes nothing, and its own generator bypasses -l and -window.
+var sasimiIgnored = []string{"n", "l", "t", "r", "window"}
+
+// checkFlowFlags rejects the flags a flow would ignore. Of the flags in set
+// (those given on the command line), -flow sasimi refuses each of
+// sasimiIgnored and -flow mcmc each of mcmcIgnored, whose value the flow
+// would silently drop. The MCMC baseline also has no certified mode and no
+// depth cap, so running it with them would report a guarantee it never
+// enforced.
 func checkFlowFlags(flow, metric string, maxError, maxDepth float64, set map[string]bool) error {
-	if !strings.EqualFold(flow, "mcmc") {
-		return nil
+	flow = strings.ToLower(flow) // as run dispatches it
+	var ignored []string
+	switch flow {
+	case "sasimi":
+		ignored = sasimiIgnored
+	case "mcmc":
+		switch {
+		case maxError != 0:
+			return errors.New("-maxerror is not supported by -flow mcmc")
+		case strings.EqualFold(strings.TrimSpace(metric), "maxerr"):
+			return errors.New("-metric maxerr is not supported by -flow mcmc")
+		case maxDepth != 0:
+			return errors.New("-maxdepth is not supported by -flow mcmc")
+		}
+		ignored = mcmcIgnored
 	}
-	switch {
-	case maxError != 0:
-		return errors.New("-maxerror is not supported by -flow mcmc")
-	case strings.EqualFold(strings.TrimSpace(metric), "maxerr"):
-		return errors.New("-metric maxerr is not supported by -flow mcmc")
-	case maxDepth != 0:
-		return errors.New("-maxdepth is not supported by -flow mcmc")
-	}
-	for _, name := range mcmcIgnored {
+	for _, name := range ignored {
 		if set[name] {
-			return fmt.Errorf("-%s is not supported by -flow mcmc", name)
+			return fmt.Errorf("-%s is not supported by -flow %s", name, flow)
 		}
 	}
 	return nil

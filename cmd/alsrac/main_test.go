@@ -28,7 +28,12 @@ func TestCheckFlowFlags(t *testing.T) {
 		{"mcmc", "mred", 0, 1.2, nil, "-maxdepth"},
 		{"mcmc", "er", 0, 0, []string{"flow", "metric", "threshold", "seed", "target", "bench", "out"}, ""},
 		{"alsrac", "er", 0, 0, mcmcIgnored, ""},
-		{"sasimi", "er", 0, 0, mcmcIgnored, ""},
+		{"sasimi", "er", 0, 0, []string{"eval", "timeout", "workers", "v", "certbudget", "maxerror", "maxdepth", "seed"}, ""},
+		{"sasimi", "er", 0, 0, []string{"n"}, "-n"},
+		{"SASIMI", "er", 0, 0, []string{"l"}, "-l"},
+		{"sasimi", "er", 0, 0, []string{"t"}, "-t"},
+		{"sasimi", "er", 0, 0, []string{"r"}, "-r"},
+		{"sasimi", "er", 0, 0, []string{"window"}, "-window"},
 		{"mcmc", "er", 0, 0, []string{"eval"}, "-eval"},
 		{"mcmc", "er", 0, 0, []string{"timeout"}, "-timeout"},
 		{"mcmc", "er", 0, 0, []string{"workers"}, "-workers"},
@@ -70,6 +75,8 @@ func TestRunRefusesFlagsBeforeTheFlow(t *testing.T) {
 			"-eval is not supported by -flow mcmc"},
 		{[]string{"-bench", "mtp8", "-flow", "mcmc", "-workers", "1"},
 			"-workers is not supported by -flow mcmc"},
+		{[]string{"-bench", "rca32", "-metric", "nmed", "-threshold", "0.002", "-flow", "sasimi", "-n", "8"},
+			"-n is not supported by -flow sasimi"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(c.args, &stdout, &stderr); code != 1 {

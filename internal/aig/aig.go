@@ -23,6 +23,8 @@ package aig
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/tt"
 )
 
 // Node identifies a vertex of the graph. Node 0 is the constant-zero node.
@@ -375,6 +377,46 @@ func (g *Graph) OrN(xs ...Lit) Lit {
 // XorN returns the parity of all literals in xs (false when empty).
 func (g *Graph) XorN(xs ...Lit) Lit {
 	return g.reduceBalanced(xs, g.Xor, LitFalse)
+}
+
+// SOP builds the sum of products cov over the input literals ins (cover
+// variable i is ins[i]) and returns its literal: each cube is the AndN of
+// its literals and the cubes are joined by OrN. The empty cover is false
+// and the empty cube true, so a constant cover adds no node. A cover of up
+// to tt.MaxVars cubes builds without allocating.
+func (g *Graph) SOP(cov tt.Cover, ins []Lit) Lit {
+	var termBuf, litBuf [tt.MaxVars]Lit
+	terms, lits := termBuf[:0], litBuf[:0]
+	for _, cube := range cov {
+		lits = lits[:0]
+		for v, in := range ins {
+			bit := uint32(1) << uint(v)
+			if cube.Pos&bit != 0 {
+				lits = append(lits, in)
+			}
+			if cube.Neg&bit != 0 {
+				lits = append(lits, in.Not())
+			}
+		}
+		terms = append(terms, g.AndN(lits...))
+	}
+	return g.OrN(terms...)
+}
+
+// SOPCost is the number of AND nodes SOP adds for cov when strashing
+// shares none of them: a cube of m literals costs m−1 and the disjunction
+// of c cubes c−1 more.
+func SOPCost(cov tt.Cover) int {
+	if len(cov) == 0 {
+		return 0
+	}
+	cost := len(cov) - 1
+	for _, cube := range cov {
+		if m := cube.NumLits(); m > 1 {
+			cost += m - 1
+		}
+	}
+	return cost
 }
 
 func (g *Graph) reduceBalanced(xs []Lit, op func(Lit, Lit) Lit, unit Lit) Lit {

@@ -1,6 +1,9 @@
 package aig
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // LevelOrder returns the non-constant nodes grouped by logic level in CSR
 // form: order holds the ids 1..NumNodes−1 sorted by (level, id), and
@@ -99,38 +102,42 @@ func (g *Graph) TFICone(n Node) []Node {
 }
 
 // MFFCSize returns the number of AND nodes in the maximum fanout-free cone
-// of node n: the nodes that would become dangling if n were removed. refs
-// must be the current reference counts (see RefCounts); it is restored
-// before returning.
-func (g *Graph) MFFCSize(n Node, refs []int32) int {
+// of node n above the stop set leaves: the nodes that would become dangling
+// if n were removed, with the walk never descending into a leaf. nil leaves
+// means the whole MFFC. A cut's or window's leaves make it the part of the
+// MFFC inside that cut, which is what a replacement over those leaves frees:
+// exact when the leaves are PIs, a lower bound otherwise. refs must be the
+// current reference counts (see RefCounts); it is restored before
+// returning.
+func (g *Graph) MFFCSize(n Node, refs []int32, leaves []Node) int {
 	if g.kind[n] != KindAnd {
 		return 0
 	}
-	count := g.deref(n, refs)
-	g.reref(n, refs)
+	count := g.deref(n, refs, leaves)
+	g.reref(n, refs, leaves)
 	return count
 }
 
 // deref recursively dereferences the fanins of n, counting the AND nodes
-// whose reference count drops to zero (n itself included).
-func (g *Graph) deref(n Node, refs []int32) int {
+// outside leaves whose reference count drops to zero (n itself included).
+func (g *Graph) deref(n Node, refs []int32, leaves []Node) int {
 	count := 1
 	for _, f := range [2]Lit{g.fanin0[n], g.fanin1[n]} {
 		fn := f.Node()
 		refs[fn]--
-		if refs[fn] == 0 && g.kind[fn] == KindAnd {
-			count += g.deref(fn, refs)
+		if refs[fn] == 0 && g.kind[fn] == KindAnd && !slices.Contains(leaves, fn) {
+			count += g.deref(fn, refs, leaves)
 		}
 	}
 	return count
 }
 
 // reref undoes a matching deref.
-func (g *Graph) reref(n Node, refs []int32) {
+func (g *Graph) reref(n Node, refs []int32, leaves []Node) {
 	for _, f := range [2]Lit{g.fanin0[n], g.fanin1[n]} {
 		fn := f.Node()
-		if refs[fn] == 0 && g.kind[fn] == KindAnd {
-			g.reref(fn, refs)
+		if refs[fn] == 0 && g.kind[fn] == KindAnd && !slices.Contains(leaves, fn) {
+			g.reref(fn, refs, leaves)
 		}
 		refs[fn]++
 	}

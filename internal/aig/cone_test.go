@@ -46,7 +46,7 @@ func TestMFFCSize(t *testing.T) {
 	g, _, _, _, ab, ac, f := buildDiamond(t)
 	refs := g.RefCounts()
 	// f's MFFC contains all three ANDs: ab and ac are only used by f.
-	if got := g.MFFCSize(f.Node(), refs); got != 3 {
+	if got := g.MFFCSize(f.Node(), refs, nil); got != 3 {
 		t.Fatalf("MFFC(f) = %d, want 3", got)
 	}
 	// refs must be restored.
@@ -59,10 +59,10 @@ func TestMFFCSize(t *testing.T) {
 	// Now give ab a second fanout: its MFFC no longer belongs to f.
 	g.AddPO(MakeLit(ab.Node(), false), "g")
 	refs = g.RefCounts()
-	if got := g.MFFCSize(f.Node(), refs); got != 2 { // f and ac only
+	if got := g.MFFCSize(f.Node(), refs, nil); got != 2 { // f and ac only
 		t.Fatalf("MFFC(f) with shared ab = %d, want 2", got)
 	}
-	if got := g.MFFCSize(ac.Node(), refs); got != 1 {
+	if got := g.MFFCSize(ac.Node(), refs, nil); got != 1 {
 		t.Fatalf("MFFC(ac) = %d, want 1", got)
 	}
 }

@@ -14,7 +14,9 @@ import (
 
 	"repro/internal/aig"
 	"repro/internal/core"
+	"repro/internal/resub"
 	"repro/internal/sim"
+	"repro/internal/tt"
 )
 
 // Generator proposes single-signal substitution LACs. For every AND node v
@@ -39,38 +41,29 @@ type cand struct {
 	diff int     // disagreeing patterns
 }
 
-// substitution is one proposed change: node's references are rewired to sub.
-type substitution struct {
-	node aig.Node
-	sub  aig.Lit
-	gain int // node's MFFC size
-}
+// Covers of the substitutions: a signal is the one divisor of the identity
+// cover, and a constant has no divisor and the empty (false) or the
+// tautology (true) cover. LACs share them read-only.
+var (
+	identity  = tt.Cover{{Pos: 1}}
+	tautology = tt.Cover{{}}
+)
 
-func (sb substitution) candidate() core.Candidate {
-	node, sub := sb.node, sb.sub
-	return core.Candidate{
-		Node: node,
-		Gain: sb.gain,
-		NewVec: func(vecs *sim.Vectors, dst []uint64) {
-			vecs.LitInto(sub, dst)
-		},
-		Apply: func(g *aig.Graph) *aig.Graph {
-			return g.CopyWith(map[aig.Node]aig.Lit{node: sub})
-		},
-		ApplyInPlace: func(g *aig.Graph, touched *[]aig.Node) {
-			g.ReplaceNode(node, sub, touched)
-		},
+// substitute returns the LAC that rewires node's references to s, with
+// the node's MFFC size as its gain.
+func substitute(node aig.Node, s aig.Lit, gain int) resub.LAC {
+	switch s {
+	case aig.LitFalse:
+		return resub.LAC{Node: node, Gain: gain}
+	case aig.LitTrue:
+		return resub.LAC{Node: node, Cover: tautology, Gain: gain}
 	}
+	return resub.LAC{Node: node, Divisors: []aig.Lit{s}, Cover: identity, Gain: gain}
 }
 
 // Generate implements core.IncrementalGenerator.
 func (sg Generator) Generate(g *aig.Graph, care *sim.Vectors, valid int) []core.Candidate {
-	subs := sg.scan(g, care, valid)
-	out := make([]core.Candidate, len(subs))
-	for i, sb := range subs {
-		out[i] = sb.candidate()
-	}
-	return out
+	return core.WrapLACs(sg.scan(g, care, valid))
 }
 
 // GenerateWorkers implements core.IncrementalGenerator. The scan is
@@ -88,7 +81,7 @@ func (sg Generator) GenerateIncremental(g *aig.Graph, care *sim.Vectors, valid, 
 }
 
 // scan proposes the substitutions of every live AND node, in node order.
-func (sg Generator) scan(g *aig.Graph, care *sim.Vectors, valid int) []substitution {
+func (sg Generator) scan(g *aig.Graph, care *sim.Vectors, valid int) []resub.LAC {
 	words := care.Words
 	lastMask := ^uint64(0)
 	if valid%64 != 0 {
@@ -120,7 +113,7 @@ func (sg Generator) scan(g *aig.Graph, care *sim.Vectors, valid int) []substitut
 
 	refs := g.RefCounts()
 	maxBad := int(maxDiff * float64(valid))
-	var out []substitution
+	var out []resub.LAC
 	for v := aig.Node(1); int(v) < g.NumNodes(); v++ {
 		if !g.IsAnd(v) {
 			continue
@@ -150,9 +143,9 @@ func (sg Generator) scan(g *aig.Graph, care *sim.Vectors, valid int) []substitut
 		if n > len(cs) {
 			n = len(cs)
 		}
-		mffc := g.MFFCSize(v, refs)
+		mffc := g.MFFCSize(v, refs, nil)
 		for _, c := range cs[:n] {
-			out = append(out, substitution{node: v, sub: c.s, gain: mffc})
+			out = append(out, substitute(v, c.s, mffc))
 		}
 	}
 	return out

@@ -133,9 +133,11 @@ func TestApplyInPlaceOnFreedSlots(t *testing.T) {
 	p := sim.Exhaustive(g.NumPIs())
 	vecs := sim.Simulate(g, p)
 	gen := Generator{}
-	for _, sb := range gen.scan(g, vecs, p.Valid) {
-		if g.Kind(sb.sub.Node()) == aig.KindDead {
-			t.Fatalf("node %d: substitute %v is a freed slot", sb.node, sb.sub)
+	for _, lac := range gen.scan(g, vecs, p.Valid) {
+		for _, d := range lac.Divisors {
+			if g.Kind(d.Node()) == aig.KindDead {
+				t.Fatalf("node %d: substitute %v is a freed slot", lac.Node, d)
+			}
 		}
 	}
 	cands := gen.Generate(g, vecs, p.Valid)

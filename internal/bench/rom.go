@@ -25,22 +25,7 @@ func ROM(name string, nIn, nOut int, values []uint64) *aig.Graph {
 				on.Set(m, true)
 			}
 		}
-		cover := tt.ISOP(on, tt.New(nIn))
-		terms := make([]aig.Lit, 0, len(cover))
-		for _, cube := range cover {
-			lits := make([]aig.Lit, 0, nIn)
-			for v := 0; v < nIn; v++ {
-				bit := uint32(1) << uint(v)
-				if cube.Pos&bit != 0 {
-					lits = append(lits, addr[v])
-				}
-				if cube.Neg&bit != 0 {
-					lits = append(lits, addr[v].Not())
-				}
-			}
-			terms = append(terms, g.AndN(lits...))
-		}
-		g.AddPO(g.OrN(terms...), busName("y", b))
+		g.AddPO(g.SOP(tt.ISOP(on, tt.New(nIn)), addr), busName("y", b))
 	}
 	return g
 }

@@ -100,7 +100,7 @@ func (rg ResubGenerator) Generate(g *aig.Graph, care *sim.Vectors, valid int) []
 
 // GenerateWorkers implements IncrementalGenerator.
 func (rg ResubGenerator) GenerateWorkers(g *aig.Graph, care *sim.Vectors, valid int, workers int) []Candidate {
-	return wrapLACs(resub.Generate(g, care, valid, rg.Cfg, workers, nil, nil))
+	return WrapLACs(resub.Generate(g, care, valid, rg.Cfg, workers, nil, nil))
 }
 
 // GenerateIncremental implements IncrementalGenerator: cache is the LAC
@@ -110,7 +110,7 @@ func (rg ResubGenerator) GenerateIncremental(g *aig.Graph, care *sim.Vectors, va
 	stale []bool, cache any) ([]Candidate, any) {
 	cached, _ := cache.([]resub.LAC)
 	lacs := resub.Generate(g, care, valid, rg.Cfg, workers, stale, cached)
-	return wrapLACs(lacs), lacs
+	return WrapLACs(lacs), lacs
 }
 
 // WindowedGenerator adapts package window's reconvergence-driven windowed
@@ -132,7 +132,7 @@ func (wg WindowedGenerator) Generate(g *aig.Graph, care *sim.Vectors, valid int)
 
 // GenerateWorkers implements IncrementalGenerator.
 func (wg WindowedGenerator) GenerateWorkers(g *aig.Graph, care *sim.Vectors, valid int, workers int) []Candidate {
-	return wrapLACs(window.Generate(g, care, valid, wg.Win, wg.Cfg, workers, nil, nil))
+	return WrapLACs(window.Generate(g, care, valid, wg.Win, wg.Cfg, workers, nil, nil))
 }
 
 // GenerateIncremental implements IncrementalGenerator, mirroring
@@ -143,10 +143,12 @@ func (wg WindowedGenerator) GenerateIncremental(g *aig.Graph, care *sim.Vectors,
 	stale []bool, cache any) ([]Candidate, any) {
 	cached, _ := cache.([]resub.LAC)
 	lacs := window.Generate(g, care, valid, wg.Win, wg.Cfg, workers, stale, cached)
-	return wrapLACs(lacs), lacs
+	return WrapLACs(lacs), lacs
 }
 
-func wrapLACs(lacs []resub.LAC) []Candidate {
+// WrapLACs turns LACs into candidates whose closures evaluate, copy-apply
+// and commit each LAC; every LAC generator's candidates are made here.
+func WrapLACs(lacs []resub.LAC) []Candidate {
 	out := make([]Candidate, len(lacs))
 	for i := range lacs {
 		lac := lacs[i]

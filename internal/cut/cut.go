@@ -6,6 +6,7 @@ package cut
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/aig"
 	"repro/internal/tt"
@@ -338,9 +339,11 @@ func swapVars(t uint64, i, j int) uint64 {
 	return t&^(up|down) | (t&up)<<shift | (t&down)>>shift
 }
 
-// Table computes the function of root in terms of the cut leaves as a truth
-// table (leaf i is variable i). The cut must actually cut root's cone.
-func Table(g *aig.Graph, root aig.Node, leaves []aig.Node) tt.Table {
+// Cone walks the cone of root above the cut leaves once, in post-order with
+// fanin 0 first, and returns its AND nodes, root last, each with its
+// function over the leaves (leaf i is variable i). root must not be a leaf,
+// and the cut must cut root's cone.
+func Cone(g *aig.Graph, root aig.Node, leaves []aig.Node) (nodes []aig.Node, tabs []tt.Table) {
 	n := len(leaves)
 	memo := make(map[aig.Node]tt.Table, 16)
 	for i, l := range leaves {
@@ -368,7 +371,19 @@ func Table(g *aig.Graph, root aig.Node, leaves []aig.Node) tt.Table {
 		}
 		t := t0.And(t1)
 		memo[nd] = t
+		nodes, tabs = append(nodes, nd), append(tabs, t)
 		return t
 	}
-	return eval(root)
+	eval(root)
+	return nodes, tabs
+}
+
+// Table computes the function of root in terms of the cut leaves as a truth
+// table (leaf i is variable i). The cut must actually cut root's cone.
+func Table(g *aig.Graph, root aig.Node, leaves []aig.Node) tt.Table {
+	if i := slices.Index(leaves, root); i >= 0 {
+		return tt.Var(len(leaves), i)
+	}
+	_, tabs := Cone(g, root, leaves)
+	return tabs[len(tabs)-1]
 }

@@ -165,31 +165,25 @@ func Rewrite(g *aig.Graph) *aig.Graph {
 	sets := cut.Enumerate(g, cut.DefaultConfig())
 	refs := g.RefCounts()
 
-	type choice struct {
-		n      aig.Node
-		cov    tt.Cover
-		compl  bool
-		leaves []aig.Node
-	}
-	var choices []choice
+	var choices []replacement
 	for n := aig.Node(1); int(n) < g.NumNodes(); n++ {
 		if !g.IsAnd(n) {
 			continue
 		}
 		bestGain := 0
-		var best choice
+		var best replacement
 		for _, c := range sets.Cuts(n) {
 			if c.IsTrivial(n) {
 				continue
 			}
-			freed := coneFreed(g, n, c.Leaves, refs)
+			freed := g.MFFCSize(n, refs, c.Leaves)
 			if freed <= bestGain {
 				continue // the cover costs at least 0, so it cannot gain more
 			}
 			cov, compl := cheaperCover(len(c.Leaves), c.Truth)
-			if gain := freed - coverAndCost(cov); gain > bestGain {
+			if gain := freed - aig.SOPCost(cov); gain > bestGain {
 				bestGain = gain
-				best = choice{n: n, cov: cov, compl: compl, leaves: c.Leaves}
+				best = replacement{n: n, cov: cov, compl: compl, ins: c.Leaves}
 			}
 		}
 		if bestGain > 0 {
@@ -199,52 +193,38 @@ func Rewrite(g *aig.Graph) *aig.Graph {
 	if len(choices) == 0 {
 		return g
 	}
-	// Build the covers on a clone, in node order, leaving g untouched.
+	return rebuild(g, choices)
+}
+
+// replacement is an exact rewrite found by a pass: node n becomes the cover
+// cov over the nodes ins, complemented when compl is set.
+type replacement struct {
+	n     aig.Node
+	cov   tt.Cover
+	compl bool
+	ins   []aig.Node
+}
+
+// rebuild builds the replacements' covers on a clone of g, in order, and
+// returns the clone copied with each replaced node substituted, or g swept
+// when that copy is not smaller. A later replacement of a node supersedes an
+// earlier one. g itself is never modified.
+func rebuild(g *aig.Graph, reps []replacement) *aig.Graph {
 	work := g.Clone()
-	sub := make(map[aig.Node]aig.Lit, len(choices))
-	for _, ch := range choices {
-		sub[ch.n] = buildCover(work, ch.cov, ch.leaves).NotCond(ch.compl)
+	sub := make(map[aig.Node]aig.Lit, len(reps))
+	ins := make([]aig.Lit, 0, tt.MaxVars)
+	for _, r := range reps {
+		ins = ins[:0]
+		for _, n := range r.ins {
+			ins = append(ins, aig.MakeLit(n, false))
+		}
+		sub[r.n] = work.SOP(r.cov, ins).NotCond(r.compl)
 	}
 	ng := work.CopyWith(sub)
 	if ng.NumAnds() >= g.NumAnds() {
 		return g.Sweep()
 	}
 	return ng
-}
-
-// coneFreed counts the AND nodes that die when node n is replaced by a new
-// structure whose inputs are the given leaves: the nodes of n's MFFC that
-// lie strictly inside the cut cone. refs is restored before returning.
-func coneFreed(g *aig.Graph, n aig.Node, leaves []aig.Node, refs []int32) int {
-	c := derefCone(g, n, leaves, refs)
-	rerefCone(g, n, leaves, refs)
-	return c
-}
-
-// derefCone releases m's fanin references and recursively every cone node
-// below m, above the leaves, whose count drops to zero; it returns the
-// number of nodes released, m included.
-func derefCone(g *aig.Graph, m aig.Node, leaves []aig.Node, refs []int32) int {
-	c := 1
-	for _, f := range [2]aig.Lit{g.Fanin0(m), g.Fanin1(m)} {
-		fn := f.Node()
-		refs[fn]--
-		if refs[fn] == 0 && g.IsAnd(fn) && !slices.Contains(leaves, fn) {
-			c += derefCone(g, fn, leaves, refs)
-		}
-	}
-	return c
-}
-
-// rerefCone undoes derefCone.
-func rerefCone(g *aig.Graph, m aig.Node, leaves []aig.Node, refs []int32) {
-	for _, f := range [2]aig.Lit{g.Fanin0(m), g.Fanin1(m)} {
-		fn := f.Node()
-		if refs[fn] == 0 && g.IsAnd(fn) && !slices.Contains(leaves, fn) {
-			rerefCone(g, fn, leaves, refs)
-		}
-		refs[fn]++
-	}
 }
 
 // cheaperCover returns the ISOP of the function with truth table bits over
@@ -281,7 +261,7 @@ type coverMemoEntry struct {
 }
 
 // coverMemo caches cheaperCover results by (vars, truth bits). Covers are
-// treated as immutable by every consumer (buildCover only reads), so
+// treated as immutable by every consumer (aig.Graph.SOP only reads), so
 // sharing one Cover value across goroutines and calls is safe. Every flush
 // of every session reads it, so a hit takes only the read lock and
 // allocates nothing. Two goroutines that miss on one key store equal
@@ -295,42 +275,8 @@ func cheaperCoverUncached(tab tt.Table) (tt.Cover, bool) {
 	n := tab.NumVars()
 	on := tt.ISOP(tab, tt.New(n))
 	off := tt.ISOP(tab.Not(), tt.New(n))
-	if coverAndCost(off) < coverAndCost(on) {
+	if aig.SOPCost(off) < aig.SOPCost(on) {
 		return off, true
 	}
 	return on, false
-}
-
-// coverAndCost counts the AND nodes needed to realize a cover.
-func coverAndCost(c tt.Cover) int {
-	if len(c) == 0 {
-		return 0
-	}
-	cost := len(c) - 1
-	for _, cube := range c {
-		if l := cube.NumLits(); l > 1 {
-			cost += l - 1
-		}
-	}
-	return cost
-}
-
-// buildCover materializes a cover over the given leaves in g and returns
-// its literal.
-func buildCover(g *aig.Graph, cov tt.Cover, leaves []aig.Node) aig.Lit {
-	terms := make([]aig.Lit, 0, len(cov))
-	for _, cube := range cov {
-		lits := make([]aig.Lit, 0, len(leaves))
-		for v, leaf := range leaves {
-			bit := uint32(1) << uint(v)
-			if cube.Pos&bit != 0 {
-				lits = append(lits, aig.MakeLit(leaf, false))
-			}
-			if cube.Neg&bit != 0 {
-				lits = append(lits, aig.MakeLit(leaf, true))
-			}
-		}
-		terms = append(terms, g.AndN(lits...))
-	}
-	return g.OrN(terms...)
 }

@@ -157,39 +157,15 @@ func TestOptimizeIdempotentEnough(t *testing.T) {
 	}
 }
 
-func TestCoverAndCost(t *testing.T) {
+// TestRewriteKeepsOptimalXor checks that Rewrite does not "improve" an
+// optimal XOR, 3 ANDs, into something bigger.
+func TestRewriteKeepsOptimalXor(t *testing.T) {
 	g := aig.New()
 	xs := g.AddPIs(4, "x")
-	// XOR of two variables has 2 cubes of 2 literals: cost 3.
-	f := g.Xor(xs[0], xs[1])
-	g.AddPO(f, "f")
-	_ = f
-	// cheap sanity of cost helper itself via known covers is in resub; here
-	// ensure Rewrite on an optimal XOR does not "improve" it into something
-	// bigger.
+	g.AddPO(g.Xor(xs[0], xs[1]), "f")
 	r := Rewrite(g)
 	if r.NumAnds() > g.NumAnds() {
 		t.Fatalf("Rewrite grew an optimal XOR: %d -> %d", g.NumAnds(), r.NumAnds())
-	}
-}
-
-func TestConeFreedRestoresRefs(t *testing.T) {
-	g := randomCircuit(5, 30, 7)
-	refs := g.RefCounts()
-	want := append([]int32(nil), refs...)
-	for n := aig.Node(1); int(n) < g.NumNodes(); n++ {
-		if !g.IsAnd(n) {
-			continue
-		}
-		leaves := []aig.Node{g.Fanin0(n).Node(), g.Fanin1(n).Node()}
-		if c := coneFreed(g, n, leaves, refs); c != 1 {
-			t.Fatalf("freed with fanin leaves = %d, want 1", c)
-		}
-		for i := range refs {
-			if refs[i] != want[i] {
-				t.Fatalf("coneFreed corrupted refs at %d", i)
-			}
-		}
 	}
 }
 
@@ -244,6 +220,43 @@ func TestResubPassOnOptimizedAdderIsSafe(t *testing.T) {
 	r := ResubPass(o, 6)
 	if !equivalent(t, o, r) {
 		t.Fatalf("ResubPass broke the adder")
+	}
+}
+
+// TestResubPassGolden pins ResubPass's exact output, AND count and
+// fingerprint, at K = 3, 4 and 6. The circuits are raw: an optimized circuit
+// is usually a fixpoint of the pass, so it would pin nothing. The random
+// graphs are swept first, so their gains are resubstitutions, not dangling
+// logic.
+func TestResubPassGolden(t *testing.T) {
+	type pin struct {
+		ands        int
+		fingerprint uint64
+	}
+	for _, tc := range []struct {
+		name string
+		g    *aig.Graph
+		pins [3]pin // K = 3, 4, 6
+	}{
+		{"c880", bench.Get("c880"), [3]pin{{247, 0x807d3695bc2ff901}, {257, 0x2dc180df02b29cbe}, {257, 0x2dc180df02b29cbe}}},
+		{"c1908", bench.Get("c1908"), [3]pin{{297, 0x09a064f8774c8a1e}, {295, 0x69b8a5c420c30243}, {295, 0x69b8a5c420c30243}}},
+		{"sqrt", bench.Get("sqrt"), [3]pin{{525, 0xc4a227d7b71330a3}, {525, 0xc4a227d7b71330a3}, {525, 0xc4a227d7b71330a3}}},
+		{"voter", bench.Get("voter"), [3]pin{{580, 0x13247ef0413dcded}, {580, 0x3ec8ce49f78d2950}, {580, 0x3ec8ce49f78d2950}}},
+		{"int2float", bench.Get("int2float"), [3]pin{{81, 0xca68e97da5ade36a}, {81, 0xca68e97da5ade36a}, {81, 0xca68e97da5ade36a}}},
+		{"random 0", randomCircuit(10, 400, 0).Sweep(), [3]pin{{130, 0xcca84c6fe5e579cd}, {130, 0xcca84c6fe5e579cd}, {130, 0xcca84c6fe5e579cd}}},
+		{"random 1", randomCircuit(10, 400, 1).Sweep(), [3]pin{{94, 0xa4eb33489cc89717}, {95, 0x027bdc1aa1ed6003}, {95, 0x027bdc1aa1ed6003}}},
+		{"random 2", randomCircuit(10, 400, 2).Sweep(), [3]pin{{99, 0x81db888c0680d858}, {69, 0x8d58b99506284db4}, {69, 0x8d58b99506284db4}}},
+		{"random 3", randomCircuit(10, 400, 3).Sweep(), [3]pin{{57, 0xe1a7d6f8ab8692ad}, {57, 0xe1a7d6f8ab8692ad}, {57, 0xe1a7d6f8ab8692ad}}},
+		{"random 4", randomCircuit(10, 400, 4).Sweep(), [3]pin{{86, 0xa98829a31e15f62f}, {125, 0xa7145a561c565fc9}, {125, 0xa7145a561c565fc9}}},
+		{"random 5", randomCircuit(10, 400, 5).Sweep(), [3]pin{{37, 0x962abcc121777efd}, {37, 0x962abcc121777efd}, {37, 0x962abcc121777efd}}},
+	} {
+		for i, k := range []int{3, 4, 6} {
+			r := ResubPass(tc.g, k)
+			if got := (pin{r.NumAnds(), aig.Fingerprint(r)}); got != tc.pins[i] {
+				t.Errorf("%s, K = %d: ResubPass gives %d ANDs, fingerprint %016x; want %d, %016x",
+					tc.name, k, got.ands, got.fingerprint, tc.pins[i].ands, tc.pins[i].fingerprint)
+			}
+		}
 	}
 }
 

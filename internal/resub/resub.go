@@ -68,8 +68,8 @@ type LAC struct {
 	Divisors []aig.Lit
 	// Cover may be shared with other LACs and with the minimizer's
 	// two-divisor table (Minimizer.Cover): every reader — BuildLit,
-	// EvalVec's EvalWords, CoverCost and String — only reads it, and nothing
-	// may write to it.
+	// EvalVec's EvalWords, aig.SOPCost and String — only reads it, and
+	// nothing may write to it.
 	Cover tt.Cover
 
 	// Gain is the structural gain estimate in AND nodes: the node's MFFC
@@ -223,42 +223,10 @@ func buildCoverPerPattern(vecs *sim.Vectors, divs []aig.Lit, target aig.Lit, val
 	return minimize(onset, care.Not()), true
 }
 
-// CoverCost estimates the number of AND nodes needed to materialize a cover
-// over existing divisor signals: each cube with m literals costs m−1 AND
-// nodes and the disjunction of c cubes costs c−1 more.
-func CoverCost(c tt.Cover) int {
-	if len(c) == 0 {
-		return 0
-	}
-	cost := len(c) - 1
-	for _, cube := range c {
-		if n := cube.NumLits(); n > 1 {
-			cost += n - 1
-		}
-	}
-	return cost
-}
-
 // BuildLit materializes the LAC's cover in graph g and returns the literal
 // of the new function. The graph gains nodes; callers normally follow with
 // aig.Graph.CopyWith to substitute and sweep.
-func (l *LAC) BuildLit(g *aig.Graph) aig.Lit {
-	terms := make([]aig.Lit, 0, len(l.Cover))
-	for _, cube := range l.Cover {
-		lits := make([]aig.Lit, 0, len(l.Divisors))
-		for v, d := range l.Divisors {
-			bit := uint32(1) << uint(v)
-			if cube.Pos&bit != 0 {
-				lits = append(lits, d)
-			}
-			if cube.Neg&bit != 0 {
-				lits = append(lits, d.Not())
-			}
-		}
-		terms = append(terms, g.AndN(lits...))
-	}
-	return g.OrN(terms...)
-}
+func (l *LAC) BuildLit(g *aig.Graph) aig.Lit { return g.SOP(l.Cover, l.Divisors) }
 
 // Apply substitutes the LAC into g and returns the swept result. g itself
 // gains scratch nodes but is otherwise unchanged.
@@ -497,7 +465,7 @@ type coneSource struct {
 
 // Pool implements Source.
 func (s *coneSource) Pool(v aig.Node, refs []int32) ([]aig.Node, int, bool) {
-	mffc := s.g.MFFCSize(v, refs)
+	mffc := s.g.MFFCSize(v, refs, nil)
 	s.coneInLevelOrder(v)
 	return s.cone, mffc, true
 }
@@ -551,7 +519,7 @@ func (s *genState) scanPool(lacs []LAC, v aig.Node, pool []aig.Node, mffc int) [
 		if !ok {
 			return true // infeasible; keep scanning
 		}
-		gain := mffc - CoverCost(cover)
+		gain := mffc - aig.SOPCost(cover)
 		if gain < 0 {
 			// A growing replacement cannot simplify the circuit directly;
 			// skip it (the paper's resubstitutions are cost-reducing).

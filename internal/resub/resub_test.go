@@ -212,26 +212,6 @@ func TestBuildCoverConstantNode(t *testing.T) {
 	}
 }
 
-func TestCoverCost(t *testing.T) {
-	cases := []struct {
-		cover tt.Cover
-		want  int
-	}{
-		{tt.Cover{}, 0},
-		{tt.Cover{{}}, 0},                                   // constant 1
-		{tt.Cover{{Pos: 1}}, 0},                             // single literal
-		{tt.Cover{{Pos: 3}}, 1},                             // 2-lit cube
-		{tt.Cover{{Pos: 1}, {Neg: 2}}, 1},                   // or of 2 literals
-		{tt.Cover{{Pos: 3}, {Neg: 3}}, 3},                   // xnor-ish
-		{tt.Cover{{Pos: 7}, {Pos: 1, Neg: 6}, {Neg: 1}}, 6}, // 3 cubes
-	}
-	for i, c := range cases {
-		if got := CoverCost(c.cover); got != c.want {
-			t.Errorf("case %d: CoverCost(%v) = %d, want %d", i, c.cover, got, c.want)
-		}
-	}
-}
-
 func TestGenerateFindsExactResubstitutions(t *testing.T) {
 	// Build a circuit with a redundant reconstruction: f = (a&b) | (a&b&c).
 	// The node (a&b&c) is absorbed by (a&b); generation with the full care

@@ -36,11 +36,16 @@ type source struct {
 }
 
 // Pool implements resub.Source. A root Extract skips for its fanout yields
-// no pool, so the scan skips it too.
+// no pool, so the scan skips it too. The gain base is the root's MFFC inside
+// the window: it stops at the window leaves, so it equals the full MFFC when
+// the leaves are PIs (the equivalence configuration) and is a lower bound
+// otherwise, and windowed gains never overstate the global gain. Every inner
+// node's fanins lie in the window, so the walk reaches only window nodes.
 func (s *source) Pool(root aig.Node, refs []int32) ([]aig.Node, int, bool) {
-	if s.ex.Extract(root) == nil {
+	w := s.ex.Extract(root)
+	if w == nil {
 		return nil, 0, false
 	}
 	pool := s.ex.Divisors(s.desc)
-	return pool, s.ex.MFFCInWindow(refs), true
+	return pool, s.ex.g.MFFCSize(root, refs, w.Cut.Leaves), true
 }

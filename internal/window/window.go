@@ -95,9 +95,8 @@ type Extractor struct {
 	fanout []int32
 
 	// Window membership is epoch-stamped: mark[n]==epoch means n is in the
-	// current window, and additionally leaf[n]==epoch means it is a leaf.
+	// current window.
 	mark  []int32
-	leaf  []int32
 	epoch int32
 
 	leaves []aig.Node // current leaf set, in discovery order during expansion
@@ -112,7 +111,6 @@ func NewExtractor(g *aig.Graph, cfg Config, levels, fanout []int32) *Extractor {
 	return &Extractor{
 		g: g, cfg: cfg, levels: levels, fanout: fanout,
 		mark: make([]int32, n),
-		leaf: make([]int32, n),
 	}
 }
 
@@ -140,7 +138,6 @@ func (e *Extractor) Extract(root aig.Node) *Window {
 	for _, f := range [2]aig.Node{g.Fanin0(root).Node(), g.Fanin1(root).Node()} {
 		if e.mark[f] != e.epoch {
 			e.mark[f] = e.epoch
-			e.leaf[f] = e.epoch
 			e.leaves = append(e.leaves, f)
 		}
 	}
@@ -169,12 +166,10 @@ func (e *Extractor) Extract(root aig.Node) *Window {
 		}
 		l := e.leaves[best]
 		e.leaves = append(e.leaves[:best], e.leaves[best+1:]...)
-		e.leaf[l] = e.epoch - 1 // demote: still in the window, no longer a leaf
 		e.win.Inner = append(e.win.Inner, l)
 		for _, f := range [2]aig.Node{g.Fanin0(l).Node(), g.Fanin1(l).Node()} {
 			if e.mark[f] != e.epoch {
 				e.mark[f] = e.epoch
-				e.leaf[f] = e.epoch
 				e.leaves = append(e.leaves, f)
 			}
 		}
@@ -221,42 +216,4 @@ func (e *Extractor) Divisors(descLevels bool) []aig.Node {
 		pool = pool[:e.cfg.MaxDivisors]
 	}
 	return pool
-}
-
-// MFFCInWindow computes the size of the current window root's maximal
-// fanout-free cone restricted to the window: the number of AND nodes that
-// would die with the root, descending only through inner nodes. It equals
-// aig.Graph.MFFCSize exactly when the window leaves are PIs (the
-// equivalence configuration) and is a conservative lower bound otherwise —
-// logic below the leaves that would also die is not counted, so windowed
-// gains never overstate the global gain. refs must be a mutable copy of
-// the graph's reference counts; it is restored before returning.
-func (e *Extractor) MFFCInWindow(refs []int32) int {
-	count := e.deref(e.win.Root, refs)
-	e.reref(e.win.Root, refs)
-	return count
-}
-
-func (e *Extractor) isInner(n aig.Node) bool {
-	return e.mark[n] == e.epoch && e.leaf[n] != e.epoch && e.g.IsAnd(n)
-}
-
-func (e *Extractor) deref(n aig.Node, refs []int32) int {
-	count := 1
-	for _, f := range [2]aig.Node{e.g.Fanin0(n).Node(), e.g.Fanin1(n).Node()} {
-		refs[f]--
-		if refs[f] == 0 && e.isInner(f) {
-			count += e.deref(f, refs)
-		}
-	}
-	return count
-}
-
-func (e *Extractor) reref(n aig.Node, refs []int32) {
-	for _, f := range [2]aig.Node{e.g.Fanin0(n).Node(), e.g.Fanin1(n).Node()} {
-		if refs[f] == 0 && e.isInner(f) {
-			e.reref(f, refs)
-		}
-		refs[f]++
-	}
 }

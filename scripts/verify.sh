@@ -56,3 +56,4 @@ go test -run='^$' -fuzz='^FuzzBLIFParse$' -fuzztime="$FUZZTIME" ./internal/blif
 go test -run='^$' -fuzz='^FuzzMiterSAT$' -fuzztime="$FUZZTIME" ./internal/exact
 go test -run='^$' -fuzz='^FuzzCASFrame$' -fuzztime="$FUZZTIME" ./internal/service
 go test -run='^$' -fuzz='^FuzzRankKernel$' -fuzztime="$FUZZTIME" ./internal/errest
+go test -run='^$' -fuzz='^FuzzMFFC$' -fuzztime="$FUZZTIME" ./internal/aig
