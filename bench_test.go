@@ -17,7 +17,6 @@ import (
 	"repro/internal/cell"
 	"repro/internal/core"
 	"repro/internal/errest"
-	"repro/internal/espresso"
 	"repro/internal/exp"
 	"repro/internal/mapper"
 	"repro/internal/opt"
@@ -105,54 +104,6 @@ func BenchmarkAblationOptimize(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMinimizer compares plain Minato ISOP against the
-// Espresso-style minimizer for deriving resubstitution functions.
-func BenchmarkAblationMinimizer(b *testing.B) {
-	g := opt.Optimize(bench.ArrayMult(8))
-	base := mapper.MapCells(g, cell.MCNC())
-	for _, esp := range []bool{false, true} {
-		name := "isop"
-		if esp {
-			name = "espresso"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				opts := core.DefaultOptions(errest.NMED, 0.0019531)
-				opts.EvalPatterns = 1024
-				opts.UseEspresso = esp
-				res := core.Run(g, opts)
-				m := mapper.MapCells(res.Graph, cell.MCNC())
-				b.ReportMetric(100*m.Area/base.Area, "area%")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationDivisorOrder compares the paper's ascending-level
-// divisor scan against a descending (closest-first) scan.
-func BenchmarkAblationDivisorOrder(b *testing.B) {
-	g := opt.Optimize(bench.ArrayMult(8))
-	base := mapper.MapCells(g, cell.MCNC())
-	for _, desc := range []bool{false, true} {
-		name := "ascending"
-		if desc {
-			name = "descending"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				opts := core.DefaultOptions(errest.NMED, 0.0019531)
-				opts.EvalPatterns = 1024
-				opts.Generator = core.ResubGenerator{Cfg: resub.Config{
-					MaxLACsPerNode: 1, MaxDivisors: 8, DescendingLevels: desc,
-				}}
-				res := core.Run(g, opts)
-				m := mapper.MapCells(res.Graph, cell.MCNC())
-				b.ReportMetric(100*m.Area/base.Area, "area%")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationBatchVsNaive measures the batch error estimator (Su
 // DAC'18, reused by ALSRAC) against naive per-candidate resimulation —
 // the speedup the paper attributes to batching. Each batch iteration pays
@@ -226,16 +177,6 @@ func BenchmarkISOP(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = tt.ISOP(onn, dc)
-	}
-}
-
-func BenchmarkEspresso(b *testing.B) {
-	on := tt.Var(8, 0).Xor(tt.Var(8, 3)).Or(tt.Var(8, 5).And(tt.Var(8, 7)))
-	dc := tt.Var(8, 1).And(on.Not())
-	onn := on.AndNot(dc)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = espresso.Minimize(onn, dc)
 	}
 }
 

@@ -70,6 +70,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
+	// Refuse the values no flow can run with, which the daemon's
+	// JobSpec.Normalize refuses or replaces. The session evaluates at least
+	// 64 patterns whatever -eval says. Each ok is written so NaN fails it.
+	for _, c := range []struct {
+		name, want string
+		ok         bool
+	}{
+		{"n", "at least 1", *rounds >= 1},
+		{"l", "at least 1", *lacLimit >= 1},
+		{"t", "at least 1", *patience >= 1},
+		{"r", "in (0, 1]", *scale > 0 && *scale <= 1},
+		{"eval", "at least 64", *evalPats >= 64},
+		{"threshold", "non-negative", *threshold >= 0},
+		{"maxerror", "non-negative", *maxError >= 0},
+		{"maxdepth", "non-negative", *maxDepth >= 0},
+		{"certbudget", "non-negative", *certBudget >= 0},
+	} {
+		if !c.ok {
+			return fail("-%s must be %s, got %s", c.name, c.want, fs.Lookup(c.name).Value)
+		}
+	}
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if err := checkFlowFlags(*flow, *metric, *maxError, *maxDepth, set); err != nil {

@@ -77,6 +77,20 @@ func TestRunRefusesFlagsBeforeTheFlow(t *testing.T) {
 			"-workers is not supported by -flow mcmc"},
 		{[]string{"-bench", "rca32", "-metric", "nmed", "-threshold", "0.002", "-flow", "sasimi", "-n", "8"},
 			"-n is not supported by -flow sasimi"},
+		{[]string{"-bench", "cla32", "-metric", "nmed", "-threshold", "0.001", "-n", "0"}, "-n must be at least 1, got 0"},
+		{[]string{"-bench", "cla32", "-metric", "nmed", "-threshold", "0.001", "-n", "-5"}, "-n must be at least 1, got -5"},
+		{[]string{"-bench", "cla32", "-metric", "nmed", "-threshold", "0.001", "-l", "0"}, "-l must be at least 1, got 0"},
+		{[]string{"-bench", "cla32", "-metric", "nmed", "-threshold", "0.001", "-t", "0"}, "-t must be at least 1, got 0"},
+		{[]string{"-bench", "cla32", "-metric", "nmed", "-threshold", "0.001", "-r", "0"}, "-r must be in (0, 1], got 0"},
+		{[]string{"-bench", "cla32", "-metric", "nmed", "-threshold", "0.001", "-r", "1.5"}, "-r must be in (0, 1], got 1.5"},
+		{[]string{"-bench", "cla32", "-metric", "nmed", "-threshold", "0.001", "-eval", "0"}, "-eval must be at least 64, got 0"},
+		{[]string{"-bench", "cla32", "-metric", "nmed", "-threshold", "0.001", "-eval", "-10"}, "-eval must be at least 64, got -10"},
+		{[]string{"-bench", "cla32", "-metric", "nmed", "-threshold", "0.001", "-eval", "63"}, "-eval must be at least 64, got 63"},
+		{[]string{"-bench", "cla32", "-metric", "nmed", "-threshold", "-1"}, "-threshold must be non-negative, got -1"},
+		{[]string{"-bench", "cla32", "-metric", "nmed", "-threshold", "NaN"}, "-threshold must be non-negative, got NaN"},
+		{[]string{"-bench", "cla32", "-metric", "nmed", "-threshold", "0.001", "-maxerror", "-0.1"}, "-maxerror must be non-negative, got -0.1"},
+		{[]string{"-bench", "cla32", "-metric", "nmed", "-threshold", "0.001", "-maxdepth", "-1"}, "-maxdepth must be non-negative, got -1"},
+		{[]string{"-bench", "cla32", "-metric", "nmed", "-threshold", "0.001", "-certbudget", "-1"}, "-certbudget must be non-negative, got -1"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(c.args, &stdout, &stderr); code != 1 {

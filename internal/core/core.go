@@ -170,7 +170,6 @@ type Options struct {
 	Threshold float64 // error threshold Et
 
 	InitialRounds   int     // initial care-set simulation rounds N (paper: 32)
-	MaxDivisors     int     // divisor-set size cap (paper: 2; ≥3 enables the triple extension)
 	MaxLACsPerNode  int     // LAC limit per node L (paper: 1)
 	Patience        int     // controlling parameter t (paper: 5)
 	Scale           float64 // scaling factor r (paper: 0.9)
@@ -206,8 +205,13 @@ type Options struct {
 	// SkipOptimize disables the traditional re-optimization between
 	// iterations (ablation knob; the paper always optimizes).
 	SkipOptimize bool
-	// UseEspresso selects the Espresso-style cover minimizer for
-	// resubstitution functions instead of plain ISOP (the paper's tooling).
+	// MaxDivisors and UseEspresso are not read: every divisor set holds at
+	// most two divisors, as in the paper's AIG flow, and its cover is
+	// tt.ISOP's, which on such sets equals the Espresso-style cover. They
+	// stay for the benchmark harness, which copies them into resub.Config,
+	// until its next revision. A MaxDivisors above 2 is refused: the
+	// session's first step panics in resub.Scan.
+	MaxDivisors int
 	UseEspresso bool
 	// Windowed selects reconvergence-driven windowed candidate generation
 	// (package window): per-root bounded windows instead of full TFI cones,
@@ -269,8 +273,7 @@ func flowGenerator(opts *Options, numAnds int) (IncrementalGenerator, bool) {
 	rcfg := resub.Config{
 		MaxLACsPerNode:  opts.MaxLACsPerNode,
 		MaxReplaceTries: opts.MaxReplaceTries,
-		MaxDivisors:     opts.MaxDivisors,
-		UseEspresso:     opts.UseEspresso,
+		MaxDivisors:     opts.MaxDivisors, // for resub.Scan's refusal of wider sets
 	}
 	if opts.Windowed && numAnds >= windowedFallbackAnds {
 		return WindowedGenerator{Win: window.DefaultConfig(), Cfg: rcfg}, false
@@ -287,7 +290,6 @@ func DefaultOptions(metric errest.Metric, threshold float64) Options {
 		Metric:         metric,
 		Threshold:      threshold,
 		InitialRounds:  32,
-		MaxDivisors:    2,
 		MaxLACsPerNode: 1,
 		Patience:       5,
 		Scale:          0.9,

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/aig"
@@ -309,17 +311,16 @@ func runDepthCapped(t *testing.T, g *aig.Graph, opts Options) Result {
 	}
 }
 
-func TestRunWithTripleDivisors(t *testing.T) {
-	// The 3-divisor extension must run end to end and respect the budget.
-	g := rippleAdder(4)
+// TestRunRefusesWideDivisorSets: Options.MaxDivisors above 2 reaches
+// resub.Scan's refusal rather than run a flow without the wider sets.
+func TestRunRefusesWideDivisorSets(t *testing.T) {
 	opts := DefaultOptions(errest.NMED, 0.01)
 	opts.EvalPatterns = 2048
 	opts.MaxDivisors = 3
-	res := Run(g, opts)
-	if res.FinalError > opts.Threshold {
-		t.Fatalf("triple-divisor run over threshold: %.4g", res.FinalError)
-	}
-	if err := res.Graph.CheckStrict(); err != nil {
-		t.Fatal(err)
-	}
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "MaxDivisors 3") {
+			t.Fatalf("Run with MaxDivisors 3 recovered %v, want a panic naming MaxDivisors", r)
+		}
+	}()
+	Run(rippleAdder(4), opts)
 }

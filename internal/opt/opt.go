@@ -193,7 +193,10 @@ func Rewrite(g *aig.Graph) *aig.Graph {
 	if len(choices) == 0 {
 		return g
 	}
-	return rebuild(g, choices)
+	if ng := rebuild(g, choices); ng.NumAnds() < g.NumAnds() {
+		return ng
+	}
+	return g.Sweep()
 }
 
 // replacement is an exact rewrite found by a pass: node n becomes the cover
@@ -206,9 +209,9 @@ type replacement struct {
 }
 
 // rebuild builds the replacements' covers on a clone of g, in order, and
-// returns the clone copied with each replaced node substituted, or g swept
-// when that copy is not smaller. A later replacement of a node supersedes an
-// earlier one. g itself is never modified.
+// returns the clone copied with each replaced node substituted. A later
+// replacement of a node supersedes an earlier one. g itself is never
+// modified.
 func rebuild(g *aig.Graph, reps []replacement) *aig.Graph {
 	work := g.Clone()
 	sub := make(map[aig.Node]aig.Lit, len(reps))
@@ -220,11 +223,7 @@ func rebuild(g *aig.Graph, reps []replacement) *aig.Graph {
 		}
 		sub[r.n] = work.SOP(r.cov, ins).NotCond(r.compl)
 	}
-	ng := work.CopyWith(sub)
-	if ng.NumAnds() >= g.NumAnds() {
-		return g.Sweep()
-	}
-	return ng
+	return work.CopyWith(sub)
 }
 
 // cheaperCover returns the ISOP of the function with truth table bits over

@@ -223,6 +223,22 @@ func TestResubPassOnOptimizedAdderIsSafe(t *testing.T) {
 	}
 }
 
+// TestResubPassNeverAboveSweep: ResubPass returns at most the ANDs of its
+// input's own sweep, which it returns when nothing improves, also on inputs
+// with dangling logic. The sample is every sixth seed of 1–600 at K = 3, 4
+// and 6; seed 504's rebuild had 92 ANDs against the sweep's 91.
+func TestResubPassNeverAboveSweep(t *testing.T) {
+	for seed := int64(6); seed <= 600; seed += 6 {
+		g := randomCircuit(8, 120, seed)
+		sweep := g.Sweep().NumAnds()
+		for _, k := range []int{3, 4, 6} {
+			if got := ResubPass(g, k).NumAnds(); got > sweep {
+				t.Errorf("seed %d, K = %d: ResubPass gives %d ANDs, the input's sweep %d", seed, k, got, sweep)
+			}
+		}
+	}
+}
+
 // TestResubPassGolden pins ResubPass's exact output, AND count and
 // fingerprint, at K = 3, 4 and 6. The circuits are raw: an optimized circuit
 // is usually a fixpoint of the pass, so it would pin nothing. The random
@@ -239,9 +255,9 @@ func TestResubPassGolden(t *testing.T) {
 		pins [3]pin // K = 3, 4, 6
 	}{
 		{"c880", bench.Get("c880"), [3]pin{{247, 0x807d3695bc2ff901}, {257, 0x2dc180df02b29cbe}, {257, 0x2dc180df02b29cbe}}},
-		{"c1908", bench.Get("c1908"), [3]pin{{297, 0x09a064f8774c8a1e}, {295, 0x69b8a5c420c30243}, {295, 0x69b8a5c420c30243}}},
-		{"sqrt", bench.Get("sqrt"), [3]pin{{525, 0xc4a227d7b71330a3}, {525, 0xc4a227d7b71330a3}, {525, 0xc4a227d7b71330a3}}},
-		{"voter", bench.Get("voter"), [3]pin{{580, 0x13247ef0413dcded}, {580, 0x3ec8ce49f78d2950}, {580, 0x3ec8ce49f78d2950}}},
+		{"c1908", bench.Get("c1908"), [3]pin{{291, 0xbca615f541354ec7}, {291, 0xbca615f541354ec7}, {291, 0xbca615f541354ec7}}},
+		{"sqrt", bench.Get("sqrt"), [3]pin{{519, 0xf3f51d2e440c4660}, {519, 0xf3f51d2e440c4660}, {519, 0xf3f51d2e440c4660}}},
+		{"voter", bench.Get("voter"), [3]pin{{572, 0x19b091f11873af14}, {572, 0x19b091f11873af14}, {572, 0x19b091f11873af14}}},
 		{"int2float", bench.Get("int2float"), [3]pin{{81, 0xca68e97da5ade36a}, {81, 0xca68e97da5ade36a}, {81, 0xca68e97da5ade36a}}},
 		{"random 0", randomCircuit(10, 400, 0).Sweep(), [3]pin{{130, 0xcca84c6fe5e579cd}, {130, 0xcca84c6fe5e579cd}, {130, 0xcca84c6fe5e579cd}}},
 		{"random 1", randomCircuit(10, 400, 1).Sweep(), [3]pin{{94, 0xa4eb33489cc89717}, {95, 0x027bdc1aa1ed6003}, {95, 0x027bdc1aa1ed6003}}},

@@ -21,8 +21,9 @@ import (
 // rewrite sound: any primary input assignment induces some window pattern.
 //
 // Like Rewrite, the pass collects simultaneous exact replacements and
-// rebuilds once; it returns an equivalent of g when nothing improves. The
-// input graph is never modified.
+// rebuilds once. It returns the rebuilt graph only when it has fewer ANDs
+// than g swept, and g swept otherwise, so dangling logic in g never makes
+// the result larger than the sweep. The input graph is never modified.
 func ResubPass(g *aig.Graph, k int) *aig.Graph {
 	sets := cut.Enumerate(g, cut.Config{K: k, PerNode: 6})
 	refs := g.RefCounts()
@@ -33,13 +34,17 @@ func ResubPass(g *aig.Graph, k int) *aig.Graph {
 			builds = bestWindowResub(g, sets, refs, v, builds)
 		}
 	}
+	swept := g.Sweep()
 	if len(builds) == 0 {
-		return g.Sweep()
+		return swept
 	}
 	// Superseded builds are replayed too: later covers can share their
 	// nodes, and the ids those nodes get decide the order in which CopyWith
 	// rebuilds. The last build recorded for a node is its best.
-	return rebuild(g, builds)
+	if ng := rebuild(g, builds); ng.NumAnds() < swept.NumAnds() {
+		return ng
+	}
+	return swept
 }
 
 // bestWindowResub looks for the highest-gain exact resubstitution of v
@@ -92,8 +97,9 @@ func bestWindowResub(g *aig.Graph, sets *cut.Sets, refs []int32, v aig.Node, bui
 
 // exactCover runs Theorem 1 on every window minterm: wordops.CoverScan over
 // the words of the one or two divisor tables, with all 2^K minterms valid.
-// When fv is a function of the divisors it returns an ISOP of that function,
-// with the divisor patterns no minterm reaches as don't-cares.
+// When fv is a function of the divisors it returns tt.ISOPOnCare's cover of
+// that function, with the divisor patterns no minterm reaches as
+// don't-cares; the cover is shared and only read.
 func exactCover(fv tt.Table, divs ...tt.Table) (tt.Cover, bool) {
 	var words [2][]uint64
 	var inv [2]uint64
@@ -104,5 +110,5 @@ func exactCover(fv tt.Table, divs ...tt.Table) (tt.Cover, bool) {
 	if !ok {
 		return nil, false
 	}
-	return tt.ISOP(tt.FromOnCare(len(divs), on, care)), true
+	return tt.ISOPOnCare(len(divs), on, care), true
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/aig"
-	"repro/internal/espresso"
 	"repro/internal/sim"
 	"repro/internal/tt"
 )
@@ -31,6 +30,35 @@ func randomGraph(rng *rand.Rand, nPIs, nAnds int) *aig.Graph {
 	}
 	g.AddPO(lits[len(lits)-1], "f")
 	return g
+}
+
+// buildCoverPerPattern is the per-pattern specification of BuildCover: one
+// bit probe per (pattern, divisor), then tt.ISOP of the sampled function.
+// The word-parallel kernel is property-tested against it.
+func buildCoverPerPattern(vecs *sim.Vectors, divs []aig.Lit, target aig.Lit, valid int) (tt.Cover, bool) {
+	k := len(divs)
+	onset := tt.New(k)
+	care := tt.New(k)
+	for p := 0; p < valid; p++ {
+		key := 0
+		for j, d := range divs {
+			if vecs.LitBit(d, p) {
+				key |= 1 << uint(j)
+			}
+		}
+		v := vecs.LitBit(target, p)
+		if care.Get(key) {
+			if onset.Get(key) != v {
+				return nil, false
+			}
+			continue
+		}
+		care.Set(key, true)
+		if v {
+			onset.Set(key, true)
+		}
+	}
+	return tt.ISOP(onset, care.Not()), true
 }
 
 func coversEqual(a, b tt.Cover) bool {
@@ -71,8 +99,8 @@ func TestBuildCoverWordMatchesPerPattern(t *testing.T) {
 			target := randomLit()
 			valid := 1 + rng.Intn(p.Valid)
 
-			got, gotOK := BuildCoverWith(vecs, divs, target, valid, ISOP)
-			want, wantOK := buildCoverPerPattern(vecs, divs, target, valid, tt.ISOP)
+			got, gotOK := BuildCover(vecs, divs, target, valid)
+			want, wantOK := buildCoverPerPattern(vecs, divs, target, valid)
 			if gotOK != wantOK {
 				t.Fatalf("trial %d set %d (k=%d valid=%d): feasibility %v, reference %v",
 					trial, set, k, valid, gotOK, wantOK)
@@ -104,8 +132,8 @@ func TestBuildCoverTailBitsIgnored(t *testing.T) {
 		divs := []aig.Lit{g.Fanin0(n), g.Fanin1(n)}
 		target := aig.MakeLit(n, false)
 		for _, valid := range []int{1, 63, 64, 65, 99, 100} {
-			got, gotOK := BuildCoverWith(vecs, divs, target, valid, ISOP)
-			want, wantOK := buildCoverPerPattern(vecs, divs, target, valid, tt.ISOP)
+			got, gotOK := BuildCover(vecs, divs, target, valid)
+			want, wantOK := buildCoverPerPattern(vecs, divs, target, valid)
 			if gotOK != wantOK || (gotOK && !coversEqual(got, want)) {
 				t.Fatalf("node %d valid=%d: (%v,%v) vs reference (%v,%v)",
 					n, valid, got, gotOK, want, wantOK)
@@ -120,7 +148,7 @@ func TestBuildCoverTailBitsIgnored(t *testing.T) {
 }
 
 // TestWordTestMatchesBuildCover holds the scan's word test to
-// BuildCoverWith: on random graphs with care sets of one to three words,
+// BuildCover: on random graphs with care sets of one to three words,
 // some cut short in their last word, the test must reject a candidate u
 // exactly when the kept set plus u is infeasible, for every root, every
 // kept set the scan forms (the other fanin, or none) in both polarities
@@ -144,9 +172,9 @@ func TestWordTestMatchesBuildCover(t *testing.T) {
 				wt.prepare(vecs, a, target)
 				for u := aig.Node(1); int(u) < g.NumNodes(); u++ {
 					for _, ul := range []aig.Lit{aig.MakeLit(u, false), aig.MakeLit(u, true)} {
-						_, ok := BuildCoverWith(vecs, append(a[:len(a):len(a)], ul), target, valid, ISOP)
+						_, ok := BuildCover(vecs, append(a[:len(a):len(a)], ul), target, valid)
 						if got := wt.rejects(vecs, ul); got == ok {
-							t.Fatalf("trial %d (valid %d) root %d kept %v u %v: word test rejects=%v, BuildCoverWith feasible=%v",
+							t.Fatalf("trial %d (valid %d) root %d kept %v u %v: word test rejects=%v, BuildCover feasible=%v",
 								trial, valid, v, a, ul, got, ok)
 						}
 					}
@@ -154,31 +182,5 @@ func TestWordTestMatchesBuildCover(t *testing.T) {
 			}
 		}
 		vecs.Release()
-	}
-}
-
-// TestCoverTableMatchesMinimizers checks every table entry against its
-// minimizer: each (onset ⊆ care) function of at most two divisors must read
-// the cover tt.ISOP and espresso.Minimize return for the same tables.
-func TestCoverTableMatchesMinimizers(t *testing.T) {
-	for _, c := range []struct {
-		m  Minimizer
-		fn func(on, dc tt.Table) tt.Cover
-	}{{ISOP, tt.ISOP}, {Espresso, espresso.Minimize}} {
-		for k := 0; k <= tableMaxVars; k++ {
-			bits := 1 << k
-			for care := uint64(0); care < 1<<bits; care++ {
-				for on := uint64(0); on < 1<<bits; on++ {
-					if on&^care != 0 {
-						continue
-					}
-					got := c.m.Cover(k, on, care)
-					if want := c.fn(tt.FromOnCare(k, on, care)); !coversEqual(got, want) {
-						t.Fatalf("minimizer %d k=%d on=%b care=%b: table %v, minimizer %v",
-							c.m, k, on, care, got, want)
-					}
-				}
-			}
-		}
 	}
 }

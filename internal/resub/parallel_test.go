@@ -34,8 +34,7 @@ func TestGenerateWorkersDeterministic(t *testing.T) {
 		vecs := sim.Simulate(g, care)
 		for _, cfg := range []Config{
 			DefaultConfig(),
-			{MaxLACsPerNode: 2, MaxDivisors: 3},
-			{MaxLACsPerNode: 1, MaxDivisors: 2, UseEspresso: true},
+			{MaxLACsPerNode: 2},
 		} {
 			ref := Generate(g, vecs, care.Valid, cfg, 1, nil, nil)
 			for _, workers := range []int{2, 3, 7, 64} {
@@ -58,7 +57,7 @@ func TestEvalVecPooledScratch(t *testing.T) {
 	g := randomAIG(rng, 6, 80, 3)
 	care := sim.UniformN(g.NumPIs(), 128, 11)
 	vecs := sim.Simulate(g, care)
-	lacs := Generate(g, vecs, care.Valid, Config{MaxLACsPerNode: 4, MaxDivisors: 3}, 1, nil, nil)
+	lacs := Generate(g, vecs, care.Valid, Config{MaxLACsPerNode: 4}, 1, nil, nil)
 	if len(lacs) == 0 {
 		t.Skip("no candidates generated")
 	}

@@ -24,7 +24,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/aig"
-	"repro/internal/espresso"
 	"repro/internal/sim"
 	"repro/internal/tt"
 	"repro/internal/wordops"
@@ -39,25 +38,21 @@ type Config struct {
 	// replacement divisor u per removed fanin. 0 means the whole cone, as
 	// in the paper; benches set a cap for very large circuits.
 	MaxReplaceTries int
-	// MaxDivisors caps the divisor-set size. The paper's AIG flow uses 2
-	// (Algorithm 1); setting 3 or more enables the triple-divisor
-	// extension, which scans bounded pairs of replacement candidates.
+
+	// MaxDivisors and UseEspresso are not read. Every divisor set holds at
+	// most two divisors, as in the paper's AIG flow (Algorithm 1), and its
+	// cover is tt.ISOP's, which on such sets equals the Espresso-style
+	// cover. Both fields stay for the benchmark harness, which sets them,
+	// until its next revision. Scan panics on a MaxDivisors above 2 rather
+	// than drop the wider sets a caller asked for.
 	MaxDivisors int
-	// DescendingLevels scans the TFI cone from the highest logic level
-	// down (divisors near the node first) instead of the paper's ascending
-	// order. Ablation knob.
-	DescendingLevels bool
-	// UseEspresso derives covers with the Espresso-style minimizer of
-	// package espresso instead of plain Minato ISOP, matching the paper's
-	// tooling. For the ≤2-divisor functions of the AIG flow the two nearly
-	// always coincide; the knob matters for wider divisor sets.
 	UseEspresso bool
 }
 
-// DefaultConfig mirrors the paper's experiment setup: L=1, unbounded cone
-// scan, at most 2 divisors (the AIG flow of Section IV).
+// DefaultConfig mirrors the paper's experiment setup: L=1 and an unbounded
+// cone scan.
 func DefaultConfig() Config {
-	return Config{MaxLACsPerNode: 1, MaxReplaceTries: 0, MaxDivisors: 2}
+	return Config{MaxLACsPerNode: 1}
 }
 
 // LAC is a candidate local approximate change: replace node Node by the
@@ -66,10 +61,9 @@ func DefaultConfig() Config {
 type LAC struct {
 	Node     aig.Node
 	Divisors []aig.Lit
-	// Cover may be shared with other LACs and with the minimizer's
-	// two-divisor table (Minimizer.Cover): every reader — BuildLit,
-	// EvalVec's EvalWords, aig.SOPCost and String — only reads it, and
-	// nothing may write to it.
+	// Cover may be shared with other LACs and with tt.ISOPOnCare's table:
+	// every reader — BuildLit, EvalVec's EvalWords, aig.SOPCost and
+	// String — only reads it, and nothing may write to it.
 	Cover tt.Cover
 
 	// Gain is the structural gain estimate in AND nodes: the node's MFFC
@@ -91,34 +85,16 @@ func (l *LAC) String() string {
 // the sampled incompletely specified function. ok is false when two
 // patterns agree on every divisor but disagree on the target (Theorem 1
 // violated on the sample).
-func BuildCover(vecs *sim.Vectors, divs []aig.Lit, target aig.Lit, valid int) (tt.Cover, bool) {
-	return BuildCoverWith(vecs, divs, target, valid, ISOP)
-}
-
-// wordCoverMaxVars is the widest divisor set handled by the word-parallel
-// cover kernel: wordops.CoverScan packs the 2^k minterm masks into uint64s.
-const wordCoverMaxVars = 6
-
-// BuildCoverWith is BuildCover with an explicit two-level minimizer.
 //
-// For up to wordCoverMaxVars divisors — every set the generator produces —
-// the sampled truth table is extracted straight from the 64-way simulation
-// words: wordops.CoverScan ANDs the (possibly complemented) divisor words
-// into the 2^k divisor-minterm masks, detects infeasibility as a mask
-// intersecting both the target and its complement, and reads the onset and
-// care bits off the surviving masks; Minimizer.Cover turns them into the
-// cover. Infeasible sets are rejected without allocating. Wider sets fall
-// back to the per-pattern reference loop.
-func BuildCoverWith(vecs *sim.Vectors, divs []aig.Lit, target aig.Lit, valid int,
-	m Minimizer) (tt.Cover, bool) {
-
+// The sampled truth table comes straight from the 64-way simulation words:
+// wordops.CoverScan ANDs the (possibly complemented) divisor words into the
+// 2^k divisor-minterm masks, detects infeasibility as a mask intersecting
+// both the target and its complement, and reads the onset and care bits off
+// the surviving masks; tt.ISOPOnCare turns them into the cover. Infeasible
+// sets are rejected without allocating. Like CoverScan, BuildCover takes at
+// most wordCoverMaxVars divisors.
+func BuildCover(vecs *sim.Vectors, divs []aig.Lit, target aig.Lit, valid int) (tt.Cover, bool) {
 	k := len(divs)
-	if k > tt.MaxVars {
-		return nil, false
-	}
-	if k > wordCoverMaxVars {
-		return buildCoverPerPattern(vecs, divs, target, valid, minimizers[m])
-	}
 	var dw [wordCoverMaxVars][]uint64
 	var dinv [wordCoverMaxVars]uint64
 	for j, d := range divs {
@@ -129,99 +105,12 @@ func BuildCoverWith(vecs *sim.Vectors, divs []aig.Lit, target aig.Lit, valid int
 	if !ok {
 		return nil, false
 	}
-	return m.Cover(k, on, care), true
+	return tt.ISOPOnCare(k, on, care), true
 }
 
-// Minimizer names the two-level minimizer that turns the sampled function
-// of a feasible divisor set into a cover.
-type Minimizer uint8
-
-const (
-	// ISOP is Minato–Morreale ISOP (tt.ISOP), the default.
-	ISOP Minimizer = iota
-	// Espresso is the Espresso-style minimizer (espresso.Minimize),
-	// selected by Config.UseEspresso.
-	Espresso
-)
-
-// minimizers holds each Minimizer's function.
-var minimizers = [...]func(on, dc tt.Table) tt.Cover{ISOP: tt.ISOP, Espresso: espresso.Minimize}
-
-// tableMaxVars is the widest divisor set whose cover comes from a table: a
-// set of k ≤ 2 divisors has a 2^k-bit onset inside a 2^k-bit care mask, so
-// 4 + 16 + 256 (onset, care) pairs cover every such function.
-const tableMaxVars = 2
-
-// coverTable holds one minimizer's cover of every function of at most
-// tableMaxVars divisors: entry [k][care<<2^k | on] for on ⊆ care.
-type coverTable [tableMaxVars + 1][]tt.Cover
-
-// coverTables holds each Minimizer's table, filled on first use with that
-// minimizer, so a table entry is exactly the cover the minimizer returns.
-var coverTables = [...]func() *coverTable{
-	ISOP:     sync.OnceValue(func() *coverTable { return newCoverTable(ISOP) }),
-	Espresso: sync.OnceValue(func() *coverTable { return newCoverTable(Espresso) }),
-}
-
-func newCoverTable(m Minimizer) *coverTable {
-	t := new(coverTable)
-	for k := range t {
-		bits := uint(1) << k
-		t[k] = make([]tt.Cover, 1<<(2*bits))
-		for i := range t[k] {
-			on, care := uint64(i)&(1<<bits-1), uint64(i)>>bits
-			if on&^care == 0 {
-				// Clipped, so an append by any holder reallocates.
-				t[k][i] = slices.Clip(minimizers[m](tt.FromOnCare(k, on, care)))
-			}
-		}
-	}
-	return t
-}
-
-// Cover returns the minimized cover of the k-variable function whose
-// observed minterms are care and whose onset is on ⊆ care (the masks
-// wordops.CoverScan returns); every other minterm is a don't-care. For
-// k ≤ 2 the cover comes from the minimizer's table and is shared: the
-// caller must not modify it.
-func (m Minimizer) Cover(k int, on, care uint64) tt.Cover {
-	if k <= tableMaxVars {
-		return coverTables[m]()[k][care<<(1<<k)|on]
-	}
-	return minimizers[m](tt.FromOnCare(k, on, care))
-}
-
-// buildCoverPerPattern is the per-pattern reference implementation of
-// BuildCoverWith: one bit probe per (pattern, divisor). It remains the
-// specification the word-parallel kernel is property-tested against, and
-// the fallback for divisor sets wider than wordCoverMaxVars.
-func buildCoverPerPattern(vecs *sim.Vectors, divs []aig.Lit, target aig.Lit, valid int,
-	minimize func(on, dc tt.Table) tt.Cover) (tt.Cover, bool) {
-
-	k := len(divs)
-	onset := tt.New(k)
-	care := tt.New(k)
-	for p := 0; p < valid; p++ {
-		key := 0
-		for j, d := range divs {
-			if vecs.LitBit(d, p) {
-				key |= 1 << uint(j)
-			}
-		}
-		v := vecs.LitBit(target, p)
-		if care.Get(key) {
-			if onset.Get(key) != v {
-				return nil, false
-			}
-			continue
-		}
-		care.Set(key, true)
-		if v {
-			onset.Set(key, true)
-		}
-	}
-	return minimize(onset, care.Not()), true
-}
+// wordCoverMaxVars is the widest divisor set BuildCover handles:
+// wordops.CoverScan packs the 2^k minterm masks into uint64s.
+const wordCoverMaxVars = 6
 
 // BuildLit materializes the LAC's cover in graph g and returns the literal
 // of the new function. The graph gains nodes; callers normally follow with
@@ -295,8 +184,7 @@ func Generate(g *aig.Graph, vecs *sim.Vectors, valid int, cfg Config, workers in
 	levels := g.Levels()
 	order, lstart := g.LevelOrder(levels)
 	return Scan(g, vecs, valid, cfg, workers, stale, cached, func() Source {
-		return &coneSource{g: g, desc: cfg.DescendingLevels,
-			levels: levels, order: order, lstart: lstart, marker: aig.NewConeMarker(g)}
+		return &coneSource{g: g, levels: levels, order: order, lstart: lstart, marker: aig.NewConeMarker(g)}
 	})
 }
 
@@ -324,9 +212,14 @@ func Generate(g *aig.Graph, vecs *sim.Vectors, valid int, cfg Config, workers in
 // claims chunks of chunkRoots roots from an atomic cursor, and the chunk
 // outputs are concatenated in root order, so the candidate list is identical
 // for every worker count.
+//
+// Scan panics when cfg.MaxDivisors asks for divisor sets wider than two.
 func Scan(g *aig.Graph, vecs *sim.Vectors, valid int, cfg Config, workers int,
 	stale []bool, cached []LAC, newSource func() Source) []LAC {
 
+	if cfg.MaxDivisors > 2 {
+		panic(fmt.Sprintf("resub: Config.MaxDivisors %d: divisor sets hold at most 2 divisors", cfg.MaxDivisors))
+	}
 	reuse := stale != nil && cached != nil
 	isStale := func(v aig.Node) bool {
 		return int(v) >= len(stale) || stale[v]
@@ -416,24 +309,18 @@ type genState struct {
 	vecs  *sim.Vectors
 	valid int
 	cfg   Config
-	m     Minimizer
 
 	src    Source
 	refs   []int32
-	tried  []aig.Node // scanned replacement candidates, reused for triples
-	divBuf [3]aig.Lit
+	divBuf [2]aig.Lit
 	wt     wordTest
 }
 
 func newGenState(g *aig.Graph, vecs *sim.Vectors, valid int, cfg Config,
 	src Source, refs []int32) *genState {
 
-	m := ISOP
-	if cfg.UseEspresso {
-		m = Espresso
-	}
 	return &genState{
-		g: g, vecs: vecs, valid: valid, cfg: cfg, m: m,
+		g: g, vecs: vecs, valid: valid, cfg: cfg,
 		src: src, refs: refs, wt: newWordTest(valid),
 	}
 }
@@ -455,7 +342,6 @@ func (s *genState) scan(roots []aig.Node) []LAC {
 // the cone buffer are private.
 type coneSource struct {
 	g      *aig.Graph
-	desc   bool // Config.DescendingLevels
 	levels []int32
 	order  []aig.Node // nodes sorted by (level, id), CSR per level
 	lstart []int32
@@ -470,30 +356,17 @@ func (s *coneSource) Pool(v aig.Node, refs []int32) ([]aig.Node, int, bool) {
 	return s.cone, mffc, true
 }
 
-// coneInLevelOrder fills s.cone with the TFI cone of v in the configured
-// level order: (level, id) ascending, or descending levels with ascending
-// ids within a level — the exact order the previous stable sort produced.
-// Only the level buckets up to v's own level are visited.
+// coneInLevelOrder fills s.cone with the TFI cone of v in (level, id)
+// ascending order. Only the level buckets up to v's own level are visited.
 //
 //alsrac:hotpath
 func (s *coneSource) coneInLevelOrder(v aig.Node) {
 	s.marker.MarkTFI(s.g, v)
 	s.cone = s.cone[:0]
-	vl := int(s.levels[v])
-	if s.desc {
-		for lev := vl; lev >= 0; lev-- {
-			for _, u := range s.order[s.lstart[lev]:s.lstart[lev+1]] {
-				if s.marker.InCone(u) {
-					s.cone = append(s.cone, u)
-				}
-			}
-		}
-	} else {
-		for lev := 0; lev <= vl; lev++ {
-			for _, u := range s.order[s.lstart[lev]:s.lstart[lev+1]] {
-				if s.marker.InCone(u) {
-					s.cone = append(s.cone, u)
-				}
+	for lev := 0; lev <= int(s.levels[v]); lev++ {
+		for _, u := range s.order[s.lstart[lev]:s.lstart[lev+1]] {
+			if s.marker.InCone(u) {
+				s.cone = append(s.cone, u)
 			}
 		}
 	}
@@ -515,7 +388,7 @@ func (s *genState) scanPool(lacs []LAC, v aig.Node, pool []aig.Node, mffc int) [
 		if count >= cfg.MaxLACsPerNode {
 			return false
 		}
-		cover, ok := BuildCoverWith(s.vecs, divs, target, s.valid, s.m)
+		cover, ok := BuildCover(s.vecs, divs, target, s.valid)
 		if !ok {
 			return true // infeasible; keep scanning
 		}
@@ -551,11 +424,10 @@ func (s *genState) scanPool(lacs []LAC, v aig.Node, pool []aig.Node, mffc int) [
 		}
 		// Divisor sets B: replace the removed fanin by a pool node. The word
 		// test rejects exactly the nodes try would find infeasible, so only
-		// the survivors build a cover; tries, s.tried and the accepted
-		// sequence are those of trying every node.
+		// the survivors build a cover; tries and the accepted sequence are
+		// those of trying every node.
 		s.wt.prepare(s.vecs, a, target)
 		tries := 0
-		s.tried = s.tried[:0]
 		for _, u := range pool {
 			if count >= cfg.MaxLACsPerNode {
 				break
@@ -567,29 +439,12 @@ func (s *genState) scanPool(lacs []LAC, v aig.Node, pool []aig.Node, mffc int) [
 				continue
 			}
 			tries++
-			s.tried = append(s.tried, u)
 			ul := aig.MakeLit(u, false)
 			if s.wt.rejects(s.vecs, ul) {
 				continue
 			}
 			if !try(append(a, ul)) {
 				break
-			}
-		}
-		// Extension beyond the paper's AIG flow: when wider divisor sets
-		// are allowed, also try triples {other, u1, u2} over a bounded
-		// prefix of the scanned candidates. Richer functions approximate
-		// more closely at a slightly higher structural cost.
-		if cfg.MaxDivisors >= 3 && count < cfg.MaxLACsPerNode {
-			limit := min(len(s.tried), 16)
-			for x := 0; x < limit && count < cfg.MaxLACsPerNode; x++ {
-				for y := x + 1; y < limit && count < cfg.MaxLACsPerNode; y++ {
-					b := append(a,
-						aig.MakeLit(s.tried[x], false), aig.MakeLit(s.tried[y], false))
-					if !try(b) {
-						break
-					}
-				}
 			}
 		}
 	}

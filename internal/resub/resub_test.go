@@ -1,6 +1,8 @@
 package resub
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/aig"
@@ -325,47 +327,6 @@ func TestBuildLitConstantCover(t *testing.T) {
 	}
 }
 
-func TestTripleDivisorExtension(t *testing.T) {
-	// v = a XOR b XOR c cannot be resubstituted with 2 divisors drawn from
-	// {a,b,c} plus one fanin, but a 3-divisor set {a,b,c} expresses it
-	// exactly. Build xor3 through a chain so the top node's fanins are
-	// internal, then check the extension finds a valid candidate.
-	g := aig.New()
-	a := g.AddPI("a")
-	b := g.AddPI("b")
-	c := g.AddPI("c")
-	axb := g.Xor(a, b)
-	v := g.Xor(axb, c)
-	g.AddPO(v, "v")
-
-	p := sim.Exhaustive(3)
-	vecs := sim.Simulate(g, p)
-
-	cfg := DefaultConfig()
-	cfg.MaxLACsPerNode = 1 << 20
-	two := Generate(g, vecs, p.Valid, cfg, 1, nil, nil)
-
-	cfg.MaxDivisors = 3
-	three := Generate(g, vecs, p.Valid, cfg, 1, nil, nil)
-	if len(three) < len(two) {
-		t.Fatalf("triple extension lost candidates: %d -> %d", len(two), len(three))
-	}
-	foundTriple := false
-	for i := range three {
-		if len(three[i].Divisors) == 3 {
-			foundTriple = true
-			// Every triple LAC must still be a valid, applicable change.
-			ng := three[i].Apply(g.Clone())
-			if err := ng.Check(); err != nil {
-				t.Fatalf("triple LAC produced invalid graph: %v", err)
-			}
-		}
-	}
-	if !foundTriple {
-		t.Fatalf("no 3-divisor candidates generated")
-	}
-}
-
 func TestGenerateDefaultIsTwoDivisors(t *testing.T) {
 	g := aig.New()
 	xs := g.AddPIs(6, "x")
@@ -380,4 +341,21 @@ func TestGenerateDefaultIsTwoDivisors(t *testing.T) {
 			t.Fatalf("paper-default config produced %d divisors", len(l.Divisors))
 		}
 	}
+}
+
+// TestScanRefusesWideDivisorSets: a Config that asks for divisor sets wider
+// than two panics, naming the field, rather than scan without them.
+func TestScanRefusesWideDivisorSets(t *testing.T) {
+	g := aig.New()
+	xs := g.AddPIs(3, "x")
+	g.AddPO(g.AndN(xs...), "f")
+	p := sim.UniformN(3, 32, 1)
+	vecs := sim.Simulate(g, p)
+	defer vecs.Release()
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "MaxDivisors 3") {
+			t.Fatalf("Generate with MaxDivisors 3 recovered %v, want a panic naming MaxDivisors", r)
+		}
+	}()
+	Generate(g, vecs, p.Valid, Config{MaxLACsPerNode: 1, MaxDivisors: 3}, 1, nil, nil)
 }

@@ -25,9 +25,7 @@ func FuzzISOP(f *testing.F) {
 }
 
 // checkCoverContract fails the test when a two-level cover violates
-// onset ⊆ cover ⊆ onset ∪ dc. Shared with the espresso fuzz target's
-// mirror-image check via copy — the packages must not import each other's
-// test internals.
+// onset ⊆ cover ⊆ onset ∪ dc.
 func checkCoverContract(t *testing.T, n int, cover Cover, onset, dc Table) {
 	t.Helper()
 	tbl := cover.Table(n)

@@ -1,5 +1,10 @@
 package tt
 
+import (
+	"slices"
+	"sync"
+)
+
 // ISOP computes an irredundant sum-of-products for an incompletely
 // specified function using the Minato–Morreale procedure. The function is
 // given as an interval: on is the onset (must be covered) and dc the
@@ -17,6 +22,42 @@ func ISOP(on, dc Table) Cover {
 	cov, _ := isop(on, on.Or(dc), on.NumVars()-1)
 	return cov
 }
+
+// ISOPOnCare returns ISOP's cover of the k-variable function (k ≤ 6) whose
+// observed minterms are care and whose onset is on ⊆ care, the masks
+// wordops.CoverScan returns; every other minterm is a don't-care. For
+// k ≤ 2 the cover comes from a table and is shared: the caller must not
+// modify it.
+func ISOPOnCare(k int, on, care uint64) Cover {
+	if k <= isopTableMaxVars {
+		return isopTable()[k][care<<(1<<k)|on]
+	}
+	return ISOP(FromOnCare(k, on, care))
+}
+
+// isopTableMaxVars is the widest function ISOPOnCare reads from its table:
+// a function of k ≤ 2 variables has a 2^k-bit onset inside a 2^k-bit care
+// mask, so 4 + 16 + 256 (onset, care) pairs cover every such function.
+const isopTableMaxVars = 2
+
+// isopTable holds ISOP's cover of every function of at most
+// isopTableMaxVars variables, entry [k][care<<2^k | on] for on ⊆ care,
+// filled on first use.
+var isopTable = sync.OnceValue(func() *[isopTableMaxVars + 1][]Cover {
+	t := new([isopTableMaxVars + 1][]Cover)
+	for k := range t {
+		bits := uint(1) << k
+		t[k] = make([]Cover, 1<<(2*bits))
+		for i := range t[k] {
+			on, care := uint64(i)&(1<<bits-1), uint64(i)>>bits
+			if on&^care == 0 {
+				// Clipped, so an append by any holder reallocates.
+				t[k][i] = slices.Clip(ISOP(FromOnCare(k, on, care)))
+			}
+		}
+	}
+	return t
+})
 
 // isop implements the recursion on the interval [lower, upper]; v is the
 // highest variable index that may still appear in cubes. It returns the

@@ -2,6 +2,7 @@ package tt
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -157,6 +158,30 @@ func TestISOPIntervalProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestISOPOnCareMatchesISOP checks ISOPOnCare against ISOP on every function
+// its table holds, the 93 (onset ⊆ care) pairs of at most two variables, and
+// on every such pair of three variables, which it computes; table entries
+// must be clipped, so a holder's append cannot write into the table.
+func TestISOPOnCareMatchesISOP(t *testing.T) {
+	for k := 0; k <= 3; k++ {
+		bits := 1 << k
+		for care := uint64(0); care < 1<<bits; care++ {
+			for on := uint64(0); on < 1<<bits; on++ {
+				if on&^care != 0 {
+					continue
+				}
+				got := ISOPOnCare(k, on, care)
+				if want := ISOP(FromOnCare(k, on, care)); !slices.Equal(got, want) {
+					t.Fatalf("k=%d on=%b care=%b: ISOPOnCare %v, ISOP %v", k, on, care, got, want)
+				}
+				if k <= isopTableMaxVars && cap(got) != len(got) {
+					t.Fatalf("k=%d on=%b care=%b: table entry has spare capacity %d", k, on, care, cap(got)-len(got))
+				}
+			}
+		}
 	}
 }
 

@@ -4,9 +4,8 @@
 //
 // A truth table over n variables stores 2^n function values packed into
 // 64-bit words. Variable 0 is the fastest-toggling input (minterm bit 0).
-// Truth tables are the working representation for resubstitution functions,
-// cut functions during rewriting and mapping, and the input to the two-level
-// minimizer in package espresso.
+// Truth tables are the working representation for resubstitution functions
+// and for cut functions during rewriting and mapping.
 package tt
 
 import (

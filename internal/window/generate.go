@@ -24,15 +24,14 @@ func Generate(g *aig.Graph, vecs *sim.Vectors, valid int, wcfg Config, rcfg resu
 
 	levels, fanout := g.Levels(), g.RefCounts()
 	return resub.Scan(g, vecs, valid, rcfg, workers, stale, cached, func() resub.Source {
-		return &source{ex: NewExtractor(g, wcfg, levels, fanout), desc: rcfg.DescendingLevels}
+		return &source{ex: NewExtractor(g, wcfg, levels, fanout)}
 	})
 }
 
 // source is the windowed resub.Source: each root's pool is the divisor pool
 // of its window, in the level order the cone source uses.
 type source struct {
-	ex   *Extractor
-	desc bool // resub.Config.DescendingLevels
+	ex *Extractor
 }
 
 // Pool implements resub.Source. A root Extract skips for its fanout yields
@@ -46,6 +45,5 @@ func (s *source) Pool(root aig.Node, refs []int32) ([]aig.Node, int, bool) {
 	if w == nil {
 		return nil, 0, false
 	}
-	pool := s.ex.Divisors(s.desc)
-	return pool, s.ex.g.MFFCSize(root, refs, w.Cut.Leaves), true
+	return s.ex.Divisors(), s.ex.g.MFFCSize(root, refs, w.Cut.Leaves), true
 }

@@ -46,9 +46,8 @@ type Config struct {
 	// (expanded leaves plus the root).
 	MaxNodes int
 	// MaxDivisors caps the divisor pool handed to the candidate scan, after
-	// level ordering — the pool keeps its first MaxDivisors entries. (This
-	// is mockturtle's max_divisors, a pool cap; resub.Config.MaxDivisors is
-	// the divisor-set width and unrelated.)
+	// level ordering — the pool keeps its first MaxDivisors entries. This
+	// is mockturtle's max_divisors.
 	MaxDivisors int
 	// SkipFanoutRoots skips root nodes with more than this many fanout
 	// references entirely — high-fanout nodes are rarely replaceable and
@@ -184,11 +183,10 @@ func (e *Extractor) Extract(root aig.Node) *Window {
 // Divisors returns the divisor pool of the current window: every window
 // node (leaves and inner, root included — the scan skips it) whose fanout
 // does not exceed Config.SkipFanoutDivisors, sorted by (level, id)
-// ascending — or descending levels with ascending ids within a level when
-// descLevels is set — exactly the order the global path's cone scan
-// produces, then truncated to Config.MaxDivisors entries. The slice is
-// owned by the Extractor and valid until the next Extract call.
-func (e *Extractor) Divisors(descLevels bool) []aig.Node {
+// ascending — exactly the order the global path's cone scan produces — then
+// truncated to Config.MaxDivisors entries. The slice is owned by the
+// Extractor and valid until the next Extract call.
+func (e *Extractor) Divisors() []aig.Node {
 	lim := int32(e.cfg.SkipFanoutDivisors)
 	pool := append(e.pool[:0], e.win.Inner...)
 	pool = append(pool, e.win.Cut.Leaves...)
@@ -205,9 +203,6 @@ func (e *Extractor) Divisors(descLevels bool) []aig.Node {
 	slices.SortFunc(pool, func(a, b aig.Node) int {
 		la, lb := e.levels[a], e.levels[b]
 		if la != lb {
-			if descLevels {
-				return int(lb - la)
-			}
 			return int(la - lb)
 		}
 		return int(a - b)

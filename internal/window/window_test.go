@@ -39,8 +39,7 @@ func TestWindowedEqualsGlobal(t *testing.T) {
 	}
 	configs := []resub.Config{
 		resub.DefaultConfig(),
-		{MaxLACsPerNode: 2, MaxDivisors: 3, MaxReplaceTries: 12},
-		{MaxLACsPerNode: 1, MaxDivisors: 2, DescendingLevels: true},
+		{MaxLACsPerNode: 2, MaxReplaceTries: 12},
 	}
 	total := 0
 	for _, c := range circuits {
@@ -155,7 +154,7 @@ func TestExtractSkipsAndCaps(t *testing.T) {
 	ex = NewExtractor(g, Config{MaxDivisors: 5, SkipFanoutDivisors: 3}, levels, fanout)
 	for _, root := range liveAndNodes(g) {
 		win := ex.Extract(root)
-		pool := ex.Divisors(false)
+		pool := ex.Divisors()
 		if len(pool) > 5 {
 			t.Fatalf("root %d: pool size %d exceeds MaxDivisors 5", root, len(pool))
 		}

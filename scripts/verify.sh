@@ -50,7 +50,6 @@ FUZZTIME="${FUZZTIME:-10s}"
 go test -run='^$' -fuzz='^FuzzCoverScan$' -fuzztime="$FUZZTIME" ./internal/resub
 go test -run='^$' -fuzz='^FuzzISOP$' -fuzztime="$FUZZTIME" ./internal/tt
 go test -run='^$' -fuzz='^FuzzCutTruth$' -fuzztime="$FUZZTIME" ./internal/cut
-go test -run='^$' -fuzz='^FuzzEspresso$' -fuzztime="$FUZZTIME" ./internal/espresso
 go test -run='^$' -fuzz='^FuzzAIGERParse$' -fuzztime="$FUZZTIME" ./internal/aiger
 go test -run='^$' -fuzz='^FuzzBLIFParse$' -fuzztime="$FUZZTIME" ./internal/blif
 go test -run='^$' -fuzz='^FuzzMiterSAT$' -fuzztime="$FUZZTIME" ./internal/exact
