@@ -69,6 +69,13 @@ const (
 // mode, NMED-guided; set Options.MaxError) — to its Metric.
 func ParseMetric(s string) (Metric, error) { return core.ParseMetric(s) }
 
+// CheckOutputs refuses a circuit the flows cannot score under metric m,
+// certified when maxError > 0: NMED, MRED and certified mode take at most
+// 64 outputs, and certified mode at least one.
+func CheckOutputs(g *Circuit, m Metric, maxError float64) error {
+	return core.CheckOutputs(g, m, maxError)
+}
+
 // Options configures the ALSRAC flow; see DefaultOptions for the paper's
 // parameter values.
 type Options = core.Options

@@ -114,6 +114,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if strings.EqualFold(strings.TrimSpace(*metric), "maxerr") && *maxError == 0 {
 		*maxError = *threshold
 	}
+	if err := alsrac.CheckOutputs(g, m, *maxError); err != nil {
+		return fail("%v", err)
+	}
 
 	g = alsrac.Optimize(g)
 	baseArea, baseDelay := measure(g, *target)

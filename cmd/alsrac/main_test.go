@@ -119,3 +119,65 @@ func TestRunReportsMCMCPatterns(t *testing.T) {
 		t.Fatalf("report %q, want the final error line to end in %q", stdout.String(), want)
 	}
 }
+
+// wideBLIF returns a two-input BLIF circuit with n outputs, alternating the
+// AND and the OR of the inputs.
+func wideBLIF(n int) string {
+	var b strings.Builder
+	b.WriteString(".model wide\n.inputs a b\n.outputs")
+	for o := 0; o < n; o++ {
+		fmt.Fprintf(&b, " o%d", o)
+	}
+	b.WriteString("\n")
+	for o := 0; o < n; o++ {
+		if o%2 == 0 {
+			fmt.Fprintf(&b, ".names a b o%d\n11 1\n", o)
+		} else {
+			fmt.Fprintf(&b, ".names a b o%d\n1- 1\n-1 1\n", o)
+		}
+	}
+	b.WriteString(".end\n")
+	return b.String()
+}
+
+// TestRunRefusesOutputsItCannotScore requires every flow to refuse, with
+// exit status 1, the reason on stderr and nothing on stdout, a circuit of
+// more than 64 outputs under a value metric or in certified mode, and a
+// circuit without outputs in certified mode. ER runs on the wide circuit.
+func TestRunRefusesOutputsItCannotScore(t *testing.T) {
+	dir := t.TempDir()
+	wide := filepath.Join(dir, "wide.blif")
+	none := filepath.Join(dir, "none.aag")
+	if err := os.WriteFile(wide, []byte(wideBLIF(65)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(none, []byte("aag 2 2 0 0 0\n2\n4\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-in", wide, "-metric", "nmed"}, "65 outputs; NMED supports at most 64"},
+		{[]string{"-in", wide, "-metric", "mred", "-flow", "sasimi"}, "65 outputs; MRED supports at most 64"},
+		{[]string{"-in", wide, "-metric", "nmed", "-flow", "mcmc"}, "65 outputs; NMED supports at most 64"},
+		{[]string{"-in", wide, "-metric", "maxerr"}, "65 outputs; NMED supports at most 64"},
+		{[]string{"-in", wide, "-metric", "er", "-maxerror", "0.01"}, "65 outputs; certified mode supports at most 64"},
+		{[]string{"-in", none, "-metric", "er", "-maxerror", "0.01"}, "0 outputs; certified mode needs at least one"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(c.args, &stdout, &stderr); code != 1 {
+			t.Errorf("%v: exit status %d, want 1", c.args, code)
+		}
+		if !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("%v: stderr %q, want it to contain %q", c.args, stderr.String(), c.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: the flow ran and reported %q", c.args, stdout.String())
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-in", wide, "-metric", "er", "-workers", "1"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("ER on 65 outputs: exit status %d, stderr %q", code, stderr.String())
+	}
+}

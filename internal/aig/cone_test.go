@@ -1,6 +1,9 @@
 package aig
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // buildDiamond returns a graph with a reconvergent diamond:
 //
@@ -18,27 +21,41 @@ func buildDiamond(t *testing.T) (*Graph, Lit, Lit, Lit, Lit, Lit, Lit) {
 	return g, a, b, c, ab, ac, f
 }
 
+// TestTFICone lists cones of the diamond with one marker: descending ids,
+// seeds included, unrelated nodes and the constant excluded.
 func TestTFICone(t *testing.T) {
 	g, a, b, c, ab, ac, f := buildDiamond(t)
-	cone := g.TFICone(f.Node())
-	want := map[Node]bool{
-		a.Node(): true, b.Node(): true, c.Node(): true,
-		ab.Node(): true, ac.Node(): true, f.Node(): true,
-	}
-	if len(cone) != len(want) {
-		t.Fatalf("cone size = %d, want %d (%v)", len(cone), len(want), cone)
-	}
-	for _, n := range cone {
-		if !want[n] {
-			t.Errorf("unexpected node %d in TFI cone", n)
+	var m ConeMarker
+	for _, tc := range []struct {
+		seeds []Node
+		want  []Node
+	}{
+		{[]Node{f.Node()}, []Node{f.Node(), ac.Node(), ab.Node(), c.Node(), b.Node(), a.Node()}},
+		{[]Node{ab.Node()}, []Node{ab.Node(), b.Node(), a.Node()}},
+		{[]Node{c.Node(), 0, ab.Node()}, []Node{ab.Node(), c.Node(), b.Node(), a.Node()}},
+		{[]Node{0}, nil},
+	} {
+		cone := m.Mark(g, nil, tc.seeds...)
+		if !slices.Equal(cone, tc.want) {
+			t.Fatalf("seeds %v: cone %v, want %v", tc.seeds, cone, tc.want)
+		}
+		for u := Node(0); int(u) < g.NumNodes(); u++ {
+			if m.InCone(u) != slices.Contains(tc.want, u) {
+				t.Fatalf("seeds %v: InCone(%d) = %v", tc.seeds, u, m.InCone(u))
+			}
 		}
 	}
-	// Cone of a single AND excludes unrelated nodes.
-	coneAB := g.TFICone(ab.Node())
-	for _, n := range coneAB {
-		if n == c.Node() || n == ac.Node() || n == f.Node() {
-			t.Errorf("TFI(ab) contains unrelated node %d", n)
-		}
+}
+
+// TestConeMarkerEpochOverflow forces the epoch wrap path.
+func TestConeMarkerEpochOverflow(t *testing.T) {
+	g, a, _, _, _, _, f := buildDiamond(t)
+	var m ConeMarker
+	m.Mark(g, nil, f.Node())
+	m.epoch = 1<<31 - 1 // the next Mark must clear and restart
+	if cone := m.Mark(g, nil, a.Node()); !slices.Equal(cone, []Node{a.Node()}) ||
+		!m.InCone(a.Node()) || m.InCone(f.Node()) {
+		t.Fatalf("epoch wrap corrupted the cone: %v", cone)
 	}
 }
 

@@ -58,9 +58,36 @@ func mffcOracle(g *aig.Graph, n aig.Node, leaves []aig.Node) int {
 	return count
 }
 
+// tfiOracle returns the transitive-fanin cone of seeds, found by a
+// depth-first walk over fanins, in descending id order and without the
+// constant node.
+func tfiOracle(g *aig.Graph, seeds []aig.Node) []aig.Node {
+	seen := make([]bool, g.NumNodes())
+	stack := slices.Clone(seeds)
+	for len(stack) > 0 {
+		m := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if !seen[m] {
+			seen[m] = true
+			if g.IsAnd(m) {
+				stack = append(stack, g.Fanin0(m).Node(), g.Fanin1(m).Node())
+			}
+		}
+	}
+	var cone []aig.Node
+	for m := aig.Node(g.NumNodes() - 1); m >= 1; m-- {
+		if seen[m] {
+			cone = append(cone, m)
+		}
+	}
+	return cone
+}
+
 // FuzzMFFC checks MFFCSize against mffcOracle on a random swept AIG, for
 // every AND root, with no stop set and with a random one, and requires the
-// reference counts back unchanged.
+// reference counts back unchanged. On the same graph it checks one
+// ConeMarker, marking every AND root and then a random set of 1–3 seeds,
+// against tfiOracle: the listed order and InCone for every node.
 func FuzzMFFC(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(128))
 	f.Add(int64(2), uint8(60), uint8(40))
@@ -87,7 +114,57 @@ func FuzzMFFC(f *testing.F) {
 				}
 			}
 		}
+
+		var marker aig.ConeMarker
+		var cone []aig.Node
+		for _, n := range liveAnds(g) {
+			cone = checkCone(t, g, &marker, cone, []aig.Node{n})
+		}
+		checkCone(t, g, &marker, cone, randomSeeds(rng, g))
 	})
+}
+
+// randomSeeds returns 1–3 nodes of g drawn at random, the constant included.
+func randomSeeds(rng *rand.Rand, g *aig.Graph) []aig.Node {
+	seeds := make([]aig.Node, 1+rng.Intn(3))
+	for i := range seeds {
+		seeds[i] = aig.Node(rng.Intn(g.NumNodes()))
+	}
+	return seeds
+}
+
+// checkCone marks the cone of seeds on m, reusing dst, and requires the
+// listed order and InCone for every node to match tfiOracle. It returns the
+// listed cone, so the caller can hand its storage to the next mark.
+func checkCone(t *testing.T, g *aig.Graph, m *aig.ConeMarker, dst, seeds []aig.Node) []aig.Node {
+	t.Helper()
+	exp := tfiOracle(g, seeds)
+	cone := m.Mark(g, dst[:0], seeds...)
+	if !slices.Equal(cone, exp) {
+		t.Fatalf("seeds %v: Mark listed %v, oracle %v", seeds, cone, exp)
+	}
+	for u := aig.Node(0); int(u) < g.NumNodes(); u++ {
+		if m.InCone(u) != slices.Contains(exp, u) {
+			t.Fatalf("seeds %v: InCone(%d) = %v", seeds, u, m.InCone(u))
+		}
+	}
+	return cone
+}
+
+// TestConeMarkerMatchesTFICone checks one ConeMarker against tfiOracle
+// across repeated marks of random seeds in random order, on graphs of
+// shrinking size: stale stamps from bigger earlier cones, or from a bigger
+// earlier graph, must never leak into later ones.
+func TestConeMarkerMatchesTFICone(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	var marker aig.ConeMarker
+	var cone []aig.Node
+	for _, size := range []int{80, 30, 8} {
+		g := randomGraph(rng, 5, size)
+		for trial := 0; trial < 200; trial++ {
+			cone = checkCone(t, g, &marker, cone, randomSeeds(rng, g))
+		}
+	}
 }
 
 // TestSOP builds random covers over 1–4 fresh PIs, some complemented, and

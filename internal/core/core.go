@@ -315,6 +315,23 @@ func ParseMetric(s string) (errest.Metric, error) {
 	return 0, fmt.Errorf("unknown metric %q (er, nmed, mred, maxerr)", s)
 }
 
+// CheckOutputs refuses a circuit whose outputs a flow cannot score under
+// metric m, in certified mode when maxError > 0 (Options.MaxError). The
+// value metrics and the exact checker read the outputs as one unsigned
+// binary number, so they take at most 64 outputs; ER takes any number.
+// Certified mode also needs at least one output.
+func CheckOutputs(g *aig.Graph, m errest.Metric, maxError float64) error {
+	switch n := g.NumPOs(); {
+	case n > 64 && m != errest.ER:
+		return fmt.Errorf("the circuit has %d outputs; %v supports at most 64", n, m)
+	case n > 64 && maxError > 0:
+		return fmt.Errorf("the circuit has %d outputs; certified mode supports at most 64", n)
+	case n == 0 && maxError > 0:
+		return fmt.Errorf("the circuit has %d outputs; certified mode needs at least one", n)
+	}
+	return nil
+}
+
 // IterRecord traces one flow iteration.
 type IterRecord struct {
 	Iteration  int

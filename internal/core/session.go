@@ -446,11 +446,12 @@ func (s *Session) generateIncremental(iterSeed int64) (cands []Candidate, fresh 
 	return cands, reroll
 }
 
-// commitInPlace applies the winning candidate to the working graph itself
-// and brings the persistent machinery up to date: both arenas resimulate
-// only the dirty TFO slice of the change, and the stale closure over the
-// epoch diff and touched list tells the next generation which candidate
-// entries to rebuild. The traditional optimizer runs at an adaptive
+// commitInPlace applies the winning candidate to the working graph itself.
+// A commit that does not flush brings the persistent machinery up to date:
+// both arenas resimulate only the dirty TFO slice of the change, and the
+// stale closure over the epoch diff and touched list tells the next
+// generation which candidate entries to rebuild. A flush discards all
+// three, so it skips them. The traditional optimizer runs at an adaptive
 // cadence: a commit stays on the pure incremental path only when it is an
 // outright win — the live AND count shrank and no error budget was spent.
 // Anything else (a zero-gain commit, or one that consumed budget) gets the
@@ -472,9 +473,6 @@ func (s *Session) commitInPlace(c *Candidate) bool {
 	s.epochs = s.cur.EpochsInto(s.epochs)
 	s.touched = s.touched[:0]
 	c.ApplyInPlace(s.cur, &s.touched)
-	s.careArena.Update()
-	s.evalArena.Update()
-	s.genStale = s.cur.StaleClosure(s.epochs, s.touched)
 	s.sinceOpt++
 	pureWin = pureWin && s.cur.NumAnds() < prevAnds
 	if !s.opts.SkipOptimize && (s.sinceOpt >= optEvery || !pureWin) {
@@ -485,6 +483,9 @@ func (s *Session) commitInPlace(c *Candidate) bool {
 		s.evalArena.Rebind(s.cur, s.evalPats)
 		return true
 	}
+	s.careArena.Update()
+	s.evalArena.Update()
+	s.genStale = s.cur.StaleClosure(s.epochs, s.touched)
 	if s.opts.SkipOptimize && s.cur.NumAnds() < s.best.NumAnds() {
 		// Ablation mode has no optimize boundaries; track the best
 		// snapshot on every commit, on the swept in-place counts.

@@ -252,7 +252,7 @@ func (e *enumerator) store(n aig.Node, cands []candidate) []Cut {
 	out[0] = Cut{Leaves: e.leaves.take(1)}
 	out[0].Leaves[0] = n
 	if e.truth {
-		out[0].Truth = varMasks[0] & lowBits(1)
+		out[0].Truth = tt.VarWord(0, 0) & lowBits(1)
 	}
 	for i, c := range cands {
 		leaves := e.leaves.take(int(c.n))
@@ -290,16 +290,6 @@ func signature(leaves []aig.Node) uint64 {
 	return s
 }
 
-// varMasks[v] is the truth table of variable v over six variables.
-var varMasks = [maxTruthVars]uint64{
-	0xAAAAAAAAAAAAAAAA,
-	0xCCCCCCCCCCCCCCCC,
-	0xF0F0F0F0F0F0F0F0,
-	0xFF00FF00FF00FF00,
-	0xFFFF0000FFFF0000,
-	0xFFFFFFFF00000000,
-}
-
 // lowBits masks the 2^n meaningful bits of a truth table over n ≤ 6
 // variables.
 func lowBits(n int) uint64 {
@@ -331,12 +321,12 @@ func stretch(t uint64, from, to []aig.Node) uint64 {
 	return t
 }
 
-// swapVars exchanges variables i < j of a six-variable truth table.
+// swapVars exchanges variables i < j of a six-variable truth table: a delta
+// swap of each minterm with x_i = 1, x_j = 0 and its partner shift bits up.
 func swapVars(t uint64, i, j int) uint64 {
 	shift := uint(1<<uint(j) - 1<<uint(i))
-	up := varMasks[i] &^ varMasks[j]   // x_i = 1, x_j = 0
-	down := varMasks[j] &^ varMasks[i] // x_i = 0, x_j = 1
-	return t&^(up|down) | (t&up)<<shift | (t&down)>>shift
+	x := (t ^ t>>shift) & tt.VarWord(i, 0) &^ tt.VarWord(j, 0)
+	return t ^ x ^ x<<shift
 }
 
 // Cone walks the cone of root above the cut leaves once, in post-order with

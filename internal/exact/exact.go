@@ -42,6 +42,7 @@ import (
 	"repro/internal/aig"
 	"repro/internal/exact/sat"
 	"repro/internal/sim"
+	"repro/internal/tt"
 )
 
 // Backend names reported in Certificate.Backend and observability labels.
@@ -130,6 +131,13 @@ type Checker struct {
 	nPOs   int
 	top    uint64  // 2^nPOs − 1, the largest error distance
 	maxVal float64 // top as a float, the normalization scale (2^64 at 64 outputs)
+
+	// cone lists every transitive-fanin cone the checker walks: the
+	// imported graphs' live logic, the miter's support and the SAT query.
+	// seeds and nodes are its reused seed and listing buffers.
+	cone  aig.ConeMarker
+	seeds []aig.Node
+	nodes []aig.Node
 }
 
 // New builds a Checker for the original circuit. The arithmetic error
@@ -302,8 +310,8 @@ func (c *Checker) buildMiter(approx *aig.Graph) (*miter, error) {
 	m := &miter{
 		g:       g,
 		pis:     pis,
-		origPOs: importGraph(g, c.orig, pis),
-		apprPOs: importGraph(g, approx, pis),
+		origPOs: c.importGraph(g, c.orig, pis),
+		apprPOs: c.importGraph(g, approx, pis),
 	}
 	m.diff = make([]aig.Lit, c.nPOs)
 	for o := 0; o < c.nPOs; o++ {
@@ -313,34 +321,16 @@ func (c *Checker) buildMiter(approx *aig.Graph) (*miter, error) {
 	// The error distance at input x is |Σ_{o: d_o(x)} ±2^o| with the sign
 	// of each term set by the ORIGINAL output bit, so the support is the
 	// union of every non-constant difference cone plus the original output
-	// cones at positions where the difference can fire at all. A single
-	// backward id sweep marks the union (fanin ids are always smaller).
-	mask := make([]bool, g.NumNodes())
-	var maxSeed aig.Node
-	seed := func(l aig.Lit) {
-		if n := l.Node(); n != 0 {
-			mask[n] = true
-			if n > maxSeed {
-				maxSeed = n
-			}
-		}
-	}
+	// cones at positions where the difference can fire at all.
+	c.seeds = c.seeds[:0]
 	for o := 0; o < c.nPOs; o++ {
-		if m.diff[o] == aig.LitFalse {
-			continue
+		if m.diff[o] != aig.LitFalse {
+			c.seeds = append(c.seeds, m.diff[o].Node(), m.origPOs[o].Node())
 		}
-		seed(m.diff[o])
-		seed(m.origPOs[o])
 	}
-	for i := maxSeed; i >= 1; i-- {
-		if !mask[i] || !g.IsAnd(i) {
-			continue
-		}
-		mask[g.Fanin0(i).Node()] = true
-		mask[g.Fanin1(i).Node()] = true
-	}
+	c.nodes = c.cone.Mark(g, c.nodes[:0], c.seeds...)
 	for i := 0; i < c.nPIs; i++ {
-		if mask[pis[i].Node()] {
+		if c.cone.InCone(pis[i].Node()) {
 			m.support = append(m.support, i)
 		}
 	}
@@ -349,36 +339,28 @@ func (c *Checker) buildMiter(approx *aig.Graph) (*miter, error) {
 
 // importGraph rebuilds the live cone of src inside dst, mapping src's i-th
 // primary input to the literal pis[i]. It returns src's output literals
-// expressed in dst. The pass is iterative over node ids (fanin ids are
-// always smaller than the node id), so arbitrarily deep circuits import
-// without recursion, and dead slots in src are skipped entirely.
-func importGraph(dst *aig.Graph, src *aig.Graph, pis []aig.Lit) []aig.Lit {
-	n := src.NumNodes()
-	live := make([]bool, n)
+// expressed in dst. The live cone is imported in ascending id order, so
+// arbitrarily deep circuits import without recursion, and dead slots in
+// src are skipped entirely.
+func (c *Checker) importGraph(dst *aig.Graph, src *aig.Graph, pis []aig.Lit) []aig.Lit {
+	c.seeds = c.seeds[:0]
 	for _, po := range src.POs() {
-		live[po.Node()] = true
+		c.seeds = append(c.seeds, po.Node())
 	}
-	for i := n - 1; i >= 1; i-- {
-		if !live[i] || !src.IsAnd(aig.Node(i)) {
-			continue
-		}
-		live[src.Fanin0(aig.Node(i)).Node()] = true
-		live[src.Fanin1(aig.Node(i)).Node()] = true
-	}
-	m := make([]aig.Lit, n)
-	m[0] = aig.LitFalse
+	c.nodes = c.cone.Mark(src, c.nodes[:0], c.seeds...)
+	m := make([]aig.Lit, src.NumNodes())
 	for i, pi := range src.PIs() {
 		m[pi] = pis[i]
 	}
-	for i := 1; i < n; i++ {
-		nd := aig.Node(i)
-		if !live[i] || !src.IsAnd(nd) {
+	for i := len(c.nodes) - 1; i >= 0; i-- {
+		nd := c.nodes[i]
+		if !src.IsAnd(nd) {
 			continue
 		}
 		f0, f1 := src.Fanin0(nd), src.Fanin1(nd)
 		a := m[f0.Node()].NotCond(f0.IsCompl())
 		b := m[f1.Node()].NotCond(f1.IsCompl())
-		m[i] = dst.And(a, b)
+		m[nd] = dst.And(a, b)
 	}
 	pos := make([]aig.Lit, src.NumPOs())
 	for i, po := range src.POs() {
@@ -407,23 +389,8 @@ func (c *Checker) exhaustive(m *miter, maxED uint64, earlyExit bool) Certificate
 	for i := range pats.In {
 		pats.In[i] = zero
 	}
-	supWords := make([][]uint64, s)
-	for j := range supWords {
-		supWords[j] = make([]uint64, blockWords)
-		pats.In[m.support[j]] = supWords[j]
-	}
-	// Support bits below 6 cycle inside every word with period 2^j.
-	for j := 0; j < s && j < 6; j++ {
-		var mask uint64
-		for b := uint(0); b < 64; b++ {
-			if b>>uint(j)&1 == 1 {
-				mask |= 1 << b
-			}
-		}
-		w := supWords[j]
-		for i := range w {
-			w[i] = mask
-		}
+	for _, pi := range m.support {
+		pats.In[pi] = make([]uint64, blockWords)
 	}
 
 	cert := Certificate{Backend: BackendExhaustive, Threshold: maxED, SupportSize: s}
@@ -442,16 +409,11 @@ func (c *Checker) exhaustive(m *miter, maxED uint64, earlyExit bool) Certificate
 		if base+nw > totalWords {
 			nw = totalWords - base
 		}
-		// Support bits ≥ 6 are constant within a word: bit j of the global
-		// pattern index selects all-ones on words where it is set.
-		for j := 6; j < s; j++ {
-			w := supWords[j]
-			for i := 0; i < nw; i++ {
-				if (uint64(base+i)>>uint(j-6))&1 == 1 {
-					w[i] = ^uint64(0)
-				} else {
-					w[i] = 0
-				}
+		// Support input j is bit j of the pattern index.
+		for j, pi := range m.support {
+			w := pats.In[pi]
+			for i := range w[:nw] {
+				w[i] = tt.VarWord(j, base+i)
 			}
 		}
 		vecs := sim.Simulate(m.g, pats)
@@ -559,7 +521,7 @@ func (c *Checker) satCertify(m *miter, base *aig.Graph, maxED uint64) (Certifica
 	query := exceeds(g, m.origPOs, m.apprPOs, maxED)
 	basePOs := m.origPOs
 	if base != c.orig {
-		basePOs = importGraph(g, base, m.pis)
+		basePOs = c.importGraph(g, base, m.pis)
 	}
 	if !slices.Equal(basePOs, m.origPOs) {
 		differs := make([]aig.Lit, c.nPOs)
@@ -582,16 +544,19 @@ func (c *Checker) satCertify(m *miter, base *aig.Graph, maxED uint64) (Certifica
 	if c.cfg.SATConflictBudget > 0 {
 		solver.SetConflictBudget(c.cfg.SATConflictBudget)
 	}
-	cone := g.TFICone(query.Node())
+	c.nodes = c.cone.Mark(g, c.nodes[:0], query.Node())
 	varOf := make([]sat.Var, g.NumNodes()) // -1 outside the cone
 	for i := range varOf {
 		varOf[i] = -1
 	}
-	for _, n := range cone { // ascending id order: deterministic numbering
-		varOf[n] = solver.NewVar()
+	// The cone comes in descending ids; variables and clauses follow
+	// ascending ids, a deterministic numbering.
+	for i := len(c.nodes) - 1; i >= 0; i-- {
+		varOf[c.nodes[i]] = solver.NewVar()
 	}
 	toSAT := func(l aig.Lit) sat.Lit { return sat.MkLit(varOf[l.Node()], l.IsCompl()) }
-	for _, n := range cone {
+	for i := len(c.nodes) - 1; i >= 0; i-- {
+		n := c.nodes[i]
 		if !g.IsAnd(n) {
 			continue
 		}

@@ -181,11 +181,18 @@ type Source interface {
 func Generate(g *aig.Graph, vecs *sim.Vectors, valid int, cfg Config, workers int,
 	stale []bool, cached []LAC) []LAC {
 
+	return Scan(g, vecs, valid, cfg, workers, stale, cached, coneSources(g))
+}
+
+// coneSources returns the factory of Generate's sources over g, which share
+// g's logic levels. Each source's buffers hold any cone of g.
+func coneSources(g *aig.Graph) func() Source {
 	levels := g.Levels()
-	order, lstart := g.LevelOrder(levels)
-	return Scan(g, vecs, valid, cfg, workers, stale, cached, func() Source {
-		return &coneSource{g: g, levels: levels, order: order, lstart: lstart, marker: aig.NewConeMarker(g)}
-	})
+	maxLevel := slices.Max(levels)
+	return func() Source {
+		return &coneSource{g: g, levels: levels, count: make([]int32, maxLevel+2),
+			tfi: make([]aig.Node, 0, g.NumNodes()), cone: make([]aig.Node, 0, g.NumNodes())}
+	}
 }
 
 // Scan produces the LAC candidate set of Algorithm 2: for every root, the
@@ -338,15 +345,15 @@ func (s *genState) scan(roots []aig.Node) []LAC {
 
 // coneSource is the paper's divisor source (Algorithm 1): the pool is the
 // root's full TFI cone sorted by logic level, the gain base its full MFFC
-// size. The graph and its level order are shared read-only; the marker and
-// the cone buffer are private.
+// size. The graph and its levels are shared read-only; the marker and the
+// buffers are private.
 type coneSource struct {
 	g      *aig.Graph
 	levels []int32
-	order  []aig.Node // nodes sorted by (level, id), CSR per level
-	lstart []int32
-	marker *aig.ConeMarker
-	cone   []aig.Node
+	marker aig.ConeMarker
+	tfi    []aig.Node // the root's cone as the marker lists it, ids descending
+	count  []int32    // the level sort's offsets: max level + 2 entries
+	cone   []aig.Node // the pool
 }
 
 // Pool implements Source.
@@ -357,18 +364,26 @@ func (s *coneSource) Pool(v aig.Node, refs []int32) ([]aig.Node, int, bool) {
 }
 
 // coneInLevelOrder fills s.cone with the TFI cone of v in (level, id)
-// ascending order. Only the level buckets up to v's own level are visited.
+// ascending order: a counting sort by level over the cone's nodes only,
+// fed in ascending id so ids stay ascending within a level. No cone node
+// is above v's level.
 //
 //alsrac:hotpath
 func (s *coneSource) coneInLevelOrder(v aig.Node) {
-	s.marker.MarkTFI(s.g, v)
-	s.cone = s.cone[:0]
-	for lev := 0; lev <= int(s.levels[v]); lev++ {
-		for _, u := range s.order[s.lstart[lev]:s.lstart[lev+1]] {
-			if s.marker.InCone(u) {
-				s.cone = append(s.cone, u)
-			}
-		}
+	s.tfi = s.marker.Mark(s.g, s.tfi[:0], v)
+	count := s.count[:s.levels[v]+2]
+	clear(count)
+	for _, u := range s.tfi {
+		count[s.levels[u]+1]++
+	}
+	for l := 1; l < len(count); l++ {
+		count[l] += count[l-1]
+	}
+	s.cone = s.cone[:len(s.tfi)] // its capacity holds every node of g
+	for i := len(s.tfi) - 1; i >= 0; i-- {
+		u := s.tfi[i]
+		s.cone[count[s.levels[u]]] = u
+		count[s.levels[u]]++
 	}
 }
 

@@ -3,6 +3,8 @@ package resub
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/aig"
@@ -175,4 +177,50 @@ func replacementLit(rng *rand.Rand, g *aig.Graph, v aig.Node) aig.Lit {
 		return aig.MakeLit(n, rng.Intn(2) == 0)
 	}
 	return g.And(pick(), pick())
+}
+
+// TestConePoolInLevelOrder checks every root's pool from one of Generate's
+// sources, reused root after root, against the root's TFI cone found by a
+// depth-first walk and sorted by (level, id): the pool order Algorithm 1
+// scans. The graphs are random, and some have been edited in place, so
+// their slots are recycled.
+func TestConePoolInLevelOrder(t *testing.T) {
+	for seed := int64(0); seed < 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := genTestGraph(rng, 2+rng.Intn(7), 5+rng.Intn(80))
+		for step := rng.Intn(6); step > 0; step-- {
+			if ands := liveAndNodes(g); len(ands) > 0 {
+				v := ands[rng.Intn(len(ands))]
+				g.ReplaceNode(v, replacementLit(rng, g, v), nil)
+			}
+		}
+		levels := g.Levels()
+		src := coneSources(g)()
+		refs := g.RefCounts()
+		for _, v := range liveAndNodes(g) {
+			seen := map[aig.Node]bool{}
+			stack := []aig.Node{v}
+			for len(stack) > 0 {
+				n := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				if n != 0 && !seen[n] {
+					seen[n] = true
+					if g.IsAnd(n) {
+						stack = append(stack, g.Fanin0(n).Node(), g.Fanin1(n).Node())
+					}
+				}
+			}
+			var want []aig.Node
+			for n := range seen {
+				want = append(want, n)
+			}
+			sort.Slice(want, func(i, j int) bool {
+				a, b := want[i], want[j]
+				return levels[a] < levels[b] || levels[a] == levels[b] && a < b
+			})
+			if pool, _, _ := src.Pool(v, refs); !slices.Equal(pool, want) {
+				t.Fatalf("seed %d root %d: pool %v, want %v", seed, v, pool, want)
+			}
+		}
+	}
 }

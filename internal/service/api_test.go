@@ -8,10 +8,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/aig"
+	"repro/internal/aiger"
 	. "repro/internal/service"
 )
 
@@ -383,5 +387,79 @@ func TestAPIRejectsBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict && resp.StatusCode != http.StatusOK {
 		// 200 only if the job already finished; otherwise 409.
 		t.Fatalf("early result: status %d", resp.StatusCode)
+	}
+}
+
+// TestAPIRefusesWhatAlsracRefuses posts what the alsrac command refuses: a
+// circuit whose outputs the metric or certified mode cannot score, and
+// out-of-range parameters. Each is a 400 naming the limit or the
+// parameter, and no job is listed or stored.
+func TestAPIRefusesWhatAlsracRefuses(t *testing.T) {
+	dir := t.TempDir()
+	srv, _, stop := startAPI(t, Config{Dir: dir})
+	defer stop()
+
+	encode := func(g *aig.Graph) []byte {
+		var buf bytes.Buffer
+		if err := aiger.Write(&buf, g, "aag"); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	wide := aig.New()
+	a, b := wide.AddPI("a"), wide.AddPI("b")
+	for o := 0; o < 65; o++ {
+		wide.AddPO(wide.And(a, b.NotCond(o%2 == 1)), "")
+	}
+	none := aig.New()
+	none.AddPIs(2, "x")
+	cla := testCircuit(t)
+	for _, c := range []struct {
+		query   string
+		circuit []byte
+		want    string
+	}{
+		{"metric=nmed", encode(wide), "65 outputs; NMED supports at most 64"},
+		{"metric=mred", encode(wide), "65 outputs; MRED supports at most 64"},
+		{"metric=maxerr&threshold=0.05", encode(wide), "65 outputs; NMED supports at most 64"},
+		{"metric=er&maxerror=0.01", encode(wide), "65 outputs; certified mode supports at most 64"},
+		{"metric=er&maxerror=0.01", encode(none), "0 outputs; certified mode needs at least one"},
+		{"r=1.5", cla, "scale (r)"},
+		{"n=-5", cla, "initial_rounds (n)"},
+		{"l=-5", cla, "max_lacs_per_node (l)"},
+		{"t=-5", cla, "patience (t)"},
+		{"maxstall=-5", cla, "max_stall (maxstall)"},
+		{"maxdepth=-1", cla, "max_depth_ratio (maxdepth)"},
+		{"certbudget=-3", cla, "cert_conflict_budget (certbudget)"},
+		{"eval=10", cla, "eval_patterns (eval)"},
+	} {
+		resp, err := http.Post(srv.URL+"/jobs?"+c.query, "application/octet-stream", bytes.NewReader(c.circuit))
+		if err != nil {
+			t.Fatalf("POST %s: %v", c.query, err)
+		}
+		msg, code := apiError(t, resp)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || code != "bad_request" || !strings.Contains(msg, c.want) {
+			t.Errorf("POST %s: status %d, code %q, error %q; want 400 bad_request naming %q",
+				c.query, resp.StatusCode, code, msg, c.want)
+		}
+	}
+
+	resp, err := http.Get(srv.URL + "/jobs")
+	if err != nil {
+		t.Fatalf("GET /jobs: %v", err)
+	}
+	var list struct {
+		Jobs []JobStatus `json:"jobs"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatalf("GET /jobs: %v", err)
+	}
+	resp.Body.Close()
+	if len(list.Jobs) != 0 {
+		t.Errorf("GET /jobs lists %d jobs after refused submissions", len(list.Jobs))
+	}
+	if entries, err := os.ReadDir(filepath.Join(dir, "jobs")); len(entries) != 0 {
+		t.Errorf("refused submissions left job directories %v (%v)", entries, err)
 	}
 }

@@ -931,12 +931,16 @@ func (m *Manager) Submit(spec JobSpec, circuit []byte) (JobStatus, error) {
 	if spec.TimeoutSec == 0 {
 		spec.TimeoutSec = m.cfg.DefaultTimeoutSec
 	}
-	if _, err := spec.Options(); err != nil {
+	opts, err := spec.Options()
+	if err != nil {
 		return JobStatus{}, err
 	}
 	g, err := ParseCircuit(spec.Format, circuit)
 	if err != nil {
 		return JobStatus{}, fmt.Errorf("%w: %w", ErrUnparsable, err)
+	}
+	if err := core.CheckOutputs(g, opts.Metric, opts.MaxError); err != nil {
+		return JobStatus{}, err
 	}
 	j := &Job{Spec: spec, m: m, key: JobKey(spec, g), state: StateQueued}
 	j.sum.Ands = g.NumAnds()

@@ -70,6 +70,8 @@ type JobSpec struct {
 // Normalize fills unset fields with the paper's default parameters so the
 // persisted spec is self-contained: a resumed job must rebuild the exact
 // same core.Options even if the daemon's defaults change between versions.
+// It refuses the values alsrac refuses, except that a negative worker count
+// or timeout is clamped to 0, as the command accepts both.
 func (s *JobSpec) Normalize() error {
 	// Canonicalize the metric first so the persisted form is deterministic:
 	// an absent field means the default metric (v2-era specs and clients that
@@ -83,14 +85,28 @@ func (s *JobSpec) Normalize() error {
 	if _, err := core.ParseMetric(s.Metric); err != nil {
 		return err
 	}
-	if s.Threshold < 0 {
-		return fmt.Errorf("threshold must be non-negative, got %v", s.Threshold)
-	}
-	if s.MaxError < 0 {
-		return fmt.Errorf("max_error must be non-negative, got %v", s.MaxError)
-	}
-	if s.CertConflictBudget < 0 {
-		s.CertConflictBudget = 0
+	// Refuse what alsrac refuses, naming the field and its POST /jobs
+	// parameter; 0 keeps meaning the default. Each ok is written so NaN
+	// fails it.
+	for _, f := range []struct {
+		field, param, want string
+		got                any
+		ok                 bool
+	}{
+		{"threshold", "threshold", "non-negative", s.Threshold, s.Threshold >= 0},
+		{"max_error", "maxerror", "non-negative", s.MaxError, s.MaxError >= 0},
+		{"cert_conflict_budget", "certbudget", "non-negative", s.CertConflictBudget, s.CertConflictBudget >= 0},
+		{"eval_patterns", "eval", "0 or at least 64", s.EvalPatterns, s.EvalPatterns == 0 || s.EvalPatterns >= 64},
+		{"initial_rounds", "n", "non-negative", s.InitialRounds, s.InitialRounds >= 0},
+		{"max_lacs_per_node", "l", "non-negative", s.MaxLACsPerNode, s.MaxLACsPerNode >= 0},
+		{"patience", "t", "non-negative", s.Patience, s.Patience >= 0},
+		{"scale", "r", "0 or in (0, 1]", s.Scale, s.Scale >= 0 && s.Scale <= 1},
+		{"max_stall", "maxstall", "non-negative", s.MaxStall, s.MaxStall >= 0},
+		{"max_depth_ratio", "maxdepth", "non-negative", s.MaxDepthRatio, s.MaxDepthRatio >= 0},
+	} {
+		if !f.ok {
+			return fmt.Errorf("%s (%s) must be %s, got %v", f.field, f.param, f.want, f.got)
+		}
 	}
 	if s.Metric == "maxerr" {
 		// The certified job type: pin the bound into the persisted spec so a
@@ -106,26 +122,23 @@ func (s *JobSpec) Normalize() error {
 	if s.Seed == 0 {
 		s.Seed = def.Seed
 	}
-	if s.EvalPatterns <= 0 {
+	if s.EvalPatterns == 0 {
 		s.EvalPatterns = def.EvalPatterns
 	}
-	if s.InitialRounds <= 0 {
+	if s.InitialRounds == 0 {
 		s.InitialRounds = def.InitialRounds
 	}
-	if s.MaxLACsPerNode <= 0 {
+	if s.MaxLACsPerNode == 0 {
 		s.MaxLACsPerNode = def.MaxLACsPerNode
 	}
-	if s.Patience <= 0 {
+	if s.Patience == 0 {
 		s.Patience = def.Patience
 	}
-	if s.Scale <= 0 || s.Scale > 1 {
+	if s.Scale == 0 {
 		s.Scale = def.Scale
 	}
-	if s.MaxStall <= 0 {
+	if s.MaxStall == 0 {
 		s.MaxStall = def.MaxStall
-	}
-	if s.MaxDepthRatio < 0 {
-		s.MaxDepthRatio = 0
 	}
 	if s.Workers < 0 {
 		s.Workers = 0

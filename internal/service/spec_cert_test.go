@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"reflect"
 	"testing"
@@ -148,5 +149,33 @@ func TestSpecCertifiedQueryRoundTrip(t *testing.T) {
 	neg := JobSpec{Metric: "er", Threshold: 0.01, MaxError: -1}
 	if err := neg.Normalize(); err == nil {
 		t.Fatal("negative max_error accepted")
+	}
+}
+
+// TestSpecRefusesOutOfRange: Normalize refuses each value alsrac refuses,
+// naming the field and its POST /jobs parameter, instead of replacing it
+// with a default or keeping a value the session would not run with.
+func TestSpecRefusesOutOfRange(t *testing.T) {
+	for _, c := range []struct {
+		edit func(*JobSpec)
+		want string
+	}{
+		{func(s *JobSpec) { s.Scale = 1.5 }, "scale (r) must be 0 or in (0, 1], got 1.5"},
+		{func(s *JobSpec) { s.Scale = -0.5 }, "scale (r) must be 0 or in (0, 1], got -0.5"},
+		{func(s *JobSpec) { s.InitialRounds = -5 }, "initial_rounds (n) must be non-negative, got -5"},
+		{func(s *JobSpec) { s.MaxLACsPerNode = -5 }, "max_lacs_per_node (l) must be non-negative, got -5"},
+		{func(s *JobSpec) { s.Patience = -5 }, "patience (t) must be non-negative, got -5"},
+		{func(s *JobSpec) { s.MaxStall = -5 }, "max_stall (maxstall) must be non-negative, got -5"},
+		{func(s *JobSpec) { s.MaxDepthRatio = -1 }, "max_depth_ratio (maxdepth) must be non-negative, got -1"},
+		{func(s *JobSpec) { s.CertConflictBudget = -3 }, "cert_conflict_budget (certbudget) must be non-negative, got -3"},
+		{func(s *JobSpec) { s.EvalPatterns = 10 }, "eval_patterns (eval) must be 0 or at least 64, got 10"},
+		{func(s *JobSpec) { s.EvalPatterns = -64 }, "eval_patterns (eval) must be 0 or at least 64, got -64"},
+		{func(s *JobSpec) { s.Threshold = math.NaN() }, "threshold (threshold) must be non-negative, got NaN"},
+	} {
+		spec := JobSpec{Metric: "er", Threshold: 0.01}
+		c.edit(&spec)
+		if err := spec.Normalize(); err == nil || err.Error() != c.want {
+			t.Errorf("Normalize: error %v, want %q", err, c.want)
+		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"sync"
 
 	"repro/internal/aig"
+	"repro/internal/tt"
 	"repro/internal/wordops"
 )
 
@@ -95,34 +96,13 @@ func Exhaustive(nPIs int) *Patterns {
 	if nPIs > 20 {
 		panic("sim: Exhaustive limited to 20 inputs")
 	}
-	words := 1
-	if nPIs > 6 {
-		words = 1 << (nPIs - 6)
-	}
+	words := tt.WordCount(nPIs)
 	p := &Patterns{Words: words, Valid: 64 * words, In: make([][]uint64, nPIs)}
-	for i := 0; i < nPIs; i++ {
-		w := make([]uint64, words)
-		if i < 6 {
-			// Repeating intra-word mask.
-			var mask uint64
-			period := uint(1) << uint(i)
-			for b := uint(0); b < 64; b++ {
-				if b&period != 0 {
-					mask |= 1 << b
-				}
-			}
-			for j := range w {
-				w[j] = mask
-			}
-		} else {
-			block := 1 << (i - 6)
-			for j := range w {
-				if j&block != 0 {
-					w[j] = ^uint64(0)
-				}
-			}
+	for i := range p.In {
+		p.In[i] = make([]uint64, words)
+		for j := range p.In[i] {
+			p.In[i][j] = tt.VarWord(i, j)
 		}
-		p.In[i] = w
 	}
 	return p
 }

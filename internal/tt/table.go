@@ -59,23 +59,27 @@ func Ones(n int) Table {
 	return t
 }
 
+// VarWord returns word w of input variable v in the layout that enumerates
+// every input pattern once: bit b of word w is pattern 64·w+b, and v is bit
+// v of the pattern index. Below six variables the word repeats a mask; from
+// v = 6 on it is all ones or all zeros, by bit v−6 of w. Truth tables,
+// exhaustive simulation patterns and the exact checker's enumeration all
+// read this one definition.
+func VarWord(v, w int) uint64 {
+	if v < 6 {
+		return varMasks[v]
+	}
+	return -(uint64(w) >> uint(v-6) & 1)
+}
+
 // Var returns the table of input variable v over n variables.
 func Var(n, v int) Table {
 	if v < 0 || v >= n {
 		panic(fmt.Sprintf("tt: variable %d out of range for %d vars", v, n))
 	}
 	t := New(n)
-	if v < 6 {
-		for i := range t.w {
-			t.w[i] = varMasks[v]
-		}
-	} else {
-		block := 1 << (v - 6)
-		for i := range t.w {
-			if i&block != 0 {
-				t.w[i] = ^uint64(0)
-			}
-		}
+	for i := range t.w {
+		t.w[i] = VarWord(v, i)
 	}
 	t.trim()
 	return t

@@ -27,6 +27,20 @@ func TestVarTables(t *testing.T) {
 			}
 		}
 	}
+	// VarWord: bit b of word w is pattern 64·w+b, whose bit v is variable v.
+	words := []int{1<<17 + 5, 1<<18 - 1, 1 << 18}
+	for w := 0; w < 256; w++ {
+		words = append(words, w)
+	}
+	for v := 0; v < 26; v++ {
+		for _, w := range words {
+			for b := 0; b < 64; b++ {
+				if got, want := VarWord(v, w)>>b&1, uint64(64*w+b)>>v&1; got != want {
+					t.Fatalf("VarWord(%d, %d) bit %d = %d, want %d", v, w, b, got, want)
+				}
+			}
+		}
+	}
 }
 
 func TestConstTables(t *testing.T) {

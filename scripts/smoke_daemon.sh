@@ -30,6 +30,30 @@ for i in $(seq 1 50); do
 done
 echo "daemon healthy on port $port"
 
+# Refusals: POST /jobs refuses what alsrac refuses with a 400 naming the
+# limit or the parameter, and creates no job. A 65-output circuit under
+# metric=nmed (the value metrics read the outputs as one 64-bit number) and
+# r=1.5 (the shrink factor lies in (0, 1]).
+wide="$dir/wide.blif"
+{
+    printf '.model wide\n.inputs a b\n.outputs'
+    for o in $(seq 0 64); do printf ' o%d' "$o"; done
+    printf '\n'
+    for o in $(seq 0 64); do printf '.names a b o%d\n11 1\n' "$o"; done
+    printf '.end\n'
+} >"$wide"
+for req in "$wide|metric=nmed|supports at most 64" "examples/circuits/cla16.blif|r=1.5|scale (r)"; do
+    IFS='|' read -r file query want <<<"$req"
+    code="$(curl -s -o "$dir/refused.json" -w '%{http_code}' -X POST --data-binary @"$file" "$base/jobs?$query")"
+    if [ "$code" != 400 ] || ! grep -qF "$want" "$dir/refused.json"; then
+        echo "POST /jobs?$query: status $code, want 400 naming \"$want\":"; cat "$dir/refused.json"; exit 1
+    fi
+done
+if curl -sf "$base/jobs" | grep -q '"id"'; then
+    echo "a refused submission created a job:"; curl -sf "$base/jobs"; exit 1
+fi
+echo "refusals OK"
+
 # Submit the example circuit.
 submit="$(curl -sf -X POST --data-binary @examples/circuits/cla16.blif \
     "$base/jobs?metric=er&threshold=0.05&seed=3&eval=1024")"
