@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -72,7 +73,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// Refuse the values no flow can run with, which the daemon's
 	// JobSpec.Normalize refuses or replaces. The session evaluates at least
-	// 64 patterns whatever -eval says. Each ok is written so NaN fails it.
+	// 64 patterns whatever -eval says. Each ok is written so NaN fails it,
+	// and an infinite float is refused after its sign is checked.
 	for _, c := range []struct {
 		name, want string
 		ok         bool
@@ -86,6 +88,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		{"maxerror", "non-negative", *maxError >= 0},
 		{"maxdepth", "non-negative", *maxDepth >= 0},
 		{"certbudget", "non-negative", *certBudget >= 0},
+		{"threshold", "finite", !math.IsInf(*threshold, 0)},
+		{"maxerror", "finite", !math.IsInf(*maxError, 0)},
+		{"maxdepth", "finite", !math.IsInf(*maxDepth, 0)},
 	} {
 		if !c.ok {
 			return fail("-%s must be %s, got %s", c.name, c.want, fs.Lookup(c.name).Value)

@@ -91,6 +91,10 @@ func TestRunRefusesFlagsBeforeTheFlow(t *testing.T) {
 		{[]string{"-bench", "cla32", "-metric", "nmed", "-threshold", "0.001", "-maxerror", "-0.1"}, "-maxerror must be non-negative, got -0.1"},
 		{[]string{"-bench", "cla32", "-metric", "nmed", "-threshold", "0.001", "-maxdepth", "-1"}, "-maxdepth must be non-negative, got -1"},
 		{[]string{"-bench", "cla32", "-metric", "nmed", "-threshold", "0.001", "-certbudget", "-1"}, "-certbudget must be non-negative, got -1"},
+		{[]string{"-bench", "cla32", "-metric", "nmed", "-threshold", "Inf"}, "-threshold must be finite, got +Inf"},
+		{[]string{"-bench", "cla32", "-metric", "nmed", "-threshold", "0.001", "-maxerror", "Inf"}, "-maxerror must be finite, got +Inf"},
+		{[]string{"-bench", "cla32", "-metric", "nmed", "-threshold", "0.001", "-maxdepth", "Inf"}, "-maxdepth must be finite, got +Inf"},
+		{[]string{"-bench", "cla32", "-metric", "nmed", "-threshold", "0.001", "-maxdepth", "NaN"}, "-maxdepth must be non-negative, got NaN"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(c.args, &stdout, &stderr); code != 1 {

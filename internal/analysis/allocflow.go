@@ -8,8 +8,8 @@ import (
 
 // AllocflowAnalyzer enforces the steady-state zero-allocation contract of
 // functions annotated //alsrac:hotpath — the word-level kernels whose
-// per-call allocation counts were driven to zero (CoverScan, the bounded
-// evaluators, the simulate inner loops, the cone scan). A kernel must be
+// per-call allocation counts were driven to zero (the cover test, the
+// bounded evaluators, the simulate inner loops, the cone scan). A kernel must be
 // allocation-free over its whole static call closure. The rule reports
 //
 //   - every allocation site in the kernel's own body (see collectAllocs for

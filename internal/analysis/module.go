@@ -96,15 +96,10 @@ type FuncInfo struct {
 	// errors.Is / errors.As / a *transient* classifier call — which
 	// satisfies the errwrap obligation.
 	Classifies bool
-
-	// StoreErrReturns are `return err` sites whose value came unwrapped
-	// from a faultfs operation or (after propagation) from a callee that
-	// itself leaks store errors bare.
-	StoreErrReturns []Site
 }
 
 // Site is one position plus a human-readable description, used for
-// allocation sites, blocking seeds and bare-return sites.
+// allocation sites and blocking seeds.
 type Site struct {
 	Pos  token.Pos
 	Desc string

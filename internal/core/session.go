@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"runtime"
 
 	"repro/internal/aig"
@@ -192,7 +193,13 @@ func NewSession(g *aig.Graph, opts Options) *Session {
 	s.cur = g.Sweep()
 	s.best = s.cur
 	if opts.MaxDepthRatio > 0 {
-		s.depthCap = int(opts.MaxDepthRatio * float64(s.cur.Depth()))
+		// A cap too large for int saturates: it never binds, but the
+		// session still runs capped, whereas the overflowed conversion
+		// would read as no cap.
+		s.depthCap = math.MaxInt
+		if c := opts.MaxDepthRatio * float64(s.cur.Depth()); c < math.MaxInt {
+			s.depthCap = int(c)
+		}
 	}
 	s.n = opts.InitialRounds
 	if opts.MaxError > 0 {

@@ -8,7 +8,9 @@ import (
 
 	"repro/internal/aig"
 	"repro/internal/aiger"
+	"repro/internal/bench"
 	"repro/internal/errest"
+	"repro/internal/opt"
 	"repro/internal/sim"
 )
 
@@ -69,6 +71,30 @@ func (fc flowCase) options(base func(errest.Metric) Options) Options {
 
 // TestSessionMatchesRun: driving a Session step by step must reproduce Run
 // exactly — same history, same final graph, same error.
+// TestHugeDepthRatioSaturates requires a depth ratio whose cap does not fit
+// an int to act as a cap that never binds, not as no cap: the session still
+// runs the capped flow, which re-optimizes every commit, so 1e300 must give
+// 1e6's result, and that result is not the uncapped one on this circuit.
+func TestHugeDepthRatioSaturates(t *testing.T) {
+	g := opt.Optimize(bench.RCA(16))
+	opts := DefaultOptions(errest.NMED, 0.01)
+	run := func(ratio float64) (Result, []byte) {
+		opts.MaxDepthRatio = ratio
+		res := Run(g, opts)
+		return res, graphBytes(t, res.Graph)
+	}
+	want, wantBytes := run(1e6)
+	if _, free := run(0); bytes.Equal(free, wantBytes) {
+		t.Fatal("the capped and the uncapped flow agree on this circuit; the test cannot tell them apart")
+	}
+	got, gotBytes := run(1e300)
+	if got.FinalError != want.FinalError || got.Iterations != want.Iterations || got.Applied != want.Applied ||
+		!reflect.DeepEqual(got.History, want.History) || !bytes.Equal(gotBytes, wantBytes) {
+		t.Fatalf("ratio 1e300: %d ANDs, error %v, %d applied; ratio 1e6: %d ANDs, error %v, %d applied",
+			got.Graph.NumAnds(), got.FinalError, got.Applied, want.Graph.NumAnds(), want.FinalError, want.Applied)
+	}
+}
+
 func TestSessionMatchesRun(t *testing.T) {
 	g := rippleAdder(8)
 	opts := sessionOpts(errest.ER)

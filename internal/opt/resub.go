@@ -15,10 +15,11 @@ import (
 // the functions of v and of the other nodes inside the cut cone are
 // expressed over the cut leaves. These truth tables are the window's
 // exhaustive simulation, so a divisor set passes the classical
-// resubstitution condition (Theorem 1 of the paper) on them — the check
-// wordops.CoverScan runs on the sampled care set of an approximate LAC —
+// resubstitution condition (Theorem 1 of the paper) on them — through
+// wordops.CoverTest, the kernel the LAC scan runs on its sampled care set —
 // only when it holds for ALL 2^K window-input patterns. That makes the
 // rewrite sound: any primary input assignment induces some window pattern.
+// The cover is tt.ISOPOnCare's, shared and only read.
 //
 // Like Rewrite, the pass collects simultaneous exact replacements and
 // rebuilds once. It returns the rebuilt graph only when it has fewer ANDs
@@ -73,11 +74,8 @@ func bestWindowResub(g *aig.Graph, sets *cut.Sets, refs []int32, v aig.Node, bui
 		divTabs = append(divTabs, tabs[:len(tabs)-1]...)
 		freedBase := g.MFFCSize(v, refs, c.Leaves)
 
-		consider := func(divs []aig.Node, dTabs ...tt.Table) {
-			cover, ok := exactCover(fv, dTabs...)
-			if !ok {
-				return
-			}
+		consider := func(divs []aig.Node, on, care uint64) {
+			cover := tt.ISOPOnCare(len(divs), on, care)
 			gain := freedBase - aig.SOPCost(cover)
 			if gain <= bestGain {
 				return
@@ -85,30 +83,19 @@ func bestWindowResub(g *aig.Graph, sets *cut.Sets, refs []int32, v aig.Node, bui
 			bestGain = gain
 			builds = append(builds, replacement{n: v, cov: cover, ins: divs})
 		}
+		// Every window minterm is valid: the divisor set is a function
+		// check over all 2^k leaf patterns.
+		ct := wordops.NewCoverTest(fv.NumBits())
 		for i, d1 := range divNodes {
-			consider([]aig.Node{d1}, divTabs[i])
+			if on, care, ok := ct.Prepare(divTabs[i].Words(), 0, fv.Words(), 0); ok {
+				consider([]aig.Node{d1}, on, care)
+			}
 			for j := i + 1; j < len(divNodes); j++ {
-				consider([]aig.Node{d1, divNodes[j]}, divTabs[i], divTabs[j])
+				if on, care, ok := ct.Add(divTabs[j].Words(), 0); ok {
+					consider([]aig.Node{d1, divNodes[j]}, on, care)
+				}
 			}
 		}
 	}
 	return builds
-}
-
-// exactCover runs Theorem 1 on every window minterm: wordops.CoverScan over
-// the words of the one or two divisor tables, with all 2^K minterms valid.
-// When fv is a function of the divisors it returns tt.ISOPOnCare's cover of
-// that function, with the divisor patterns no minterm reaches as
-// don't-cares; the cover is shared and only read.
-func exactCover(fv tt.Table, divs ...tt.Table) (tt.Cover, bool) {
-	var words [2][]uint64
-	var inv [2]uint64
-	for j, d := range divs {
-		words[j] = d.Words()
-	}
-	on, care, ok := wordops.CoverScan(words[:len(divs)], inv[:len(divs)], fv.Words(), 0, fv.NumBits())
-	if !ok {
-		return nil, false
-	}
-	return tt.ISOPOnCare(len(divs), on, care), true
 }

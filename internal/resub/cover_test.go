@@ -7,6 +7,7 @@ import (
 	"repro/internal/aig"
 	"repro/internal/sim"
 	"repro/internal/tt"
+	"repro/internal/wordops"
 )
 
 // randomGraph builds a random strashed AIG with nPIs inputs and about nAnds
@@ -32,9 +33,9 @@ func randomGraph(rng *rand.Rand, nPIs, nAnds int) *aig.Graph {
 	return g
 }
 
-// buildCoverPerPattern is the per-pattern specification of BuildCover: one
-// bit probe per (pattern, divisor), then tt.ISOP of the sampled function.
-// The word-parallel kernel is property-tested against it.
+// buildCoverPerPattern is the per-pattern specification of the scan's
+// cover path: one bit probe per (pattern, divisor), then tt.ISOP of the
+// sampled function. The word-parallel kernel is property-tested against it.
 func buildCoverPerPattern(vecs *sim.Vectors, divs []aig.Lit, target aig.Lit, valid int) (tt.Cover, bool) {
 	k := len(divs)
 	onset := tt.New(k)
@@ -61,6 +62,27 @@ func buildCoverPerPattern(vecs *sim.Vectors, divs []aig.Lit, target aig.Lit, val
 	return tt.ISOP(onset, care.Not()), true
 }
 
+// kernelCover is the scan's cover path for a set of at most two divisors:
+// wordops.CoverTest with every divisor but the last kept and the last one
+// added, then tt.ISOPOnCare's cover of the sampled function.
+func kernelCover(vecs *sim.Vectors, divs []aig.Lit, target aig.Lit, valid int) (tt.Cover, bool) {
+	ct := wordops.NewCoverTest(valid)
+	var aw []uint64
+	var ainv uint64
+	if len(divs) == 2 {
+		aw, ainv = vecs.LitWords(divs[0])
+	}
+	tw, tinv := vecs.LitWords(target)
+	on, care, ok := ct.Prepare(aw, ainv, tw, tinv)
+	if len(divs) > 0 {
+		on, care, ok = ct.Add(vecs.LitWords(divs[len(divs)-1]))
+	}
+	if !ok {
+		return nil, false
+	}
+	return tt.ISOPOnCare(len(divs), on, care), true
+}
+
 func coversEqual(a, b tt.Cover) bool {
 	if len(a) != len(b) {
 		return false
@@ -73,10 +95,10 @@ func coversEqual(a, b tt.Cover) bool {
 	return true
 }
 
-// TestBuildCoverWordMatchesPerPattern property-tests the word-parallel cover
-// kernel against the per-pattern reference implementation on random graphs,
-// random (possibly complemented) divisor sets of width 0..wordCoverMaxVars,
-// random targets, and valid pattern counts that include non-multiples of 64.
+// TestBuildCoverWordMatchesPerPattern property-tests the scan's cover path
+// against the per-pattern reference implementation on random graphs,
+// random (possibly complemented) divisor sets of width 0..2, random
+// targets, and valid pattern counts that include non-multiples of 64.
 func TestBuildCoverWordMatchesPerPattern(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	validCounts := []int{1, 3, 37, 64, 65, 100, 128, 200}
@@ -91,7 +113,7 @@ func TestBuildCoverWordMatchesPerPattern(t *testing.T) {
 			return aig.MakeLit(n, rng.Intn(2) == 0)
 		}
 		for set := 0; set < 50; set++ {
-			k := rng.Intn(wordCoverMaxVars + 1)
+			k := rng.Intn(3)
 			divs := make([]aig.Lit, k)
 			for j := range divs {
 				divs[j] = randomLit()
@@ -99,7 +121,7 @@ func TestBuildCoverWordMatchesPerPattern(t *testing.T) {
 			target := randomLit()
 			valid := 1 + rng.Intn(p.Valid)
 
-			got, gotOK := BuildCover(vecs, divs, target, valid)
+			got, gotOK := kernelCover(vecs, divs, target, valid)
 			want, wantOK := buildCoverPerPattern(vecs, divs, target, valid)
 			if gotOK != wantOK {
 				t.Fatalf("trial %d set %d (k=%d valid=%d): feasibility %v, reference %v",
@@ -115,8 +137,8 @@ func TestBuildCoverWordMatchesPerPattern(t *testing.T) {
 }
 
 // TestBuildCoverTailBitsIgnored checks that garbage bits at or beyond the
-// valid pattern count never reach the feasibility check: both code paths
-// must agree on a valid count that cuts the last word short.
+// valid pattern count never reach the feasibility check: the kernel and the
+// reference must agree on a valid count that cuts the last word short.
 func TestBuildCoverTailBitsIgnored(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := randomGraph(rng, 4, 30)
@@ -132,7 +154,7 @@ func TestBuildCoverTailBitsIgnored(t *testing.T) {
 		divs := []aig.Lit{g.Fanin0(n), g.Fanin1(n)}
 		target := aig.MakeLit(n, false)
 		for _, valid := range []int{1, 63, 64, 65, 99, 100} {
-			got, gotOK := BuildCover(vecs, divs, target, valid)
+			got, gotOK := kernelCover(vecs, divs, target, valid)
 			want, wantOK := buildCoverPerPattern(vecs, divs, target, valid)
 			if gotOK != wantOK || (gotOK && !coversEqual(got, want)) {
 				t.Fatalf("node %d valid=%d: (%v,%v) vs reference (%v,%v)",
@@ -147,12 +169,13 @@ func TestBuildCoverTailBitsIgnored(t *testing.T) {
 	}
 }
 
-// TestWordTestMatchesBuildCover holds the scan's word test to
-// BuildCover: on random graphs with care sets of one to three words,
-// some cut short in their last word, the test must reject a candidate u
-// exactly when the kept set plus u is infeasible, for every root, every
-// kept set the scan forms (the other fanin, or none) in both polarities
-// and every node as u in both polarities.
+// TestWordTestMatchesBuildCover holds the word test, wordops.CoverTest,
+// plus tt.ISOPOnCare to the per-pattern reference on random graphs with
+// care sets of one to three words, some cut short in their last word, with
+// every root in both polarities as target: Prepare's function of every kept
+// set the scan forms (a fanin in either polarity, or none) and Add's
+// function of that set plus every node as u in both polarities must have
+// the reference's feasibility and cover.
 func TestWordTestMatchesBuildCover(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 12; trial++ {
@@ -161,21 +184,38 @@ func TestWordTestMatchesBuildCover(t *testing.T) {
 		valid := (words-1)*64 + 1 + rng.Intn(64)
 		p := sim.UniformN(g.NumPIs(), valid, int64(300+trial))
 		vecs := sim.Simulate(g, p)
-		wt := newWordTest(valid)
+		ct := wordops.NewCoverTest(valid)
+		check := func(divs []aig.Lit, target aig.Lit, on, care uint64, ok bool) {
+			t.Helper()
+			want, wantOK := buildCoverPerPattern(vecs, divs, target, valid)
+			if ok != wantOK {
+				t.Fatalf("trial %d (valid %d) target %v divisors %v: feasible %v, reference %v",
+					trial, valid, target, divs, ok, wantOK)
+			}
+			if got := tt.ISOPOnCare(len(divs), on, care); ok && !coversEqual(got, want) {
+				t.Fatalf("trial %d (valid %d) target %v divisors %v: cover %v, reference %v",
+					trial, valid, target, divs, got, want)
+			}
+		}
 		for v := aig.Node(1); int(v) < g.NumNodes(); v++ {
 			if !g.IsAnd(v) {
 				continue
 			}
-			target := aig.MakeLit(v, false)
-			for _, a := range [][]aig.Lit{nil,
-				{aig.MakeLit(g.Fanin0(v).Node(), false)}, {g.Fanin1(v)}, {g.Fanin0(v).Not()}} {
-				wt.prepare(vecs, a, target)
-				for u := aig.Node(1); int(u) < g.NumNodes(); u++ {
-					for _, ul := range []aig.Lit{aig.MakeLit(u, false), aig.MakeLit(u, true)} {
-						_, ok := BuildCover(vecs, append(a[:len(a):len(a)], ul), target, valid)
-						if got := wt.rejects(vecs, ul); got == ok {
-							t.Fatalf("trial %d (valid %d) root %d kept %v u %v: word test rejects=%v, BuildCover feasible=%v",
-								trial, valid, v, a, ul, got, ok)
+			f0, f1 := g.Fanin0(v), g.Fanin1(v)
+			for _, target := range []aig.Lit{aig.MakeLit(v, false), aig.MakeLit(v, true)} {
+				tw, tinv := vecs.LitWords(target)
+				for _, a := range [][]aig.Lit{nil, {f0}, {f0.Not()}, {f1}, {f1.Not()}} {
+					var aw []uint64
+					var ainv uint64
+					if len(a) > 0 {
+						aw, ainv = vecs.LitWords(a[0])
+					}
+					on, care, ok := ct.Prepare(aw, ainv, tw, tinv)
+					check(a, target, on, care, ok)
+					for u := aig.Node(1); int(u) < g.NumNodes(); u++ {
+						for _, ul := range []aig.Lit{aig.MakeLit(u, false), aig.MakeLit(u, true)} {
+							on, care, ok := ct.Add(vecs.LitWords(ul))
+							check(append(a[:len(a):len(a)], ul), target, on, care, ok)
 						}
 					}
 				}

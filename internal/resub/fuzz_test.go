@@ -6,16 +6,19 @@ import (
 
 	"repro/internal/aig"
 	"repro/internal/sim"
+	"repro/internal/tt"
+	"repro/internal/wordops"
 )
 
-// FuzzCoverScan drives the word-parallel cover kernel and the per-pattern
-// reference over fuzzer-chosen simulation words, divisor sets and valid
-// counts, and requires them to agree exactly — the same contract
-// TestBuildCoverWordMatchesPerPattern samples randomly. On feasible sets it
-// additionally checks the semantic property both implementations promise:
-// the minimized cover reproduces the target bit on every valid pattern.
-// For k ≤ 2 it also holds the scan's word test (kept set divs[:k-1], empty
-// at k = 1, plus u = divs[k-1]) to the kernel's feasibility.
+// FuzzCoverScan drives the scan's cover path (wordops.CoverTest plus
+// tt.ISOPOnCare, with divs[:k-1] kept and divs[k-1] added) and the
+// per-pattern reference over fuzzer-chosen simulation words, sets of k ≤ 2
+// divisors and valid counts, and requires them to agree exactly — the same
+// contract TestBuildCoverWordMatchesPerPattern samples randomly. At k = 1
+// it also holds Prepare's function of the divisor as the kept set to the
+// reference. On feasible sets it additionally checks the semantic property
+// both implementations promise: the minimized cover reproduces the target
+// bit on every valid pattern.
 func FuzzCoverScan(f *testing.F) {
 	f.Add([]byte{0x00}, uint8(2), uint8(2), uint16(64))
 	f.Add([]byte{0xFF, 0x0F, 0xF0, 0xAA, 0x55}, uint8(3), uint8(9), uint16(100))
@@ -29,7 +32,7 @@ func FuzzCoverScan(f *testing.F) {
 			nodes = 5 // constant node + 4 value nodes
 			words = 2 // 128 patterns, so valid can cut the last word short
 		)
-		k := int(kRaw % (wordCoverMaxVars + 1))
+		k := int(kRaw % 3)
 		valid := 1 + int(validRaw)%(words*64)
 
 		vecs := sim.NewVectors(nodes, words)
@@ -54,17 +57,19 @@ func FuzzCoverScan(f *testing.F) {
 		}
 		target := litAt(0)
 
-		got, gotOK := BuildCover(vecs, divs, target, valid)
+		got, gotOK := kernelCover(vecs, divs, target, valid)
 		want, wantOK := buildCoverPerPattern(vecs, divs, target, valid)
 		if gotOK != wantOK {
 			t.Fatalf("k=%d valid=%d: kernel feasibility %v, reference %v", k, valid, gotOK, wantOK)
 		}
-		if k == 1 || k == 2 {
-			wt := newWordTest(valid)
-			wt.prepare(vecs, divs[:k-1], target)
-			if rej := wt.rejects(vecs, divs[k-1]); rej == gotOK {
-				t.Fatalf("k=%d valid=%d divs %v target %v: word test rejects=%v, kernel feasible=%v",
-					k, valid, divs, target, rej, gotOK)
+		if k == 1 {
+			ct := wordops.NewCoverTest(valid)
+			tw, tinv := vecs.LitWords(target)
+			aw, ainv := vecs.LitWords(divs[0])
+			on, care, ok := ct.Prepare(aw, ainv, tw, tinv)
+			if ok != wantOK || ok && !coversEqual(tt.ISOPOnCare(1, on, care), want) {
+				t.Fatalf("k=1 valid=%d divs %v target %v: kept set (%v, on %b care %b), reference (%v, %v)",
+					valid, divs, target, ok, on, care, wantOK, want)
 			}
 		}
 		if !gotOK {

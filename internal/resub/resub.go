@@ -80,38 +80,6 @@ func (l *LAC) String() string {
 		l.Node, l.Cover, l.Divisors, l.Gain, l.Err)
 }
 
-// BuildCover checks the feasibility of the divisors for target on the first
-// valid simulated patterns and, when feasible, returns the ISOP cover of
-// the sampled incompletely specified function. ok is false when two
-// patterns agree on every divisor but disagree on the target (Theorem 1
-// violated on the sample).
-//
-// The sampled truth table comes straight from the 64-way simulation words:
-// wordops.CoverScan ANDs the (possibly complemented) divisor words into the
-// 2^k divisor-minterm masks, detects infeasibility as a mask intersecting
-// both the target and its complement, and reads the onset and care bits off
-// the surviving masks; tt.ISOPOnCare turns them into the cover. Infeasible
-// sets are rejected without allocating. Like CoverScan, BuildCover takes at
-// most wordCoverMaxVars divisors.
-func BuildCover(vecs *sim.Vectors, divs []aig.Lit, target aig.Lit, valid int) (tt.Cover, bool) {
-	k := len(divs)
-	var dw [wordCoverMaxVars][]uint64
-	var dinv [wordCoverMaxVars]uint64
-	for j, d := range divs {
-		dw[j], dinv[j] = vecs.LitWords(d)
-	}
-	tgt, tinv := vecs.LitWords(target)
-	on, care, ok := wordops.CoverScan(dw[:k], dinv[:k], tgt, tinv, valid)
-	if !ok {
-		return nil, false
-	}
-	return tt.ISOPOnCare(k, on, care), true
-}
-
-// wordCoverMaxVars is the widest divisor set BuildCover handles:
-// wordops.CoverScan packs the 2^k minterm masks into uint64s.
-const wordCoverMaxVars = 6
-
 // BuildLit materializes the LAC's cover in graph g and returns the literal
 // of the new function. The graph gains nodes; callers normally follow with
 // aig.Graph.CopyWith to substitute and sweep.
@@ -309,26 +277,25 @@ func scanRoots(g *aig.Graph, vecs *sim.Vectors, valid int, cfg Config, workers i
 
 // genState is the per-worker scratch of the candidate scan. The graph and
 // the value vectors are shared read-only; the source, the reference counts,
-// the divisor buffers and the word test's masks are private, so the
+// the divisor buffers and the cover test's masks are private, so the
 // per-root loop allocates only when a feasible candidate is emitted.
 type genState struct {
-	g     *aig.Graph
-	vecs  *sim.Vectors
-	valid int
-	cfg   Config
+	g    *aig.Graph
+	vecs *sim.Vectors
+	cfg  Config
 
 	src    Source
 	refs   []int32
 	divBuf [2]aig.Lit
-	wt     wordTest
+	ct     wordops.CoverTest
 }
 
 func newGenState(g *aig.Graph, vecs *sim.Vectors, valid int, cfg Config,
 	src Source, refs []int32) *genState {
 
 	return &genState{
-		g: g, vecs: vecs, valid: valid, cfg: cfg,
-		src: src, refs: refs, wt: newWordTest(valid),
+		g: g, vecs: vecs, cfg: cfg,
+		src: src, refs: refs, ct: wordops.NewCoverTest(valid),
 	}
 }
 
@@ -394,19 +361,13 @@ func (s *coneSource) coneInLevelOrder(v aig.Node) {
 // and package window's (pool = window nodes, mffc = window-bounded MFFC).
 func (s *genState) scanPool(lacs []LAC, v aig.Node, pool []aig.Node, mffc int) []LAC {
 	g, cfg := s.g, &s.cfg
-	target := aig.MakeLit(v, false)
-
 	fanins := [2]aig.Node{g.Fanin0(v).Node(), g.Fanin1(v).Node()}
 	count := 0
 
-	try := func(divs []aig.Lit) bool {
-		if count >= cfg.MaxLACsPerNode {
-			return false
-		}
-		cover, ok := BuildCover(s.vecs, divs, target, s.valid)
-		if !ok {
-			return true // infeasible; keep scanning
-		}
+	// try takes a feasible divisor set with its sampled function and
+	// reports whether the scan may go on.
+	try := func(divs []aig.Lit, on, care uint64) bool {
+		cover := tt.ISOPOnCare(len(divs), on, care)
 		gain := mffc - aig.SOPCost(cover)
 		if gain < 0 {
 			// A growing replacement cannot simplify the circuit directly;
@@ -423,6 +384,7 @@ func (s *genState) scanPool(lacs []LAC, v aig.Node, pool []aig.Node, mffc int) [
 		return count < cfg.MaxLACsPerNode
 	}
 
+	tw := s.vecs.Node(v)
 	for i := 0; i < 2 && count < cfg.MaxLACsPerNode; i++ {
 		removed := fanins[i]
 		other := fanins[1-i]
@@ -431,17 +393,17 @@ func (s *genState) scanPool(lacs []LAC, v aig.Node, pool []aig.Node, mffc int) [
 		// divisor; use the empty set then (a constant resubstitution).
 		// The sets share s.divBuf, so building them never allocates.
 		a := s.divBuf[:0]
+		var aw []uint64
 		if other != 0 {
 			a = append(a, otherLit)
+			aw = s.vecs.Node(other)
 		}
-		if !try(a) {
+		if on, care, ok := s.ct.Prepare(aw, 0, tw, 0); ok && !try(a, on, care) {
 			break
 		}
-		// Divisor sets B: replace the removed fanin by a pool node. The word
-		// test rejects exactly the nodes try would find infeasible, so only
-		// the survivors build a cover; tries and the accepted sequence are
-		// those of trying every node.
-		s.wt.prepare(s.vecs, a, target)
+		// Divisor sets B: replace the removed fanin by a pool node. Every
+		// node counts towards tries; only those the cover test accepts
+		// reach try.
 		tries := 0
 		for _, u := range pool {
 			if count >= cfg.MaxLACsPerNode {
@@ -454,88 +416,14 @@ func (s *genState) scanPool(lacs []LAC, v aig.Node, pool []aig.Node, mffc int) [
 				continue
 			}
 			tries++
-			ul := aig.MakeLit(u, false)
-			if s.wt.rejects(s.vecs, ul) {
+			on, care, ok := s.ct.Add(s.vecs.Node(u), 0)
+			if !ok {
 				continue
 			}
-			if !try(append(a, ul)) {
+			if !try(append(a, aig.MakeLit(u, false)), on, care) {
 				break
 			}
 		}
 	}
 	return lacs
-}
-
-// wordTest decides, word-parallel and without building a cover, whether a
-// divisor set A ∪ {u} is infeasible, for one root's target, one kept set A
-// of at most one divisor and any number of candidates u. prepare splits
-// every valid care pattern by A's value c and the target's value: pq[w][c]
-// holds word w of P_c, the patterns with A = c and target 1, and pq[w][2+c]
-// word w of Q_c, those with A = c and target 0. With A empty every pattern
-// is in class 0 and class 1 is empty. A candidate u splits each class by
-// its own value b, and A ∪ {u} is infeasible exactly when some minterm
-// (c, b) holds a pattern of P_c and one of Q_c — wordops.CoverScan's
-// onset ∩ offset verdict on the same set, word for word.
-type wordTest struct {
-	tail uint64      // valid bits of the last care word
-	pq   [][4]uint64 // one entry per care word
-}
-
-// newWordTest sizes a word test for valid care patterns.
-func newWordTest(valid int) wordTest {
-	return wordTest{tail: wordops.TailMask(valid), pq: make([][4]uint64, (valid+63)>>6)}
-}
-
-// prepare fills the class masks for kept set a (at most one divisor) and
-// target.
-//
-//alsrac:hotpath
-func (t *wordTest) prepare(vecs *sim.Vectors, a []aig.Lit, target aig.Lit) {
-	tw, tinv := vecs.LitWords(target)
-	var aw []uint64
-	var ainv uint64
-	if len(a) > 0 {
-		aw, ainv = vecs.LitWords(a[0])
-	}
-	for w := range t.pq {
-		vmask := ^uint64(0)
-		if w == len(t.pq)-1 {
-			vmask = t.tail
-		}
-		tv := tw[w] ^ tinv
-		c1 := uint64(0) // patterns with A = 1
-		if aw != nil {
-			c1 = (aw[w] ^ ainv) & vmask
-		}
-		c0 := vmask &^ c1
-		t.pq[w] = [4]uint64{c0 & tv, c1 & tv, c0 &^ tv, c1 &^ tv}
-	}
-}
-
-// rejects reports whether the prepared set plus u is infeasible. Bit 2c+b
-// of has1 (has0) records that minterm (c, b) holds a target-1 (target-0)
-// pattern on some word so far; a bit set in both is a conflict.
-//
-//alsrac:hotpath
-func (t *wordTest) rejects(vecs *sim.Vectors, u aig.Lit) bool {
-	uw, uinv := vecs.LitWords(u)
-	var has1, has0 uint8
-	for w := range t.pq {
-		x, m := uw[w]^uinv, &t.pq[w]
-		has1 |= nonzero(m[0]&^x) | nonzero(m[0]&x)<<1 | nonzero(m[1]&^x)<<2 | nonzero(m[1]&x)<<3
-		has0 |= nonzero(m[2]&^x) | nonzero(m[2]&x)<<1 | nonzero(m[3]&^x)<<2 | nonzero(m[3]&x)<<3
-		if has1&has0 != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// nonzero is 1 when x has a set bit and 0 otherwise. The compiler emits a
-// flag set, not a branch, so rejects runs branch-free up to its exit test.
-func nonzero(x uint64) uint8 {
-	if x != 0 {
-		return 1
-	}
-	return 0
 }

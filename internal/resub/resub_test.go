@@ -97,7 +97,7 @@ func TestPaperExampleInfeasibleOnFullCareSet(t *testing.T) {
 	// Example 2: over all 16 patterns, {u,z} cannot resubstitute v.
 	g, _, _, _, _, _, _, u, z, _, v := figure1()
 	vecs := sim.Simulate(g, sim.Exhaustive(4))
-	if _, ok := BuildCover(vecs, []aig.Lit{u, z}, v, 16); ok {
+	if _, ok := kernelCover(vecs, []aig.Lit{u, z}, v, 16); ok {
 		t.Fatalf("divisors {u,z} must be infeasible with the accurate care set")
 	}
 }
@@ -107,7 +107,7 @@ func TestPaperExampleDependenceOnCD(t *testing.T) {
 	// on c and d.
 	g, a, b, _, _, _, _, _, _, _, v := figure1()
 	vecs := sim.Simulate(g, sim.Exhaustive(4))
-	if _, ok := BuildCover(vecs, []aig.Lit{a, b}, v, 16); ok {
+	if _, ok := kernelCover(vecs, []aig.Lit{a, b}, v, 16); ok {
 		t.Fatalf("divisors {a,b} must be infeasible")
 	}
 }
@@ -135,7 +135,7 @@ func TestPaperExampleApproximateResubstitution(t *testing.T) {
 	g, _, _, _, _, _, _, u, z, _, v := figure1()
 	p := paperPatterns()
 	vecs := sim.Simulate(g, p)
-	cover, ok := BuildCover(vecs, []aig.Lit{u, z}, v, p.Valid)
+	cover, ok := kernelCover(vecs, []aig.Lit{u, z}, v, p.Valid)
 	if !ok {
 		t.Fatalf("divisors {u,z} must be feasible on the sampled care set")
 	}
@@ -199,7 +199,7 @@ func TestBuildCoverConstantNode(t *testing.T) {
 	// Patterns where f is always 0: a=0 always.
 	p := &sim.Patterns{Words: 1, Valid: 4, In: [][]uint64{{0x0}, {0x6}}}
 	vecs := sim.Simulate(g, p)
-	cover, ok := BuildCover(vecs, nil, f, p.Valid)
+	cover, ok := kernelCover(vecs, nil, f, p.Valid)
 	if !ok {
 		t.Fatalf("constant resubstitution must be feasible")
 	}
@@ -209,7 +209,7 @@ func TestBuildCoverConstantNode(t *testing.T) {
 	// Patterns where f varies: infeasible with no divisors.
 	p2 := sim.Exhaustive(2)
 	vecs2 := sim.Simulate(g, p2)
-	if _, ok := BuildCover(vecs2, nil, f, 4); ok {
+	if _, ok := kernelCover(vecs2, nil, f, 4); ok {
 		t.Fatalf("varying node must be infeasible with empty divisors")
 	}
 }

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/aiger"
@@ -87,10 +89,25 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 	})
 }
 
+// jobParams are the POST /jobs query parameters specFromQuery reads.
+var jobParams = []string{"metric", "format", "threshold", "seed", "eval", "n", "l", "t", "r",
+	"maxstall", "maxdepth", "workers", "timeout", "maxerror", "certbudget", "windowed"}
+
 // specFromQuery builds a JobSpec from POST /jobs query parameters. Every
-// knob mirrors a cmd/alsrac flag.
+// knob mirrors a cmd/alsrac flag, and like alsrac with an unknown flag it
+// refuses a parameter it does not read.
 func specFromQuery(r *http.Request) (JobSpec, error) {
 	q := r.URL.Query()
+	var unknown []string
+	for key := range q {
+		if !slices.Contains(jobParams, key) {
+			unknown = append(unknown, strconv.Quote(key))
+		}
+	}
+	if len(unknown) > 0 {
+		slices.Sort(unknown)
+		return JobSpec{}, fmt.Errorf("unknown parameter %s", strings.Join(unknown, ", "))
+	}
 	spec := JobSpec{
 		Metric: q.Get("metric"),
 		Format: q.Get("format"),

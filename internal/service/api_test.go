@@ -463,3 +463,63 @@ func TestAPIRefusesWhatAlsracRefuses(t *testing.T) {
 		t.Errorf("refused submissions left job directories %v (%v)", entries, err)
 	}
 }
+
+// refuseThenAccept posts each query with a valid circuit and requires a 400
+// bad_request naming want; then no job directory may exist, and the next
+// accepted submission must get the first job id: a refusal allocates none.
+func refuseThenAccept(t *testing.T, rows []struct{ query, want string }) {
+	t.Helper()
+	dir := t.TempDir()
+	srv, _, stop := startAPI(t, Config{Dir: dir})
+	defer stop()
+	cla := testCircuit(t)
+	for _, c := range rows {
+		resp, err := http.Post(srv.URL+"/jobs?"+c.query, "application/octet-stream", bytes.NewReader(cla))
+		if err != nil {
+			t.Fatalf("POST %s: %v", c.query, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			t.Errorf("POST %s: status %d (%s); want 400 naming %q", c.query, resp.StatusCode, body, c.want)
+			continue
+		}
+		msg, code := apiError(t, resp)
+		resp.Body.Close()
+		if code != "bad_request" || !strings.Contains(msg, c.want) {
+			t.Errorf("POST %s: code %q, error %q; want bad_request naming %q", c.query, code, msg, c.want)
+		}
+	}
+	if entries, err := os.ReadDir(filepath.Join(dir, "jobs")); len(entries) != 0 {
+		t.Errorf("refused submissions left job directories %v (%v)", entries, err)
+	}
+	if st := postJob(t, srv, "metric=er&threshold=0.05&seed=3&eval=1024&workers=1", cla); st.ID != "j000001" {
+		t.Errorf("first accepted job is %s, want j000001", st.ID)
+	}
+}
+
+// TestAPIRefusesNonFiniteFloats requires POST /jobs to refuse a non-finite
+// value of every float parameter, naming the field and the parameter,
+// before a job id is allocated: such a spec cannot be persisted.
+func TestAPIRefusesNonFiniteFloats(t *testing.T) {
+	refuseThenAccept(t, []struct{ query, want string }{
+		{"threshold=Inf", "threshold (threshold) must be finite"},
+		{"maxerror=Inf", "max_error (maxerror) must be finite"},
+		{"r=Inf", "scale (r)"},
+		{"maxdepth=Inf", "max_depth_ratio (maxdepth) must be finite"},
+		{"timeout=Inf", "timeout_sec (timeout) must be finite"},
+		{"timeout=-Inf", "timeout_sec (timeout) must be finite"},
+		{"timeout=NaN", "timeout_sec (timeout) must be finite"},
+	})
+}
+
+// TestAPIRefusesUnknownParameters requires POST /jobs to refuse a query
+// parameter it does not read, naming it, as alsrac refuses an unknown
+// flag: a misspelt knob must not silently run at its default.
+func TestAPIRefusesUnknownParameters(t *testing.T) {
+	refuseThenAccept(t, []struct{ query, want string }{
+		{"metric=er&thresold=0.5", `unknown parameter "thresold"`},
+		{"metric=er&threshold=0.05&window_max_inputs=4", `unknown parameter "window_max_inputs"`},
+		{"Threshold=0.05&zz=1", `unknown parameter "Threshold", "zz"`},
+	})
+}

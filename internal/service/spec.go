@@ -17,6 +17,7 @@ package service
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/aig"
@@ -71,7 +72,8 @@ type JobSpec struct {
 // persisted spec is self-contained: a resumed job must rebuild the exact
 // same core.Options even if the daemon's defaults change between versions.
 // It refuses the values alsrac refuses, except that a negative worker count
-// or timeout is clamped to 0, as the command accepts both.
+// or timeout is clamped to 0, as the command accepts both, and it refuses a
+// non-finite value of every float field.
 func (s *JobSpec) Normalize() error {
 	// Canonicalize the metric first so the persisted form is deterministic:
 	// an absent field means the default metric (v2-era specs and clients that
@@ -106,6 +108,21 @@ func (s *JobSpec) Normalize() error {
 	} {
 		if !f.ok {
 			return fmt.Errorf("%s (%s) must be %s, got %v", f.field, f.param, f.want, f.got)
+		}
+	}
+	// +Inf passes the tests above (the scale's bounds refuse it) and the
+	// timeout is only clamped, but encoding/json cannot persist NaN or ±Inf.
+	for _, f := range []struct {
+		field, param string
+		v            float64
+	}{
+		{"threshold", "threshold", s.Threshold},
+		{"max_error", "maxerror", s.MaxError},
+		{"max_depth_ratio", "maxdepth", s.MaxDepthRatio},
+		{"timeout_sec", "timeout", s.TimeoutSec},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("%s (%s) must be finite, got %v", f.field, f.param, f.v)
 		}
 	}
 	if s.Metric == "maxerr" {

@@ -23,16 +23,12 @@ func ISOP(on, dc Table) Cover {
 	return cov
 }
 
-// ISOPOnCare returns ISOP's cover of the k-variable function (k ≤ 6) whose
+// ISOPOnCare returns ISOP's cover of the k-variable function (k ≤ 2) whose
 // observed minterms are care and whose onset is on ⊆ care, the masks
-// wordops.CoverScan returns; every other minterm is a don't-care. For
-// k ≤ 2 the cover comes from a table and is shared: the caller must not
-// modify it.
+// wordops.CoverTest returns; every other minterm is a don't-care. The cover
+// comes from a table and is shared: the caller must not modify it.
 func ISOPOnCare(k int, on, care uint64) Cover {
-	if k <= isopTableMaxVars {
-		return isopTable()[k][care<<(1<<k)|on]
-	}
-	return ISOP(FromOnCare(k, on, care))
+	return isopTable()[k][care<<(1<<k)|on]
 }
 
 // isopTableMaxVars is the widest function ISOPOnCare reads from its table:

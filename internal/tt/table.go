@@ -101,8 +101,8 @@ func FromBits(n int, b uint64) Table {
 // incompletely specified function over n ≤ 6 variables from packed minterm
 // masks: bit m of on (resp. care) tells whether minterm m was observed with
 // function value 1 (resp. observed at all). The don't-care table is the
-// complement of the care set. This is the hand-off point from word-parallel
-// care-set construction (wordops.CoverScan) to two-level minimization.
+// complement of the care set. It fills ISOPOnCare's table of the functions
+// wordops.CoverTest samples.
 func FromOnCare(n int, on, care uint64) (onset, dc Table) {
 	return FromBits(n, on), FromBits(n, ^care)
 }

@@ -112,66 +112,94 @@ func TailMask(n int) uint64 {
 	return ^uint64(0)
 }
 
-// CoverScan classifies the first valid patterns of a target signal by the
-// valuation ("key") of up to six divisor signals, entirely at word
-// granularity. divs[j] holds the value words of divisor j, complemented by
-// XOR with dinv[j] (all-ones or zero); tgt/tinv encode the target the same
-// way. Bit m of the returned masks tells whether divisor valuation m was
-// observed with the target at 1 (onset) or observed at all (care). ok is
-// false when some valuation occurs with both target values — the sampled
-// resubstitution feasibility check — detected with an early exit on the
-// first conflicting word.
+// CoverTest is the sampled resubstitution check of Theorem 1, word-parallel
+// over the first valid patterns of the value words: a divisor set is
+// feasible for a target when no two patterns agree on every divisor but
+// disagree on the target. It serves divisor sets of at most two, a kept
+// divisor a (or none) plus an added divisor u, for one target and any
+// number of u, and returns the sampled function of every set it accepts.
 //
-// The scan performs O(2^k · words) word operations in place of the
-// O(valid · k) single-bit probes of a per-pattern loop: per word, the 2^k
-// minterm-indicator masks are derived by iterative splitting (each divisor
-// halves every mask into an AND with the divisor's word and an AND with its
-// complement).
+// Prepare splits every valid pattern by a's value c and the target's:
+// pq[w][c] holds word w of P_c, the patterns with a = c and target 1, and
+// pq[w][2+c] word w of Q_c, those with a = c and target 0. With no kept
+// divisor every pattern is in class 0 and class 1 is empty. Add splits each
+// class by u's value b; the set is infeasible exactly when some minterm
+// (c, b) holds a pattern of P_c and one of Q_c.
+//
+// Minterm bits number the divisors in order: the kept divisor is bit 0 and
+// u is bit 1, or bit 0 with no kept divisor. Bit m of on tells that minterm
+// m was observed with the target at 1, bit m of care that it was observed
+// at all; tt.ISOPOnCare turns the pair into the cover.
+type CoverTest struct {
+	tail uint64      // valid bits of the last word
+	kept bool        // Prepare was given a kept divisor
+	pq   [][4]uint64 // one entry per word
+}
+
+// NewCoverTest sizes a cover test for valid patterns.
+func NewCoverTest(valid int) CoverTest {
+	return CoverTest{tail: TailMask(valid), pq: make([][4]uint64, (valid+63)>>6)}
+}
+
+// Prepare fills the class masks for the kept divisor a, complemented by XOR
+// with ainv (all ones or zero), and the target tgt, complemented by tinv;
+// a nil a means no kept divisor. It returns the sampled function of the
+// kept set alone, with ok false when that set is infeasible. Later Add
+// calls test the kept set plus one more divisor.
 //
 //alsrac:hotpath
-func CoverScan(divs [][]uint64, dinv []uint64, tgt []uint64, tinv uint64, valid int) (onset, care uint64, ok bool) {
-	k := len(divs)
-	if k > 6 {
-		panic("wordops: CoverScan supports at most 6 divisors")
-	}
-	words := (valid + 63) >> 6
-	var on, off uint64
-	for w := 0; w < words; w++ {
+func (t *CoverTest) Prepare(a []uint64, ainv uint64, tgt []uint64, tinv uint64) (on, care uint64, ok bool) {
+	t.kept = a != nil
+	var has1, has0 uint8
+	for w := range t.pq {
 		vmask := ^uint64(0)
-		if w == words-1 {
-			vmask = TailMask(valid)
+		if w == len(t.pq)-1 {
+			vmask = t.tail
 		}
-		t := tgt[w] ^ tinv
-		var masks [64]uint64
-		masks[0] = vmask
-		n := 1
-		for j := 0; j < k; j++ {
-			dv := divs[j][w] ^ dinv[j]
-			for i := 0; i < n; i++ {
-				m := masks[i]
-				masks[n+i] = m & dv // key bit j = 1
-				masks[i] = m &^ dv  // key bit j = 0
-			}
-			n <<= 1
+		tv := tgt[w] ^ tinv
+		c1 := uint64(0) // patterns with a = 1
+		if a != nil {
+			c1 = (a[w] ^ ainv) & vmask
 		}
-		for key := 0; key < n; key++ {
-			m := masks[key]
-			if m == 0 {
-				continue
-			}
-			bit := uint64(1) << uint(key)
-			if m&t != 0 {
-				on |= bit
-			}
-			if m&^t != 0 {
-				off |= bit
-			}
-		}
-		if on&off != 0 {
+		c0 := vmask &^ c1
+		m := [4]uint64{c0 & tv, c1 & tv, c0 &^ tv, c1 &^ tv}
+		t.pq[w] = m
+		has1 |= nonzero(m[0]) | nonzero(m[1])<<1
+		has0 |= nonzero(m[2]) | nonzero(m[3])<<1
+	}
+	return uint64(has1), uint64(has1 | has0), has1&has0 == 0
+}
+
+// Add tests the prepared kept set plus u, complemented by XOR with uinv,
+// and returns the set's sampled function, or ok false as soon as a word
+// holds a conflicting minterm.
+//
+//alsrac:hotpath
+func (t *CoverTest) Add(u []uint64, uinv uint64) (on, care uint64, ok bool) {
+	var has1, has0 uint8
+	for w := range t.pq {
+		x, m := u[w]^uinv, &t.pq[w]
+		has1 |= nonzero(m[0]&^x) | nonzero(m[1]&^x)<<1 | nonzero(m[0]&x)<<2 | nonzero(m[1]&x)<<3
+		has0 |= nonzero(m[2]&^x) | nonzero(m[3]&^x)<<1 | nonzero(m[2]&x)<<2 | nonzero(m[3]&x)<<3
+		if has1&has0 != 0 {
 			return 0, 0, false
 		}
 	}
-	return on, on | off, true
+	if !t.kept {
+		// Class 1 is empty, so bits 1 and 3 are clear: u moves to bit 1.
+		has1 = has1&1 | has1>>1
+		has0 = has0&1 | has0>>1
+	}
+	return uint64(has1), uint64(has1 | has0), true
+}
+
+// nonzero is 1 when x has a set bit and 0 otherwise. The compiler emits a
+// flag set, not a branch, so Add runs branch-free up to its exit test.
+func nonzero(x uint64) uint8 {
+	if x != 0 {
+		return 1
+	}
+	return 0
 }
 
 // --- slice pools -----------------------------------------------------------

@@ -32,8 +32,9 @@ echo "daemon healthy on port $port"
 
 # Refusals: POST /jobs refuses what alsrac refuses with a 400 naming the
 # limit or the parameter, and creates no job. A 65-output circuit under
-# metric=nmed (the value metrics read the outputs as one 64-bit number) and
-# r=1.5 (the shrink factor lies in (0, 1]).
+# metric=nmed (the value metrics read the outputs as one 64-bit number),
+# r=1.5 (the shrink factor lies in (0, 1]), threshold=Inf (a non-finite
+# float) and the misspelt thresold=0.5 (an unknown parameter).
 wide="$dir/wide.blif"
 {
     printf '.model wide\n.inputs a b\n.outputs'
@@ -42,7 +43,9 @@ wide="$dir/wide.blif"
     for o in $(seq 0 64); do printf '.names a b o%d\n11 1\n' "$o"; done
     printf '.end\n'
 } >"$wide"
-for req in "$wide|metric=nmed|supports at most 64" "examples/circuits/cla16.blif|r=1.5|scale (r)"; do
+for req in "$wide|metric=nmed|supports at most 64" "examples/circuits/cla16.blif|r=1.5|scale (r)" \
+           "examples/circuits/cla16.blif|threshold=Inf|threshold (threshold) must be finite" \
+           "examples/circuits/cla16.blif|metric=er&thresold=0.5|unknown parameter \\\"thresold\\\""; do
     IFS='|' read -r file query want <<<"$req"
     code="$(curl -s -o "$dir/refused.json" -w '%{http_code}' -X POST --data-binary @"$file" "$base/jobs?$query")"
     if [ "$code" != 400 ] || ! grep -qF "$want" "$dir/refused.json"; then
@@ -59,6 +62,8 @@ submit="$(curl -sf -X POST --data-binary @examples/circuits/cla16.blif \
     "$base/jobs?metric=er&threshold=0.05&seed=3&eval=1024")"
 id="$(printf '%s' "$submit" | sed -n 's/.*"id": "\(j[0-9]*\)".*/\1/p')"
 if [ -z "$id" ]; then echo "submit failed: $submit"; exit 1; fi
+# A refusal allocates no job id.
+if [ "$id" != j000001 ]; then echo "first accepted job is $id, want j000001"; exit 1; fi
 echo "submitted job $id"
 
 # Poll until the job reaches a terminal state.
